@@ -23,7 +23,7 @@
 // content of every sweep point; sweep's timing fields (the wall/work
 // summary and each point's seconds) naturally vary run to run.
 //
-// serve runs the same operations as a long-lived batched HTTP service
+// serve runs the same operations as a long-lived HTTP service
 // (see internal/server); its /v1/predict responses are byte-identical to
 // `krak predict --json` for the same scenario.
 //
@@ -126,7 +126,7 @@ subcommands:
   compare      sweep one scenario across a catalog of machines
   calibrate    fit machine parameters to measured timings
   machines     list machine presets, fingerprints, and model forms
-  serve        run the batched HTTP prediction service
+  serve        run the HTTP prediction service
   gateway      route requests across serve replicas with failover
 
 Run "krak <subcommand> -h" for the subcommand's flags. All subcommands

@@ -52,7 +52,6 @@ func runServe(args []string) error {
 	parallel := fs.Int("parallel", 0, "worker-pool width for dispatch and machines (0 = number of CPUs)")
 	cacheSize := fs.Int("cache-size", 1024, "rendered-response LRU capacity (entries)")
 	quick := fs.Bool("quick", false, "serve scaled-down decks and calibrations")
-	batchWindow := fs.Duration("batch-window", 500*time.Microsecond, "micro-batch collection window for /v1/predict")
 	cacheDir := fs.String("cache-dir", "", "disk cache directory for partitions and rendered responses (persists across restarts; empty = off)")
 	lightLimit := fs.Int("light-limit", 0, "concurrent in-flight limit for cached-read endpoints (0 = default 256, -1 = unlimited)")
 	lightQueue := fs.Int("light-queue", 0, "admission wait-queue depth for cached-read endpoints (0 = default 1024, -1 = no queue)")
@@ -77,9 +76,6 @@ func runServe(args []string) error {
 	if *cacheSize <= 0 {
 		return fmt.Errorf("krak: -cache-size must be positive, got %d", *cacheSize)
 	}
-	if *batchWindow < 0 {
-		return fmt.Errorf("krak: -batch-window must be >= 0, got %v", *batchWindow)
-	}
 	if *requestTimeout < 0 {
 		return fmt.Errorf("krak: -request-timeout must be >= 0, got %v", *requestTimeout)
 	}
@@ -93,7 +89,6 @@ func runServe(args []string) error {
 		Parallel:       *parallel,
 		CacheSize:      *cacheSize,
 		Quick:          *quick,
-		BatchWindow:    *batchWindow,
 		CacheDir:       *cacheDir,
 		LightLimit:     *lightLimit,
 		LightQueue:     *lightQueue,

@@ -52,7 +52,6 @@ func TestRunServeValidation(t *testing.T) {
 	}{
 		{"negative parallel", []string{"-parallel", "-1"}},
 		{"zero cache", []string{"-cache-size", "0"}},
-		{"negative batch window", []string{"-batch-window", "-1ms"}},
 		{"negative request timeout", []string{"-request-timeout", "-1s"}},
 		{"unarmed fault plan", []string{"-fault-plan", "x.plan"}},
 	}

@@ -16,7 +16,7 @@
 // Result/SweepResult/CalibrationResult values with Render and
 // MarshalJSON output. The cmd/krak CLI exposes the same operations as
 // subcommands (predict, simulate, hydro, part, sweep, experiments,
-// calibrate), and `krak serve` runs them as a long-lived batched HTTP
+// calibrate), and `krak serve` runs them as a long-lived HTTP
 // service (internal/server) whose responses are byte-identical to the
 // CLI's --json output; pkg/krak also carries the service's wire types
 // (PredictRequest, SimulateRequest, SweepRequest, CalibrateRequest,

@@ -37,9 +37,8 @@ func benchPost(s *Server, body string) *httptest.ResponseRecorder {
 // calibrations, and partitions are all memoized, then the measured loop
 // cycles through more distinct requests than the LRU holds (sequential
 // cycling of 64 keys through 16 slots misses forever), so every request
-// pays scenario construction, batch dispatch (including the micro-batch
-// window an unaccompanied request waits out), model evaluation, and
-// rendering — the serving layer's own cost, not the partitioner's.
+// pays scenario construction, model evaluation inline in the LRU fill,
+// and rendering — the serving layer's own cost, not the partitioner's.
 // (Before PR 5 the warm-up only primed one point; at the archived
 // -benchtime 1x that was invisible because the single measured request
 // was that point, but any longer run silently folded fresh partitions

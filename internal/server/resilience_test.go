@@ -1,7 +1,6 @@
 package server
 
 import (
-	"fmt"
 	"net/http"
 	"path/filepath"
 	"testing"
@@ -117,8 +116,8 @@ func TestCloseDrainsBackgroundJobs(t *testing.T) {
 }
 
 // TestCloseIsSafeOnIdleServer: a server that never served a request
-// closes cleanly (the batcher flush and job drain must tolerate
-// nothing having happened).
+// closes cleanly (the job drain must tolerate nothing having
+// happened).
 func TestCloseIsSafeOnIdleServer(t *testing.T) {
 	s := quickServer()
 	if err := s.Close(); err != nil {
@@ -126,39 +125,5 @@ func TestCloseIsSafeOnIdleServer(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestCloseFlushesBatchWindow: predicts queued in the batcher's wait
-// window when Close lands are dispatched, not abandoned — their waiters
-// unblock with an answer.
-func TestCloseFlushesBatchWindow(t *testing.T) {
-	s := quickServer(func(c *Config) { c.BatchWindow = time.Hour })
-	res := make(chan int, 1)
-	go func() {
-		w := post(t, s, "/v1/predict", fmt.Sprintf(`{"deck":"small","pes":%d}`, 8))
-		res <- w.Code
-	}()
-	// Wait until the request is parked in the batch window.
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		s.batch.mu.Lock()
-		n := len(s.batch.queue)
-		s.batch.mu.Unlock()
-		if n > 0 {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case code := <-res:
-		if code != http.StatusOK {
-			t.Fatalf("batched predict finished with %d after Close", code)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("batched predict still parked after Close — the window was not flushed")
 	}
 }

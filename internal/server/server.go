@@ -3,7 +3,7 @@
 // repository's concurrent engine. It turns the one-shot CLI workflow
 // into a long-running traffic-serving system:
 //
-//	POST /v1/predict            analytic model (micro-batched, cached)
+//	POST /v1/predict            analytic model (cached)
 //	POST /v1/simulate           cluster simulator (cached)
 //	POST /v1/sweep              concurrent (deck, PE) grid (uncached: timings vary)
 //	POST /v1/compare            one scenario across many machines (cached)
@@ -38,11 +38,11 @@
 // response bodies; concurrent misses for the same key coalesce through
 // the LRU's single-flight fill (the same discipline engine.Cache gives
 // the machine's artifact caches below), so one computation feeds every
-// duplicate in flight. A predict miss then joins a micro-batch — jobs
-// arriving within a small window dispatch as one engine.Map over the
-// server's worker pool — and the machines themselves are shared across
-// requests, so decks, partitions, and calibrations stay warm in their
-// single-flight engine.Cache instances across the whole request stream.
+// duplicate in flight. A miss evaluates inline in that fill, on the
+// request's own goroutine, with concurrency bounded by the endpoint's
+// admission class; the machines themselves are shared across requests,
+// so decks, partitions, and calibrations stay warm in their single-flight
+// engine.Cache instances across the whole request stream.
 //
 // Responses are byte-identical to the CLI: /v1/predict for a scenario
 // returns exactly the bytes `krak predict --json` prints for the same
@@ -71,8 +71,8 @@ import (
 
 // Config sizes a Server.
 type Config struct {
-	// Parallel bounds the worker pool every machine and the predict
-	// batcher dispatch on; 0 means as wide as the hardware allows.
+	// Parallel bounds the worker pools every machine and the compare
+	// fan-out dispatch on; 0 means as wide as the hardware allows.
 	Parallel int
 
 	// CacheSize bounds the rendered-response LRU; 0 means 1024 entries.
@@ -82,10 +82,6 @@ type Config struct {
 	// to every request's machine, whatever the request says — the mode
 	// the CI smoke job serves in.
 	Quick bool
-
-	// BatchWindow is how long the first predict in a batch waits for
-	// company before the batch dispatches; 0 means 500µs.
-	BatchWindow time.Duration
 
 	// CacheDir, when set, roots the content-addressed disk cache under
 	// the artifact store: partition vectors and rendered response bodies
@@ -159,7 +155,6 @@ type Server struct {
 	// instance over the same directory for partition vectors.
 	disk *artifacts.DiskCache
 
-	batch     *predictBatcher
 	pool      *engine.Pool
 	metrics   *metrics.Registry
 	admission *admission
@@ -192,10 +187,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.CacheSize <= 0 {
 		cfg.CacheSize = 1024
 	}
-	if cfg.BatchWindow <= 0 {
-		cfg.BatchWindow = 500 * time.Microsecond
-	}
-	pool := engine.New(cfg.Parallel)
 	sa := krak.NewSharedArtifacts()
 	var disk *artifacts.DiskCache
 	if cfg.CacheDir != "" {
@@ -211,8 +202,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:       cfg,
 		start:     time.Now(),
 		responses: engine.NewLRU[string, []byte](cfg.CacheSize),
-		batch:     newPredictBatcher(pool, cfg.BatchWindow),
-		pool:      pool,
+		pool:      engine.New(cfg.Parallel),
 		artifacts: sa,
 		disk:      disk,
 		metrics:   metrics.NewRegistry(),
@@ -270,7 +260,7 @@ func (s *Server) registerMetrics() {
 	reg.AddScalar("krak_uptime_seconds", "gauge",
 		"Seconds since the server started.", func() float64 { return time.Since(s.start).Seconds() })
 	reg.AddScalar("krak_parallelism", "gauge",
-		"Worker-pool width machines and batches dispatch on.",
+		"Worker-pool width machines and compares dispatch on.",
 		func() float64 { return float64(s.pool.Workers()) })
 	reg.AddScalar("krak_response_cache_hits_total", "counter",
 		"Responses served from the rendered-response LRU.", counter(&s.cacheHits))
@@ -286,10 +276,6 @@ func (s *Server) registerMetrics() {
 		"Distinct machine configurations memoized.", func() float64 { return float64(s.machines.Len()) })
 	reg.AddScalar("krak_machines_rejected_total", "counter",
 		"Requests refused because the machine cap was reached.", counter(&s.machinesRejected))
-	reg.AddScalar("krak_batches_total", "counter",
-		"Predict micro-batches dispatched.", counter(&s.batch.batches))
-	reg.AddScalar("krak_batched_jobs_total", "counter",
-		"Predict jobs carried by micro-batches.", counter(&s.batch.jobs))
 	limGauge := func(fn func(*engine.Limiter) int) map[string]func() float64 {
 		return map[string]func() float64{
 			classLight: func() float64 { return float64(fn(s.admission.light)) },
@@ -378,17 +364,14 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // Close stops the server's background machinery after the HTTP listener
 // has drained (call it after http.Server.Shutdown): it cancels the
-// context background jobs run under, waits for every job goroutine to
-// exit, and flushes the predict batcher's pending window so no queued
-// job is left waiting on a window timer that will never be served.
-// Idempotent; safe on a server that never served a request.
+// context background jobs run under and waits for every job goroutine to
+// exit. Idempotent; safe on a server that never served a request.
 func (s *Server) Close() error {
 	if !s.closed.CompareAndSwap(false, true) {
 		return nil
 	}
 	s.shutdown()
 	s.bg.Wait()
-	s.batch.close()
 	return nil
 }
 
@@ -546,8 +529,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"cache_len":          total("krak_response_cache_entries"),
 		"cache_cap":          total("krak_response_cache_capacity"),
 		"machines":           total("krak_machines"),
-		"batches":            total("krak_batches_total"),
-		"batched_jobs":       total("krak_batched_jobs_total"),
 		"parallelism":        total("krak_parallelism"),
 		"admission_rejected": total("krak_admission_rejected_total"),
 		"jobs":               total("krak_jobs"),
@@ -637,13 +618,16 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := req.CanonicalKey()
-	// The fill runs detached from this request's context: other requests
-	// may be coalesced onto it, and one client disconnecting must not
-	// fail the strangers sharing the computation (predictions are short
-	// and the rendered result is cacheable regardless).
+	// The fill takes no context: other requests may be coalesced onto it,
+	// so one client disconnecting must not fail the strangers sharing the
+	// computation (predictions are short and the rendered result is
+	// cacheable regardless).
 	s.cachedResult(w, key, func() (*krak.Result, error) {
-		//krakcheck:ignore ctxflow deliberate detach: coalesced fill shared by other requests must survive this client disconnecting
-		return s.batch.predict(context.Background(), m, sc)
+		sess, err := krak.NewSession(m, sc)
+		if err != nil {
+			return nil, err
+		}
+		return sess.Predict()
 	})
 }
 

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -115,60 +116,66 @@ func TestPredictResponseDecodes(t *testing.T) {
 	}
 }
 
-// TestPredictMicroBatching opens a wide window, fires distinct cold
-// predicts concurrently, and asserts they dispatched as one engine
-// batch.
-func TestPredictMicroBatching(t *testing.T) {
-	s := quickServer(func(c *Config) { c.BatchWindow = 300 * time.Millisecond })
-	// Prime the machine's artifact caches so the batched requests don't
-	// serialize on the one-time calibration fill.
-	post(t, s, "/v1/predict", `{"deck":"small","pes":2}`)
-
-	const n = 6
+// burstOnHeldFill calls s.cachedBody for key from n goroutines while the
+// first caller's fill is held open on a release channel, so the other
+// n-1 find the entry in flight by construction and join it. It returns
+// every caller's recorder and how many fills ran. (The same idiom as
+// engine.TestLRUOutcomes: the callers reach Do before the release.)
+func burstOnHeldFill(t *testing.T, s *Server, key string, n int) ([]*httptest.ResponseRecorder, int64) {
+	t.Helper()
+	started, release := make(chan struct{}), make(chan struct{})
+	var fills atomic.Int64
+	fill := func() ([]byte, error) {
+		fills.Add(1)
+		return []byte("recomputed\n"), nil
+	}
+	recs := make([]*httptest.ResponseRecorder, n)
+	for i := range recs {
+		recs[i] = httptest.NewRecorder()
+	}
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		s.cachedBody(recs[0], key, func() ([]byte, error) {
+			fills.Add(1)
+			close(started) // the entry is registered: later callers coalesce
+			<-release
+			return []byte("filled\n"), nil
+		})
+	}()
+	<-started
+	var arrived sync.WaitGroup
+	for _, w := range recs[1:] {
 		wg.Add(1)
-		go func(i int) {
+		arrived.Add(1)
+		go func() {
 			defer wg.Done()
-			body := fmt.Sprintf(`{"deck":"small","pes":%d}`, 4+i)
-			w := post(t, s, "/v1/predict", body)
-			if w.Code != http.StatusOK {
-				t.Errorf("pe %d: status %d: %s", 4+i, w.Code, w.Body.String())
-			}
-		}(i)
+			arrived.Done() // next call is Do; the fill is still held
+			s.cachedBody(w, key, fill)
+		}()
 	}
+	arrived.Wait()
+	time.Sleep(50 * time.Millisecond) // settle every caller into Do
+	close(release)
 	wg.Wait()
-
-	batches, jobs := s.batch.batches.Load(), s.batch.jobs.Load()
-	// One batch for the primer, one for the concurrent burst.
-	if batches != 2 || jobs != n+1 {
-		t.Errorf("batches=%d jobs=%d, want 2 batches carrying %d jobs", batches, jobs, n+1)
-	}
+	return recs, fills.Load()
 }
 
-// TestDuplicateRequestsCoalesce fires identical cold requests
-// concurrently and asserts the single-flight LRU ran one computation.
+// TestDuplicateRequestsCoalesce holds one fill open under a burst of
+// identical requests and asserts the single-flight LRU ran one
+// computation whose bytes every duplicate received.
 func TestDuplicateRequestsCoalesce(t *testing.T) {
-	s := quickServer(func(c *Config) { c.BatchWindow = 50 * time.Millisecond })
+	s := quickServer()
 	const n = 8
-	bodies := make([]string, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			w := post(t, s, "/v1/predict", `{"deck":"small","pes":4}`)
-			bodies[i] = w.Body.String()
-		}(i)
+	recs, fills := burstOnHeldFill(t, s, "dup", n)
+	if fills != 1 {
+		t.Errorf("%d fills ran, want 1 (duplicates must coalesce)", fills)
 	}
-	wg.Wait()
-	for i := 1; i < n; i++ {
-		if bodies[i] != bodies[0] {
-			t.Fatalf("response %d differs from response 0", i)
+	for i, w := range recs {
+		if w.Code != http.StatusOK || w.Body.String() != "filled\n" {
+			t.Fatalf("response %d: status %d body %q, want the held fill's", i, w.Code, w.Body.String())
 		}
-	}
-	if jobs := s.batch.jobs.Load(); jobs != 1 {
-		t.Errorf("batcher saw %d jobs, want 1 (duplicates must coalesce before dispatch)", jobs)
 	}
 }
 
@@ -397,7 +404,7 @@ func TestInvalidSpecsDoNotConsumeMachineCap(t *testing.T) {
 // canceled first requester cannot fail the strangers coalesced onto its
 // computation.
 func TestCoalescedWaitersSurviveCancel(t *testing.T) {
-	s := quickServer(func(c *Config) { c.BatchWindow = 100 * time.Millisecond })
+	s := quickServer()
 	ctx, cancel := context.WithCancel(context.Background())
 	first := httptest.NewRequest(http.MethodPost, "/v1/predict",
 		strings.NewReader(`{"deck":"small","pes":4}`)).WithContext(ctx)

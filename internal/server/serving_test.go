@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -100,8 +101,6 @@ func TestHealthzAgreesWithMetrics(t *testing.T) {
 		"cache_len":          "krak_response_cache_entries",
 		"cache_cap":          "krak_response_cache_capacity",
 		"machines":           "krak_machines",
-		"batches":            "krak_batches_total",
-		"batched_jobs":       "krak_batched_jobs_total",
 		"parallelism":        "krak_parallelism",
 		"partition_computes": "krak_partition_computes_total",
 	}
@@ -124,34 +123,16 @@ func TestHealthzAgreesWithMetrics(t *testing.T) {
 // coalesced (zero hits — nothing was in the finished cache), and only
 // the repeat afterwards is a hit.
 func TestCacheOutcomeCountsPinned(t *testing.T) {
-	// A wide batch window keeps the first request's fill in flight while
-	// the rest of the burst arrives.
-	s := quickServer(func(c *Config) { c.BatchWindow = 300 * time.Millisecond })
+	s := quickServer()
 	const n = 6
-	var wg sync.WaitGroup
-	results := make([]int, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i] = post(t, s, "/v1/predict", `{"deck":"small","pes":4}`).Code
-		}(i)
-		if i == 0 {
-			// Give the first request time to open the fill, so the rest
-			// deterministically coalesce instead of racing it.
-			time.Sleep(60 * time.Millisecond)
-		}
-	}
-	wg.Wait()
-	for i, code := range results {
-		if code != http.StatusOK {
-			t.Fatalf("burst request %d: status %d", i, code)
-		}
-	}
+	burstOnHeldFill(t, s, "burst", n)
 	if m, c, h := s.cacheMisses.Load(), s.cacheCoalesced.Load(), s.cacheHits.Load(); m != 1 || c != n-1 || h != 0 {
 		t.Fatalf("burst counts: misses=%d coalesced=%d hits=%d, want 1/%d/0", m, c, h, n-1)
 	}
-	post(t, s, "/v1/predict", `{"deck":"small","pes":4}`)
+	s.cachedBody(httptest.NewRecorder(), "burst", func() ([]byte, error) {
+		t.Error("repeat ran the fill")
+		return nil, nil
+	})
 	if m, c, h := s.cacheMisses.Load(), s.cacheCoalesced.Load(), s.cacheHits.Load(); m != 1 || c != n-1 || h != 1 {
 		t.Fatalf("after repeat: misses=%d coalesced=%d hits=%d, want 1/%d/1", m, c, h, n-1)
 	}
