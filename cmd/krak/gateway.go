@@ -19,9 +19,9 @@ import (
 // that routes across N `krak serve` replicas by consistent hashing of
 // the canonical request keys, with health probing, bounded retries,
 // per-replica circuit breakers, ring failover, and graceful degradation
-// (disk-cache tier, then local quick evaluation with a Krak-Degraded
-// header) when every replica for a key is down. Replicas come from
-// repeated/comma-separated -replica flags or a -config file.
+// (the disk-cache tier with a Krak-Degraded header, then 503) when every
+// replica for a key is down. Replicas come from repeated/comma-separated
+// -replica flags or a -config file.
 func runGateway(args []string) error {
 	fs := flag.NewFlagSet("krak gateway", flag.ExitOnError)
 	addr := fs.String("addr", ":8090", "listen address")
@@ -29,8 +29,7 @@ func runGateway(args []string) error {
 	fs.Var(&replicaFlags, "replica", "replica base URL (repeatable, or comma-separated)")
 	configPath := fs.String("config", "", "gateway config file (see docs/ARCHITECTURE.md, Resilience)")
 	cacheDir := fs.String("cache-dir", "", "read-through response cache directory for degraded serving (empty = off)")
-	quick := fs.Bool("quick", false, "replicas run -quick (keeps canonical keys and local fallback consistent)")
-	noLocal := fs.Bool("no-local-fallback", false, "disable the local-evaluation degradation tier")
+	quick := fs.Bool("quick", false, "replicas run -quick (keeps canonical routing and cache keys consistent)")
 	retries := fs.Int("retries", -1, "extra attempts per idempotent request (-1 = config/default)")
 	probeInterval := fs.Duration("probe-interval", 0, "health-check cadence per replica (0 = config/default)")
 	breakerThreshold := fs.Int("breaker-threshold", 0, "consecutive failures that open a replica's breaker (0 = config/default)")
@@ -55,9 +54,6 @@ func runGateway(args []string) error {
 	}
 	if *quick {
 		cfg.Quick = true
-	}
-	if *noLocal {
-		cfg.LocalFallback = false
 	}
 	if *retries >= 0 {
 		cfg.Retries = *retries

@@ -81,7 +81,6 @@ func TestRunGatewayListenConflict(t *testing.T) {
 		"-replica", "http://127.0.0.1:2,http://127.0.0.1:3",
 		"-cache-dir", filepath.Join(dir, "cache"),
 		"-quick",
-		"-no-local-fallback",
 		"-retries", "2",
 		"-probe-interval", "30s",
 		"-breaker-threshold", "5",

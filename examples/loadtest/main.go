@@ -110,9 +110,9 @@ func main() {
 				t0 := time.Now()
 				deg, err := request(client, *addr, *endpoint, bodies[i%len(bodies)])
 				if deg != "" {
-					// A gateway answered from a degradation tier (its disk
-					// cache or local quick evaluation) — served, not failed,
-					// but worth its own line in the report.
+					// A gateway answered from its disk-cache degradation
+					// tier — served, not failed, but worth its own line in
+					// the report.
 					degraded.Add(1)
 				}
 				switch {

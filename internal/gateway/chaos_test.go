@@ -15,6 +15,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 
 	"krak/internal/faultinject"
@@ -78,8 +79,10 @@ func newChaosInjector(t *testing.T) *faultinject.Injector {
 
 // TestChaosKillAndCorruptMidSoak: replica 1 injects errors and corrupt
 // bodies the whole time, replica 0 is killed a third of the way in, and
-// the soak still completes with every request answered 200 and every
-// body byte-identical to the single-node reference.
+// the soak still completes with every request answered 200 by a replica
+// and every body byte-identical to the single-node reference — retries
+// and failover alone absorb the kill and the fault plan, with no
+// request reaching a degraded tier.
 func TestChaosKillAndCorruptMidSoak(t *testing.T) {
 	ref := referenceBodies(t)
 	inj := newChaosInjector(t)
@@ -90,7 +93,6 @@ func TestChaosKillAndCorruptMidSoak(t *testing.T) {
 
 	cfg := testConfig(ts0.URL, ts1.URL, ts2.URL)
 	cfg.Quick = true
-	cfg.LocalFallback = true
 	g, err := New(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -129,6 +131,9 @@ func TestChaosKillAndCorruptMidSoak(t *testing.T) {
 	if g.retries.Load() == 0 {
 		t.Fatal("soak survived a dead replica and a chaos plan without a single retry — faults cannot have been exercised")
 	}
+	if degraded, unavailable := g.degradedCache.Load(), g.unavailable.Load(); degraded+unavailable != 0 {
+		t.Fatalf("retries and failover left %d requests to the disk tier and %d to 503", degraded, unavailable)
+	}
 	totals := inj.Totals()
 	if totals[faultinject.KindError]+totals[faultinject.KindCorrupt] == 0 {
 		t.Fatalf("armed injector fired nothing: %v", totals)
@@ -140,16 +145,17 @@ func TestChaosKillAndCorruptMidSoak(t *testing.T) {
 // totals. Single-replica on purpose: ring placement hashes replica
 // URLs, and httptest ports differ run to run, so with a fleet the
 // subset of requests reaching the armed replica would vary. With one
-// replica every request deterministically attempts it first and
-// degrades to local evaluation when a fault fires.
-func runChaosSoak(t *testing.T) map[string]int64 {
+// replica every request deterministically attempts it first, and with
+// no cache directory a faulted request has nowhere left to go: each
+// response is either the reference body or a 503, and the 503s number
+// exactly the injected error and corrupt faults.
+func runChaosSoak(t *testing.T, ref map[int][]byte) map[string]int64 {
 	t.Helper()
 	inj := newChaosInjector(t)
 	ts, _ := chaosReplica(t, inj)
 
 	cfg := testConfig(ts.URL)
 	cfg.Quick = true
-	cfg.LocalFallback = true
 	// Keep time out of the loop too: no Start (health probes are
 	// scheduling noise when the replica stays up) and a breaker that
 	// never opens (an open breaker skips the armed replica for a
@@ -159,15 +165,34 @@ func runChaosSoak(t *testing.T) map[string]int64 {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var unavailable int64
 	for round := 0; round < 10; round++ {
 		for _, pe := range chaosPEs {
 			rec := post(t, g, "/v1/predict", predictBody(pe))
-			if rec.Code != http.StatusOK {
-				t.Fatalf("round %d pe %d: status %d", round, pe, rec.Code)
+			switch rec.Code {
+			case http.StatusOK:
+				if !bytes.Equal(rec.Body.Bytes(), ref[pe]) {
+					t.Fatalf("round %d pe %d: body diverged from single-node reference\n got: %q\nwant: %q",
+						round, pe, rec.Body.String(), ref[pe])
+				}
+			case http.StatusServiceUnavailable:
+				unavailable++
+				if rec.Header().Get("Retry-After") == "" {
+					t.Fatalf("round %d pe %d: 503 without Retry-After", round, pe)
+				}
+				if !strings.Contains(rec.Body.String(), "service unavailable") {
+					t.Fatalf("round %d pe %d: 503 body %q does not carry ErrUnavailable", round, pe, rec.Body.String())
+				}
+			default:
+				t.Fatalf("round %d pe %d: status %d body %s", round, pe, rec.Code, rec.Body.String())
 			}
 		}
 	}
-	return inj.Totals()
+	totals := inj.Totals()
+	if faulted := totals[faultinject.KindError] + totals[faultinject.KindCorrupt]; unavailable != faulted {
+		t.Fatalf("%d requests answered 503, want one per injected error/corrupt fault (%d): %v", unavailable, faulted, totals)
+	}
+	return totals
 }
 
 // TestChaosFaultTotalsReproducible is the acceptance criterion from the
@@ -175,8 +200,9 @@ func runChaosSoak(t *testing.T) map[string]int64 {
 // injected-fault sequence, observed as identical
 // krak_fault_injected_total counters across two independent runs.
 func TestChaosFaultTotalsReproducible(t *testing.T) {
-	first := runChaosSoak(t)
-	second := runChaosSoak(t)
+	ref := referenceBodies(t)
+	first := runChaosSoak(t, ref)
+	second := runChaosSoak(t, ref)
 	if !reflect.DeepEqual(first, second) {
 		t.Fatalf("fault totals diverged across identical runs:\nfirst:  %v\nsecond: %v", first, second)
 	}

@@ -12,7 +12,7 @@ import (
 
 // TestClassify pins the routing table: which ring key each endpoint
 // hashes on, which methods are safe to retry across replicas, and
-// which requests carry a canonical cache key with a local evaluator.
+// which requests carry a canonical cache key for the disk tier.
 func TestClassify(t *testing.T) {
 	g, err := New(testConfig("http://127.0.0.1:1"), nil)
 	if err != nil {
@@ -41,7 +41,7 @@ func TestClassify(t *testing.T) {
 		body               []byte
 		wantKey            string // exact, or "|"-suffixed digest prefix
 		idempotent         bool
-		canonical          bool // cacheKey + local evaluator present
+		canonical          bool // cacheKey present and equal to the ring key
 	}{
 		{"job poll", http.MethodGet, "/v1/jobs/abc123", nil, "jobs", true, false},
 		{"machine read", http.MethodGet, "/v1/machines/f00dcafe", nil, "machines|f00dcafe", true, false},
@@ -75,10 +75,10 @@ func TestClassify(t *testing.T) {
 			}
 		}
 		if tc.canonical {
-			if c.cacheKey == "" || c.cacheKey != c.key || c.local == nil {
-				t.Errorf("%s: canonical class incomplete: cacheKey=%q local=%v", tc.name, c.cacheKey, c.local != nil)
+			if c.cacheKey == "" || c.cacheKey != c.key {
+				t.Errorf("%s: cacheKey = %q, want the ring key %q", tc.name, c.cacheKey, c.key)
 			}
-		} else if c.cacheKey != "" || c.local != nil {
+		} else if c.cacheKey != "" {
 			t.Errorf("%s: unexpected degraded tier: cacheKey=%q", tc.name, c.cacheKey)
 		}
 	}
@@ -105,35 +105,5 @@ func TestEndpointLabel(t *testing.T) {
 		if got := endpointLabel(path); got != want {
 			t.Errorf("endpointLabel(%q) = %q, want %q", path, got, want)
 		}
-	}
-}
-
-// TestGatewayDegradedQuickSimulate is the simulate twin of the predict
-// quick-tier test: with every replica dead and no cached response, the
-// gateway runs the scaled-down simulator locally rather than failing.
-func TestGatewayDegradedQuickSimulate(t *testing.T) {
-	dead := newStubReplica()
-	dead.ts.Close()
-	cfg := testConfig(dead.ts.URL)
-	cfg.Quick = true
-	cfg.LocalFallback = true
-	g, err := New(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := json.Marshal(krak.SimulateRequest{Deck: "small", PEs: 2, Iterations: 1})
-	rec := post(t, g, "/v1/simulate", body)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d body %s, want local-fallback 200", rec.Code, rec.Body.String())
-	}
-	if got := rec.Header().Get("Krak-Degraded"); got != "quick" {
-		t.Fatalf("Krak-Degraded %q, want quick", got)
-	}
-	var res krak.Result
-	if err := json.Unmarshal(rec.Body.Bytes(), &res); err != nil {
-		t.Fatalf("degraded body does not decode as a Result: %v", err)
-	}
-	if res.Kind != krak.KindSimulate || res.TotalSeconds <= 0 {
-		t.Fatalf("implausible local simulate result: %+v", res)
 	}
 }

@@ -48,21 +48,16 @@ type Config struct {
 	Seed uint64
 
 	// Quick applies the serving tier's -quick to the gateway's own view
-	// of each request (canonical keys, local degraded evaluation). Set
-	// it exactly when the replicas run -quick, or keys will not match
-	// the bodies the replicas cache.
+	// of each request (the canonical routing and disk-tier keys). Set it
+	// exactly when the replicas run -quick, or keys will not match the
+	// bodies the replicas cache.
 	Quick bool
 
 	// CacheDir, when set, roots the gateway's own read-through response
 	// cache: bodies proxied for predict/simulate land there, and when
 	// every replica for a key is down the gateway serves from it before
-	// falling back to local evaluation. "" disables the tier.
+	// answering 503. "" disables the tier.
 	CacheDir string
-
-	// LocalFallback enables the last degradation tier: evaluating
-	// predict/simulate requests in-process (quick mode) when no replica
-	// and no cached body can answer. Responses carry Krak-Degraded.
-	LocalFallback bool
 }
 
 // DefaultConfig returns the gateway defaults (no replicas).
@@ -77,7 +72,6 @@ func DefaultConfig() Config {
 		BreakerThreshold: 5,
 		BreakerCooldown:  10 * time.Second,
 		Seed:             1,
-		LocalFallback:    true,
 	}
 }
 
@@ -106,7 +100,6 @@ const (
 //	breaker-cooldown 10s            # open time before a half-open probe
 //	seed 1                          # retry-jitter seed
 //	quick true                      # replicas run -quick
-//	local-fallback true             # degrade to in-process evaluation
 //
 // Directive-per-line, '#' comments, blank lines ignored. Unset
 // directives keep their DefaultConfig values. The result still needs
@@ -191,12 +184,6 @@ func ParseGatewayConfig(src []byte) (Config, error) {
 				return cfg, lineErr("bad quick %q (want a boolean)", val)
 			}
 			cfg.Quick = b
-		case "local-fallback":
-			b, err := strconv.ParseBool(val)
-			if err != nil {
-				return cfg, lineErr("bad local-fallback %q (want a boolean)", val)
-			}
-			cfg.LocalFallback = b
 		default:
 			return cfg, lineErr("unknown directive %q", dir)
 		}

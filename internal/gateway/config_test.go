@@ -21,7 +21,6 @@ breaker-threshold 4
 breaker-cooldown 2s
 seed 7
 quick true
-local-fallback false
 `)
 	cfg, err := ParseGatewayConfig(src)
 	if err != nil {
@@ -33,8 +32,8 @@ local-fallback false
 	if cfg.ProbeInterval != 500*time.Millisecond || cfg.BreakerThreshold != 4 || cfg.Seed != 7 {
 		t.Fatalf("parsed %+v", cfg)
 	}
-	if !cfg.Quick || cfg.LocalFallback {
-		t.Fatalf("booleans not applied: %+v", cfg)
+	if !cfg.Quick {
+		t.Fatalf("quick not applied: %+v", cfg)
 	}
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
@@ -48,7 +47,7 @@ func TestParseGatewayConfigDefaults(t *testing.T) {
 	}
 	def := DefaultConfig()
 	if cfg.VirtualNodes != def.VirtualNodes || cfg.Retries != def.Retries ||
-		cfg.BreakerThreshold != def.BreakerThreshold || !cfg.LocalFallback {
+		cfg.BreakerThreshold != def.BreakerThreshold {
 		t.Fatalf("unset directives did not keep defaults: %+v", cfg)
 	}
 }
@@ -66,6 +65,7 @@ func TestParseGatewayConfigRejects(t *testing.T) {
 		"duration over cap": "probe-interval 2m\n",
 		"zero seed":         "seed 0\n",
 		"bad bool":          "quick maybe\n",
+		"removed directive": "local-fallback true\n",
 		"too many replicas": strings.Repeat("replica http://h\n", maxReplicas+1),
 		"oversized input":   strings.Repeat(" ", maxConfigBytes+1),
 		"too many lines":    strings.Repeat("\n", maxConfigLines+1),

@@ -10,9 +10,9 @@
 // idempotent endpoints, per-replica circuit breakers, failover along
 // the hash ring, and graceful degradation — when every replica for a
 // key is unavailable the gateway serves from its own read-through disk
-// cache, or evaluates the request locally in quick mode with a
-// `Krak-Degraded` response header, before it will return a 503 (which
-// then carries krak.ErrUnavailable semantics and a Retry-After).
+// cache with a `Krak-Degraded: cache` response header, before it will
+// return a 503 (which then carries krak.ErrUnavailable semantics and a
+// Retry-After).
 //
 // Everything observable is exported through the shared metrics
 // registry: krak_gateway_retries_total, krak_gateway_breaker_state,
@@ -25,7 +25,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -36,7 +35,6 @@ import (
 	"unicode/utf8"
 
 	"krak/internal/artifacts"
-	"krak/internal/engine"
 	"krak/internal/faultinject"
 	"krak/internal/metrics"
 	"krak/internal/stats"
@@ -45,10 +43,6 @@ import (
 
 // maxBody bounds proxied request bodies, mirroring the serving tier.
 const maxBody = 1 << 20
-
-// maxLocalMachines caps the machine cache behind local degraded
-// evaluation — a last-resort tier needs far fewer than the replicas do.
-const maxLocalMachines = 16
 
 // responseKind namespaces rendered response bodies in the disk tier —
 // the same namespace `krak serve` uses, so a gateway and a replica
@@ -77,12 +71,8 @@ type Gateway struct {
 	start    time.Time
 
 	// disk is the gateway's own read-through response cache (nil
-	// without a cache directory) — degradation tier one.
+	// without a cache directory) — the degradation tier.
 	disk *artifacts.DiskCache
-
-	// artifacts/machines back local degraded evaluation — tier two.
-	artifacts *krak.SharedArtifacts
-	machines  engine.Cache[string, *krak.Machine]
 
 	// rng drives retry jitter; guarded by rngMu (SplitMix64 is not
 	// concurrency-safe).
@@ -96,7 +86,6 @@ type Gateway struct {
 	retries        atomic.Int64
 	failovers      atomic.Int64
 	degradedCache  atomic.Int64
-	degradedQuick  atomic.Int64
 	unavailable    atomic.Int64
 	proxiedByIndex []atomic.Int64
 }
@@ -113,12 +102,8 @@ func New(cfg Config, faults *faultinject.Injector) (*Gateway, error) {
 		cfg.Seed = 1
 	}
 	var disk *artifacts.DiskCache
-	sa := krak.NewSharedArtifacts()
 	if cfg.CacheDir != "" {
 		var err error
-		if sa, err = krak.NewSharedArtifactsAt(cfg.CacheDir); err != nil {
-			return nil, err
-		}
 		if disk, err = artifacts.OpenDiskCache(cfg.CacheDir); err != nil {
 			return nil, err
 		}
@@ -133,7 +118,6 @@ func New(cfg Config, faults *faultinject.Injector) (*Gateway, error) {
 		metrics:        metrics.NewRegistry(),
 		start:          time.Now(),
 		disk:           disk,
-		artifacts:      sa,
 		rng:            stats.NewSplitMix64(cfg.Seed),
 		proxiedByIndex: make([]atomic.Int64, len(cfg.Replicas)),
 	}
@@ -204,27 +188,25 @@ func (g *Gateway) probe(ctx context.Context, rep *replica) {
 
 // reqClass is the routing classification of one request: the ring key
 // it hashes on, whether retry/failover across replicas is safe, and —
-// for the two canonically-keyed endpoints — the response-cache key and
-// a local evaluator for the degraded tiers.
+// for the two canonically-keyed endpoints — the response-cache key of
+// the degraded tier.
 type reqClass struct {
 	key        string
 	idempotent bool
 	cacheKey   string
-	local      func(ctx context.Context) ([]byte, error)
 }
 
 // classify derives a request's class from method, path, and body.
 //
 // Predict and simulate route by their canonical content key (the warm-
-// cache routing the ring exists for) and degrade all the way to local
-// evaluation. Sweep, compare, and calibrate are pure functions of their
+// cache routing the ring exists for) and degrade to the disk tier under
+// that key. Sweep, compare, and calibrate are pure functions of their
 // body, so they route by a body digest and are retried/failed over, but
-// have no degraded tier (too heavy to run locally). Job endpoints all
-// anchor to one ring key — the job store is per-replica state, so
-// submissions and polls must land on the same backend; submission is
-// the one non-idempotent POST there. Machine registry writes anchor to
-// the fingerprint and are single-attempt. GETs are idempotent by
-// definition and route by path.
+// have no degraded tier. Job endpoints all anchor to one ring key — the
+// job store is per-replica state, so submissions and polls must land on
+// the same backend; submission is the one non-idempotent POST there.
+// Machine registry writes anchor to the fingerprint and are
+// single-attempt. GETs are idempotent by definition and route by path.
 func (g *Gateway) classify(r *http.Request, body []byte) reqClass {
 	path := r.URL.Path
 	if r.Method == http.MethodGet {
@@ -252,8 +234,7 @@ func (g *Gateway) classify(r *http.Request, body []byte) reqClass {
 		}
 		req.Machine = ms
 		key := req.CanonicalKey()
-		return reqClass{key: key, idempotent: true, cacheKey: key,
-			local: func(ctx context.Context) ([]byte, error) { return g.localPredict(req) }}
+		return reqClass{key: key, idempotent: true, cacheKey: key}
 	case "/v1/simulate":
 		var req krak.SimulateRequest
 		if err := json.Unmarshal(body, &req); err != nil {
@@ -265,8 +246,7 @@ func (g *Gateway) classify(r *http.Request, body []byte) reqClass {
 		}
 		req.Machine = ms
 		key := req.CanonicalKey()
-		return reqClass{key: key, idempotent: true, cacheKey: key,
-			local: func(ctx context.Context) ([]byte, error) { return g.localSimulate(req) }}
+		return reqClass{key: key, idempotent: true, cacheKey: key}
 	case "/v1/sweep", "/v1/compare", "/v1/calibrate":
 		return reqClass{key: digest(), idempotent: true}
 	case "/v1/jobs":
@@ -377,7 +357,7 @@ func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request) {
 		w.Write(respBody)
 		return
 	}
-	g.degrade(w, r, class)
+	g.degrade(w, class)
 }
 
 // acceptable reports whether a proxied response is servable. 5xx means
@@ -456,10 +436,10 @@ func (g *Gateway) backoff(ctx context.Context, attempt int) {
 }
 
 // degrade serves a request no replica could: the read-through disk tier
-// first (a body some replica rendered earlier — byte-identical by
-// construction), then local quick evaluation, then an honest 503
-// carrying krak.ErrUnavailable and a Retry-After.
-func (g *Gateway) degrade(w http.ResponseWriter, r *http.Request, class reqClass) {
+// (a body some replica rendered earlier — byte-identical by
+// construction), then an honest 503 carrying krak.ErrUnavailable and a
+// Retry-After.
+func (g *Gateway) degrade(w http.ResponseWriter, class reqClass) {
 	if class.cacheKey != "" {
 		if body, ok := g.disk.Get(responseKind, class.cacheKey); ok {
 			g.degradedCache.Add(1)
@@ -469,82 +449,9 @@ func (g *Gateway) degrade(w http.ResponseWriter, r *http.Request, class reqClass
 			return
 		}
 	}
-	if class.local != nil && g.cfg.LocalFallback {
-		body, err := class.local(r.Context())
-		if err == nil {
-			g.degradedQuick.Add(1)
-			w.Header().Set("Content-Type", "application/json")
-			w.Header().Set("Krak-Degraded", "quick")
-			w.Write(body)
-			return
-		}
-	}
 	g.unavailable.Add(1)
 	writeError(w, http.StatusServiceUnavailable,
 		fmt.Errorf("%w: no replica available for this request", krak.ErrUnavailable))
-}
-
-// localMachine builds (or reuses) the Machine for local degraded
-// evaluation, under a tighter cap than the serving tier's — the
-// fallback exists to keep known scenarios answerable, not to become a
-// second fleet.
-func (g *Gateway) localMachine(ms krak.MachineSpec) (*krak.Machine, error) {
-	build := func() (*krak.Machine, error) {
-		opts := append(ms.Options(), krak.WithSharedArtifacts(g.artifacts))
-		return krak.NewMachine(opts...)
-	}
-	if _, err := build(); err != nil {
-		return nil, err
-	}
-	m, err := g.machines.GetBounded(ms.Fingerprint(), maxLocalMachines, build)
-	if errors.Is(err, engine.ErrCacheFull) {
-		return nil, fmt.Errorf("%w: local fallback machine cache full", krak.ErrUnavailable)
-	}
-	return m, err
-}
-
-// localPredict evaluates a predict request in-process, rendering the
-// body exactly as a replica would (same compute path, same rendering),
-// so even the deepest degradation tier stays byte-compatible.
-func (g *Gateway) localPredict(req krak.PredictRequest) ([]byte, error) {
-	sc, err := req.Scenario()
-	if err != nil {
-		return nil, err
-	}
-	m, err := g.localMachine(req.Machine)
-	if err != nil {
-		return nil, err
-	}
-	sess, err := krak.NewSession(m, sc)
-	if err != nil {
-		return nil, err
-	}
-	res, err := sess.Predict()
-	if err != nil {
-		return nil, err
-	}
-	return renderJSON(res)
-}
-
-// localSimulate is localPredict for the simulate endpoint.
-func (g *Gateway) localSimulate(req krak.SimulateRequest) ([]byte, error) {
-	sc, err := req.Scenario()
-	if err != nil {
-		return nil, err
-	}
-	m, err := g.localMachine(req.Machine)
-	if err != nil {
-		return nil, err
-	}
-	sess, err := krak.NewSession(m, sc)
-	if err != nil {
-		return nil, err
-	}
-	res, err := sess.Simulate()
-	if err != nil {
-		return nil, err
-	}
-	return renderJSON(res)
 }
 
 // handleHealthz renders the gateway's liveness view; like the serving
@@ -590,7 +497,6 @@ func (g *Gateway) registerMetrics() {
 	reg.AddLabeled("krak_gateway_degraded_total", "counter",
 		"Requests served by a degraded tier instead of a replica.", map[string]func() float64{
 			"cache": counter(&g.degradedCache),
-			"quick": counter(&g.degradedQuick),
 		}, "mode")
 	breakerSeries := make(map[string]func() float64, len(g.replicas))
 	healthSeries := make(map[string]func() float64, len(g.replicas))

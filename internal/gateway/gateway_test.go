@@ -58,7 +58,6 @@ func testConfig(urls ...string) Config {
 	cfg.RetryCap = 2 * time.Millisecond
 	cfg.BreakerThreshold = 3
 	cfg.BreakerCooldown = 100 * time.Millisecond
-	cfg.LocalFallback = false
 	return cfg
 }
 
@@ -235,52 +234,41 @@ func TestGatewayDegradedCacheTier(t *testing.T) {
 	}
 }
 
-func TestGatewayDegradedQuickTier(t *testing.T) {
-	dead := newStubReplica()
-	dead.ts.Close()
-	cfg := testConfig(dead.ts.URL)
-	cfg.Quick = true
-	cfg.LocalFallback = true
-	g, err := New(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := post(t, g, "/v1/predict", predictBody(4))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d body %s, want local-fallback 200", rec.Code, rec.Body.String())
-	}
-	if got := rec.Header().Get("Krak-Degraded"); got != "quick" {
-		t.Fatalf("Krak-Degraded %q, want quick", got)
-	}
-	var res krak.Result
-	if err := json.Unmarshal(rec.Body.Bytes(), &res); err != nil {
-		t.Fatalf("degraded body does not decode as a Result: %v", err)
-	}
-	if res.Kind != krak.KindPredict || res.TotalSeconds <= 0 {
-		t.Fatalf("implausible local result: %+v", res)
-	}
-}
-
+// TestGatewayUnavailable: with every replica dead and no cache
+// directory, both canonically-keyed endpoints answer an honest 503 with
+// Retry-After and the krak.ErrUnavailable envelope.
 func TestGatewayUnavailable(t *testing.T) {
-	dead := newStubReplica()
-	dead.ts.Close()
-	g, err := New(testConfig(dead.ts.URL), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := post(t, g, "/v1/predict", predictBody(4))
-	if rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("status %d, want 503", rec.Code)
-	}
-	if rec.Header().Get("Retry-After") == "" {
-		t.Fatal("503 without Retry-After")
-	}
-	var envelope map[string]string
-	if err := json.Unmarshal(rec.Body.Bytes(), &envelope); err != nil {
-		t.Fatalf("error envelope: %v", err)
-	}
-	if !strings.Contains(envelope["error"], "service unavailable") {
-		t.Fatalf("error %q does not carry ErrUnavailable", envelope["error"])
+	simulate, _ := json.Marshal(krak.SimulateRequest{Deck: "small", PEs: 2, Iterations: 1})
+	for _, tc := range []struct {
+		path string
+		body []byte
+	}{
+		{"/v1/predict", predictBody(4)},
+		{"/v1/simulate", simulate},
+	} {
+		dead := newStubReplica()
+		dead.ts.Close()
+		g, err := New(testConfig(dead.ts.URL), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := post(t, g, tc.path, tc.body)
+		if rec.Code != http.StatusServiceUnavailable {
+			t.Fatalf("%s: status %d, want 503", tc.path, rec.Code)
+		}
+		if rec.Header().Get("Retry-After") == "" {
+			t.Fatalf("%s: 503 without Retry-After", tc.path)
+		}
+		var envelope map[string]string
+		if err := json.Unmarshal(rec.Body.Bytes(), &envelope); err != nil {
+			t.Fatalf("%s: error envelope: %v", tc.path, err)
+		}
+		if !strings.Contains(envelope["error"], "service unavailable") {
+			t.Fatalf("%s: error %q does not carry ErrUnavailable", tc.path, envelope["error"])
+		}
+		if g.unavailable.Load() != 1 {
+			t.Fatalf("%s: unavailable counter %d, want 1", tc.path, g.unavailable.Load())
+		}
 	}
 }
 
