@@ -3,7 +3,7 @@
 # BENCH_*.json trajectory is produced — run it once per PR and commit
 # the artifact so benchmark regressions are visible PR-over-PR.
 
-BENCH_OUT ?= BENCH_PR5.json
+BENCH_OUT ?= BENCH_PR15.json
 # The archived trajectory runs every benchmark a fixed number of times:
 # -benchtime 3x / -count 1 means 3 iterations per op for every result, so
 # PR-over-PR artifacts average the same amount of work and their diffs
@@ -13,7 +13,7 @@ BENCH_OUT ?= BENCH_PR5.json
 BENCH_TIME ?= 3x
 BENCH_COUNT ?= 1
 # Baseline the bench-diff target compares against.
-BENCH_BASE ?= BENCH_PR5.json
+BENCH_BASE ?= BENCH_PR15.json
 
 # Third-party lint passes are pinned and run via `go run` so nothing is
 # installed globally and go.mod stays dependency-free. Both need the

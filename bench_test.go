@@ -194,6 +194,23 @@ func BenchmarkClusterSimulate128(b *testing.B) {
 	}
 }
 
+// BenchmarkSimulateIterationsFresh128 is the serving path: every
+// /v1/simulate request hands SimulateIterations a summary and gets a
+// fresh cluster.Runner, so whatever the Runner builds on first use is
+// paid per request. One iteration per op shows that cost at its largest;
+// BenchmarkClusterSimulate128's warm Runner hides it.
+func BenchmarkSimulateIterationsFresh128(b *testing.B) {
+	sum := benchDeckSummary(b, 128)
+	cfg := cluster.Config{Net: netmodel.QsNetI(), Costs: compute.ES45()}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cfg.Iteration = i
+		if _, _, err := cluster.SimulateIterations(sum, cfg, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkMeshSpecificPredict128(b *testing.B) {
 	sum := benchDeckSummary(b, 128)
 	env := experiments.NewQuickEnv()

@@ -8,11 +8,18 @@
 //	go test -run '^$' -bench . -benchmem ./... | bench2json > BENCH_PRn.json
 //	bench2json -diff BENCH_PR4.json BENCH_PR5.json
 //
+// Each artifact records the host it was measured on: the CPU model from
+// the `go test` header, and the converting process's GOMAXPROCS and CPU
+// count (`make bench` runs the benchmarks and the conversion in one
+// environment).
+//
 // -diff compares two archived artifacts benchstat-style: one row per
 // benchmark present in both files with ns/op and allocs/op deltas, plus
 // the benchmarks only one side has. CI prints the diff of every run
 // against the checked-in baseline so regressions surface in the job log,
-// not just the artifact.
+// not just the artifact. When the two artifacts do not name the same
+// host, the diff opens with a warning: its ns/op deltas then measure the
+// hardware as well as the code.
 package main
 
 import (
@@ -21,6 +28,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"unicode/utf8"
@@ -36,9 +44,29 @@ type Result struct {
 	AllocsSPer float64 `json:"allocs_per_op,omitempty"`
 }
 
-// Artifact is the archived document.
+// Host identifies the machine an artifact was measured on.
+type Host struct {
+	CPU        string `json:"cpu,omitempty"`
+	NumCPU     int    `json:"nproc"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+}
+
+func (h *Host) String() string {
+	if h == nil {
+		return "unrecorded host"
+	}
+	cpu := h.CPU
+	if cpu == "" {
+		cpu = "unknown CPU"
+	}
+	return fmt.Sprintf("%s, nproc %d, GOMAXPROCS %d", cpu, h.NumCPU, h.GOMAXPROCS)
+}
+
+// Artifact is the archived document. Host is absent from artifacts
+// written before it was recorded.
 type Artifact struct {
 	Schema  string   `json:"schema"`
+	Host    *Host    `json:"host,omitempty"`
 	Results []Result `json:"results"`
 }
 
@@ -155,6 +183,10 @@ func diffFiles(oldPath, newPath string) (string, error) {
 	}
 
 	var b strings.Builder
+	if oldArt.Host == nil || newArt.Host == nil || *oldArt.Host != *newArt.Host {
+		fmt.Fprintf(&b, "warning: artifacts from different hosts; ns/op deltas include the hardware\n  %s: %s\n  %s: %s\n",
+			oldPath, oldArt.Host, newPath, newArt.Host)
+	}
 	rows := [][]string{{"benchmark", "old ns/op", "new ns/op", "delta", "old allocs", "new allocs", "delta"}}
 	for _, nr := range newArt.Results {
 		or, ok := oldBy[benchKey(nr)]
@@ -213,15 +245,23 @@ func diffFiles(oldPath, newPath string) (string, error) {
 }
 
 // parse scans `go test -bench` output: "pkg: ..." headers set the
-// current package, "Benchmark..." lines become results, everything else
-// is ignored.
+// current package, the "cpu: ..." header names the host's CPU,
+// "Benchmark..." lines become results, everything else is ignored.
 func parse(sc *bufio.Scanner) (*Artifact, error) {
-	art := &Artifact{Schema: ArtifactSchema, Results: []Result{}}
+	art := &Artifact{
+		Schema:  ArtifactSchema,
+		Host:    &Host{NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0)},
+		Results: []Result{},
+	}
 	pkg := ""
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if rest, ok := strings.CutPrefix(line, "pkg: "); ok {
 			pkg = rest
+			continue
+		}
+		if rest, ok := strings.CutPrefix(line, "cpu: "); ok {
+			art.Host.CPU = rest
 			continue
 		}
 		if !strings.HasPrefix(line, "Benchmark") {

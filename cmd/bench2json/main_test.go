@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -13,6 +14,7 @@ func TestParseBenchOutput(t *testing.T) {
 	src := `goos: linux
 goarch: amd64
 pkg: krak
+cpu: Example CPU @ 2.00GHz
 BenchmarkSweepSerial-8   	       2	 612345678 ns/op
 BenchmarkSweepParallel-8 	       4	 312345678 ns/op	 1234 B/op	      56 allocs/op
 PASS
@@ -31,6 +33,9 @@ ok  	krak/internal/server	2.2s
 	}
 	if len(art.Results) != 3 {
 		t.Fatalf("parsed %d results, want 3", len(art.Results))
+	}
+	if h := art.Host; h == nil || h.CPU != "Example CPU @ 2.00GHz" || h.NumCPU != runtime.NumCPU() || h.GOMAXPROCS != runtime.GOMAXPROCS(0) {
+		t.Errorf("host stamp drifted: %+v", h)
 	}
 	r0 := art.Results[0]
 	if r0.Pkg != "krak" || r0.Name != "BenchmarkSweepSerial-8" || r0.Iterations != 2 || r0.NsPerOp != 612345678 {
@@ -106,5 +111,42 @@ func TestDiffFilesRejectsBadSchema(t *testing.T) {
 	}
 	if _, err := diffFiles(p, good); err == nil {
 		t.Fatal("bad schema accepted")
+	}
+}
+
+func TestDiffFilesWarnsAcrossHosts(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name string, host *Host) string {
+		t.Helper()
+		p := filepath.Join(dir, name)
+		out, err := json.Marshal(Artifact{Schema: ArtifactSchema, Host: host, Results: []Result{
+			{Pkg: "krak", Name: "BenchmarkA", NsPerOp: 1e6},
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, out, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	a := &Host{CPU: "CPU A", NumCPU: 2, GOMAXPROCS: 2}
+	b := &Host{CPU: "CPU A", NumCPU: 8, GOMAXPROCS: 8}
+	for _, tc := range []struct {
+		name     string
+		old, new *Host
+		warn     bool
+	}{
+		{"same host", a, a, false},
+		{"different nproc", a, b, true},
+		{"old unrecorded", nil, a, true},
+	} {
+		out, err := diffFiles(write("old.json", tc.old), write("new.json", tc.new))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.HasPrefix(out, "warning: artifacts from different hosts"); got != tc.warn {
+			t.Errorf("%s: warned %t, want %t:\n%s", tc.name, got, tc.warn, out)
+		}
 	}
 }

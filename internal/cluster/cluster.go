@@ -18,8 +18,9 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"krak/internal/compute"
 	"krak/internal/mesh"
@@ -141,28 +142,57 @@ func (r *Result) TotalCompute() []float64 {
 	return out
 }
 
-// message is an in-flight point-to-point message.
-type message struct {
-	from, to int
-	bytes    int
-	sent     float64 // send completion time at the sender
-}
-
-// Runner simulates iterations over one partition summary, reusing its
-// working buffers (inboxes, arrival queues, message scratch) across runs so
-// the per-iteration loop — the Repeats loop every measurement takes — is
-// allocation-free apart from the Result it returns. A Runner is not safe
-// for concurrent use; concurrent callers each create their own (the summary
-// itself is read-only and freely shared).
+// Runner simulates iterations over one partition summary. On its first
+// multi-processor simulation it lays out every point-to-point pattern of
+// the phase table as an exchange plan (see exchangePlan); later runs reuse
+// the plans and working buffers, so the per-iteration loop — the Repeats
+// loop every measurement takes — walks flat arrays and allocates nothing
+// but the Result it returns. A Runner is not safe for concurrent use;
+// concurrent callers each create their own (the summary itself is
+// read-only and freely shared).
 //
 // krakcheck:arena
 type Runner struct {
-	sum      *mesh.PartitionSummary
-	inbox    [][]message
-	postDone []float64
-	arrivals []arrival
-	msgs     []phases.Message
-	sorter   arrivalSorter
+	sum *mesh.PartitionSummary
+
+	// plans holds one exchange plan per point-to-point pattern: the
+	// boundary exchange and the 8- and 16-byte ghost updates. planOf maps
+	// a phase index to its pattern's plan; nPlans counts the built ones.
+	plans  [3]exchangePlan
+	planOf [phases.Count]int
+	nPlans int
+
+	postDone []float64 // per PE: time its last send was posted
+	arrivals []float64 // per slot: a message's arrival time at its receiver
+	order    []int32   // traced drains: one receiver's slots in drain order
+}
+
+// exchangePlan is the message layout of one point-to-point pattern over
+// the runner's partition, in two CSR views (a flat array plus per-PE
+// start offsets) of the same messages.
+//
+// Messages are numbered in posting order: sender ascending, then its
+// neighbors ascending, then the order the phases package enumerates one
+// neighbor's messages. Sender pe posts messages [sendOff[pe],
+// sendOff[pe+1]).
+//
+// Each message lands in an arrival slot. Receiver pe owns slots
+// [recvOff[pe], recvOff[pe+1]), filled in posting order, so a slot's
+// index within its receiver orders it by (sender, send index).
+//
+// krakcheck:arena
+type exchangePlan struct {
+	ghostBytes int // bytes per ghost node; 0 for the boundary exchange
+
+	sendOff []int
+	slot    []int32   // per message: its arrival slot
+	to      []int32   // per message: its receiver
+	wire    []float64 // per message: its wire time on net
+	net     *netmodel.Model
+
+	recvOff []int
+	from    []int32 // per slot: the sender
+	bytes   []int   // per slot: the payload
 }
 
 // NewRunner returns a reusable simulator for the given partition summary.
@@ -172,9 +202,28 @@ func NewRunner(sum *mesh.PartitionSummary) *Runner {
 
 // Simulate runs one iteration of Krak over the partitioned deck described
 // by sum. One-shot convenience over NewRunner(sum).Simulate(cfg); loops
-// should hold a Runner to amortize its buffers.
+// should hold a Runner to amortize its plans and buffers.
 func Simulate(sum *mesh.PartitionSummary, cfg Config) (*Result, error) {
 	return NewRunner(sum).Simulate(cfg)
+}
+
+// FillComputeTimes sets tab[ph-1][pe] to processor pe's computation time
+// in phase ph under the given noise iteration: the "No MPI" quantity of
+// Figure 2. Nil rows are first allocated over one backing array of
+// phases.Count x sum.P.
+func FillComputeTimes(tab *[phases.Count][]float64, sum *mesh.PartitionSummary, costs *compute.TruthTable, iteration int) {
+	p := sum.P
+	if len(tab[0]) != p {
+		flat := make([]float64, phases.Count*p)
+		for i := range tab {
+			tab[i] = flat[i*p : (i+1)*p : (i+1)*p]
+		}
+	}
+	for i, ph := range phases.All() {
+		for pe, cells := range sum.CellsByMaterial[:p] {
+			tab[i][pe] = costs.NoisyPhaseTime(ph.Number, cells, pe, iteration)
+		}
+	}
 }
 
 // Simulate runs one iteration of Krak over the runner's partition summary.
@@ -186,23 +235,22 @@ func (r *Runner) Simulate(cfg Config) (*Result, error) {
 	if sum == nil || sum.P <= 0 {
 		return nil, fmt.Errorf("cluster: empty partition summary")
 	}
-	p := sum.P
-	res := &Result{P: p}
-
 	oSend := cfg.sendOverhead()
 	oRecv := cfg.recvOverhead()
-
-	// One flat backing array serves every phase's compute-time slice; the
-	// slices escape into the Result, the backing is a single allocation.
-	compFlat := make([]float64, phases.Count*p)
+	// The receive drain relies on a non-decreasing CPU clock (see drain).
+	if !(oSend >= 0) || !(oRecv >= 0) {
+		return nil, fmt.Errorf("cluster: send/receive overheads must be non-negative, got %g/%g", oSend, oRecv)
+	}
+	p := sum.P
+	res := &Result{P: p}
+	FillComputeTimes(&res.ComputeTimes, sum, cfg.Costs, cfg.Iteration)
+	if p > 1 {
+		r.preparePlans(cfg.Net)
+	}
 
 	for phIdx, ph := range phases.All() {
 		// 1. Computation.
-		comp := compFlat[phIdx*p : (phIdx+1)*p : (phIdx+1)*p]
-		for pe := 0; pe < p; pe++ {
-			comp[pe] = cfg.Costs.NoisyPhaseTime(ph.Number, sum.CellsByMaterial[pe], pe, cfg.Iteration)
-		}
-		res.ComputeTimes[phIdx] = comp
+		comp := res.ComputeTimes[phIdx]
 		maxComp := 0.0
 		for _, t := range comp {
 			if t > maxComp {
@@ -220,7 +268,7 @@ func (r *Runner) Simulate(cfg Config) (*Result, error) {
 		// 2. Point-to-point communication, if any.
 		var phaseEnd float64
 		if ph.HasPointToPoint() && p > 1 {
-			phaseEnd = r.simulateP2P(ph, comp, cfg, oSend, oRecv, res)
+			phaseEnd = r.simulateP2P(&r.plans[r.planOf[phIdx]], ph.Number, comp, cfg, oSend, oRecv, res)
 		} else {
 			phaseEnd = maxComp
 		}
@@ -253,113 +301,209 @@ func (r *Runner) Simulate(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// simulateP2P plays out one phase's point-to-point traffic and returns the
-// time at which the slowest processor has finished computing, sending, and
-// receiving. Phase-relative time: computation starts at 0. All working
-// memory comes from the runner's reusable buffers.
-func (r *Runner) simulateP2P(ph phases.Phase, comp []float64, cfg Config, oSend, oRecv float64, res *Result) float64 {
+// preparePlans builds the exchange plans on first use, sizes the working
+// buffers for them, and brings every plan's wire times to net.
+func (r *Runner) preparePlans(net *netmodel.Model) {
 	sum := r.sum
-	p := sum.P
-	if cap(r.inbox) < p {
-		r.inbox = make([][]message, p)
-	}
-	inbox := r.inbox[:p]
-	for i := range inbox {
-		inbox[i] = inbox[i][:0]
-	}
-	if cap(r.postDone) < p {
-		r.postDone = make([]float64, p)
-	}
-	postDone := r.postDone[:p]
-
-	for pe := 0; pe < p; pe++ {
-		t := comp[pe]
-		// Enumerate this PE's outgoing messages, neighbors in ascending
-		// order (deterministic schedule).
-		for _, nb := range sum.NeighborsOf[pe] {
-			b := sum.Boundary(pe, nb)
-			msgs := r.msgs[:0]
-			if ph.BoundaryExchange {
-				msgs = phases.AppendBoundaryExchangeMessages(msgs, b)
-			} else {
-				msgs = phases.AppendGhostUpdateMessages(msgs, b, pe, ph.GhostUpdateBytes)
-			}
-			r.msgs = msgs
-			for _, m := range msgs {
-				start := t
-				if cfg.SerializeSends {
-					// The whole wire time is charged before the next send.
-					t += oSend + cfg.Net.MsgTime(m.Bytes)
-				} else {
-					// Asynchronous: the sender pays only the posting
-					// overhead; the transfer proceeds in the background.
-					t += oSend
-				}
-				inbox[nb] = append(inbox[nb], message{from: pe, to: nb, bytes: m.Bytes, sent: t})
-				if cfg.Trace {
-					res.Events = append(res.Events, Event{
-						PE: pe, Phase: ph.Number, Kind: EventSend, Peer: nb,
-						Bytes: m.Bytes, Start: start, End: t,
-					})
-				}
+	if r.nPlans == 0 {
+		// One Boundary lookup per (pe, neighbor) pair serves every plan.
+		n := 0
+		for _, nbs := range sum.NeighborsOf {
+			n += len(nbs)
+		}
+		bounds := make([]*mesh.PairBoundary, 0, n)
+		for pe, nbs := range sum.NeighborsOf {
+			for _, nb := range nbs {
+				bounds = append(bounds, sum.Boundary(pe, nb))
 			}
 		}
-		postDone[pe] = t
+		slots := 0
+		for i, ph := range phases.All() {
+			if !ph.HasPointToPoint() {
+				continue
+			}
+			ghost := ph.GhostUpdateBytes
+			if ph.BoundaryExchange {
+				ghost = 0
+			}
+			k := 0
+			for k < r.nPlans && r.plans[k].ghostBytes != ghost {
+				k++
+			}
+			if k == r.nPlans {
+				r.plans[k].build(sum, bounds, ghost)
+				slots = max(slots, len(r.plans[k].from))
+				r.nPlans++
+			}
+			r.planOf[i] = k
+		}
+		r.postDone = make([]float64, sum.P)
+		r.arrivals = make([]float64, slots)
+	}
+	for k := 0; k < r.nPlans; k++ {
+		if pl := &r.plans[k]; pl.net != net {
+			pl.net = net
+			for m, s := range pl.slot {
+				pl.wire[m] = net.MsgTime(pl.bytes[s])
+			}
+		}
+	}
+}
+
+// build lays out the pattern's messages: a counting pass sizes every
+// array exactly, a second pass places each message. bounds holds
+// sum.Boundary(pe, nb) for every NeighborsOf entry, flattened in order.
+func (pl *exchangePlan) build(sum *mesh.PartitionSummary, bounds []*mesh.PairBoundary, ghostBytes int) {
+	p := sum.P
+	pl.ghostBytes = ghostBytes
+	var msgs []phases.Message
+	enumerate := func(b *mesh.PairBoundary, pe int) []phases.Message {
+		if ghostBytes == 0 {
+			return phases.AppendBoundaryExchangeMessages(msgs[:0], b)
+		}
+		return phases.AppendGhostUpdateMessages(msgs[:0], b, pe, ghostBytes)
+	}
+
+	pl.sendOff = make([]int, p+1)
+	pl.recvOff = make([]int, p+1)
+	k := 0
+	for pe, nbs := range sum.NeighborsOf {
+		for _, nb := range nbs {
+			msgs = enumerate(bounds[k], pe)
+			k++
+			pl.sendOff[pe+1] += len(msgs)
+			pl.recvOff[nb+1] += len(msgs)
+		}
+	}
+	for pe := 0; pe < p; pe++ {
+		pl.sendOff[pe+1] += pl.sendOff[pe]
+		pl.recvOff[pe+1] += pl.recvOff[pe]
+	}
+
+	n := pl.sendOff[p]
+	pl.slot = make([]int32, n)
+	pl.to = make([]int32, n)
+	pl.wire = make([]float64, n)
+	pl.from = make([]int32, n)
+	pl.bytes = make([]int, n)
+	next := make([]int, p) // per receiver: its next free slot
+	copy(next, pl.recvOff)
+	m := 0
+	k = 0
+	for pe, nbs := range sum.NeighborsOf {
+		for _, nb := range nbs {
+			msgs = enumerate(bounds[k], pe)
+			k++
+			for _, msg := range msgs {
+				s := next[nb]
+				next[nb]++
+				pl.slot[m] = int32(s)
+				pl.to[m] = int32(nb)
+				pl.from[s] = int32(pe)
+				pl.bytes[s] = msg.Bytes
+				m++
+			}
+		}
+	}
+}
+
+// simulateP2P plays out one phase's point-to-point traffic over its plan
+// and returns the time at which the slowest processor has finished
+// computing, sending, and receiving. Phase-relative time: computation
+// starts at 0.
+func (r *Runner) simulateP2P(pl *exchangePlan, phase int, comp []float64, cfg Config, oSend, oRecv float64, res *Result) float64 {
+	p := r.sum.P
+	arr := r.arrivals
+	for pe := 0; pe < p; pe++ {
+		t := comp[pe]
+		for m := pl.sendOff[pe]; m < pl.sendOff[pe+1]; m++ {
+			start := t
+			if cfg.SerializeSends {
+				// The whole wire time is charged before the next send.
+				t += oSend + pl.wire[m]
+				arr[pl.slot[m]] = t
+			} else {
+				// Asynchronous: the sender pays only the posting overhead;
+				// the transfer proceeds in the background.
+				t += oSend
+				arr[pl.slot[m]] = t + pl.wire[m]
+			}
+			if cfg.Trace {
+				res.Events = append(res.Events, Event{
+					PE: pe, Phase: phase, Kind: EventSend, Peer: int(pl.to[m]),
+					Bytes: pl.bytes[pl.slot[m]], Start: start, End: t,
+				})
+			}
+		}
+		r.postDone[pe] = t
 	}
 
 	// Receives: blocking, drained in arrival order after sends are posted.
 	end := 0.0
 	for pe := 0; pe < p; pe++ {
-		arrivals := r.arrivals[:0]
-		for _, m := range inbox[pe] {
-			arr := m.sent
-			if !cfg.SerializeSends {
-				arr += cfg.Net.MsgTime(m.bytes)
-			}
-			arrivals = append(arrivals, arrival{at: arr, from: m.from, bytes: m.bytes})
+		lo, hi := pl.recvOff[pe], pl.recvOff[pe+1]
+		var cpu float64
+		if cfg.Trace {
+			cpu = r.drainTraced(pl, pe, phase, lo, hi, oRecv, res)
+		} else {
+			cpu = drain(arr[lo:hi], r.postDone[pe], oRecv)
 		}
-		r.arrivals = arrivals
-		r.sorter.a = arrivals
-		sort.Sort(&r.sorter)
-		cpu := postDone[pe]
-		for _, a := range arrivals {
-			start := cpu
-			if a.at > cpu {
-				cpu = a.at
-			}
-			cpu += oRecv
-			if cfg.Trace {
-				res.Events = append(res.Events, Event{
-					PE: pe, Phase: ph.Number, Kind: EventRecv, Peer: a.from,
-					Bytes: a.bytes, Start: start, End: cpu,
-				})
-			}
-		}
-		if cpu > end {
-			end = cpu
-		}
+		end = max(end, cpu)
 	}
 	return end
 }
 
-// arrival is a received message's delivery time.
-type arrival struct {
-	at    float64
-	from  int
-	bytes int
+// drain returns a receiver's CPU clock after it drains arrivals in
+// arrival order, starting from cpu, the time its last send was posted:
+// each receive waits for its message, then costs oRecv. Arrivals no later
+// than that post sort first and, the clock never decreasing (oRecv >= 0),
+// each adds exactly one oRecv, so they fold without sorting; only the
+// later ones are sorted. Only the times enter the fold, so the order of
+// equal times cannot matter. Reorders arrivals.
+func drain(arrivals []float64, cpu, oRecv float64) float64 {
+	posted := cpu
+	late := arrivals[:0]
+	for _, a := range arrivals {
+		if a <= posted {
+			cpu += oRecv
+		} else {
+			late = append(late, a)
+		}
+	}
+	slices.Sort(late)
+	for _, a := range late {
+		cpu = max(cpu, a) + oRecv
+	}
+	return cpu
 }
 
-// arrivalSorter orders arrivals by delivery time. Sorting through a pointer
-// receiver on a runner field avoids the per-call closure and interface
-// allocations sort.Slice would cost in the phase loop. Processing order of
-// equal delivery times does not affect the drained-receive arithmetic (only
-// `at` enters the max), so the unstable sort is deterministic where it
-// matters.
-type arrivalSorter struct{ a []arrival }
-
-func (s *arrivalSorter) Len() int           { return len(s.a) }
-func (s *arrivalSorter) Less(i, j int) bool { return s.a[i].at < s.a[j].at }
-func (s *arrivalSorter) Swap(i, j int)      { s.a[i], s.a[j] = s.a[j], s.a[i] }
+// drainTraced is drain for receiver pe's slots [lo, hi), recording each
+// receive. Ties in arrival time drain by slot, i.e. by (sender, send
+// index), so the timeline is reproducible event for event.
+func (r *Runner) drainTraced(pl *exchangePlan, pe, phase, lo, hi int, oRecv float64, res *Result) float64 {
+	arr := r.arrivals
+	order := r.order[:0]
+	for s := lo; s < hi; s++ {
+		order = append(order, int32(s))
+	}
+	r.order = order
+	slices.SortFunc(order, func(a, b int32) int {
+		if c := cmp.Compare(arr[a], arr[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	cpu := r.postDone[pe]
+	for _, s := range order {
+		start := cpu
+		cpu = max(cpu, arr[s]) + oRecv
+		res.Events = append(res.Events, Event{
+			PE: pe, Phase: phase, Kind: EventRecv, Peer: int(pl.from[s]),
+			Bytes: pl.bytes[s], Start: start, End: cpu,
+		})
+	}
+	return cpu
+}
 
 // SimulateIterations runs n iterations (with independent noise) and returns
 // the per-iteration results plus the mean iteration time. All iterations

@@ -43,6 +43,22 @@ func TestSimulateValidation(t *testing.T) {
 	}
 }
 
+// The receive drain folds early arrivals without sorting, which is exact
+// only while the CPU clock never runs backwards: negative or NaN
+// overheads are rejected.
+func TestSimulateRejectsBadOverheads(t *testing.T) {
+	sum := summarize(t, 16, 8, 4)
+	for _, o := range []struct{ send, recv float64 }{
+		{-1e-6, 0}, {0, -1e-6}, {math.NaN(), 0}, {0, math.NaN()},
+	} {
+		cfg := baseConfig()
+		cfg.SendOverhead, cfg.RecvOverhead = o.send, o.recv
+		if _, err := Simulate(sum, cfg); err == nil {
+			t.Errorf("overheads %g/%g accepted", o.send, o.recv)
+		}
+	}
+}
+
 func TestSimulateSingleProcessor(t *testing.T) {
 	d, err := mesh.BuildLayeredDeck(16, 8)
 	if err != nil {

@@ -1,8 +1,11 @@
 package cluster
 
 import (
+	"reflect"
 	"testing"
 
+	"krak/internal/compute"
+	"krak/internal/netmodel"
 	"krak/internal/phases"
 )
 
@@ -95,5 +98,42 @@ func TestTraceDoesNotChangeTiming(t *testing.T) {
 	}
 	if a.IterationTime != b.IterationTime {
 		t.Fatalf("tracing changed timing: %v vs %v", a.IterationTime, b.IterationTime)
+	}
+}
+
+// Traced receives drain in a total order — arrival time, then sender,
+// then send order — so a traced run's timeline is reproducible event for
+// event, and each point-to-point phase receives exactly what it sent.
+func TestTraceReproducibleAndPaired(t *testing.T) {
+	sum := summarize(t, 64, 32, 16)
+	cfg := Config{Net: netmodel.QsNetI(), Costs: compute.ES45(), Trace: true}
+	a, err := Simulate(sum, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Simulate(sum, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a.Events, b.Events) {
+		t.Fatal("two traced runs of one config produced different event timelines")
+	}
+	sends := map[int]int{}
+	recvs := map[int]int{}
+	for _, e := range a.Events {
+		switch e.Kind {
+		case EventSend:
+			sends[e.Phase]++
+		case EventRecv:
+			recvs[e.Phase]++
+		}
+	}
+	for _, ph := range phases.Table1() {
+		if !ph.HasPointToPoint() {
+			continue
+		}
+		if sends[ph.Number] == 0 || sends[ph.Number] != recvs[ph.Number] {
+			t.Errorf("phase %d: %d sends, %d recvs", ph.Number, sends[ph.Number], recvs[ph.Number])
+		}
 	}
 }

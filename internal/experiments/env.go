@@ -182,26 +182,23 @@ func (e *Env) MeasureResult(sum *mesh.PartitionSummary) (*cluster.Result, error)
 }
 
 // Profiler adapts the cluster simulator into the calibration interface: a
-// "No MPI" computation profile averaged over the measurement repeats.
+// "No MPI" computation profile averaged over the measurement repeats. It
+// reads only the simulator's compute times, so it fills those directly
+// and never plays out the network.
 func (e *Env) Profiler() core.ProfileFunc {
-	cfg := e.clusterConfig()
+	costs := e.Costs
 	reps := e.repeats()
 	return func(sum *mesh.PartitionSummary) ([phases.Count][]float64, error) {
 		var out [phases.Count][]float64
 		for ph := 0; ph < phases.Count; ph++ {
 			out[ph] = make([]float64, sum.P)
 		}
-		runner := cluster.NewRunner(sum)
+		var comp [phases.Count][]float64
 		for it := 0; it < reps; it++ {
-			c := cfg
-			c.Iteration = it
-			r, err := runner.Simulate(c)
-			if err != nil {
-				return out, err
-			}
+			cluster.FillComputeTimes(&comp, sum, costs, it)
 			for ph := 0; ph < phases.Count; ph++ {
 				for pe := 0; pe < sum.P; pe++ {
-					out[ph][pe] += r.ComputeTimes[ph][pe] / float64(reps)
+					out[ph][pe] += comp[ph][pe] / float64(reps)
 				}
 			}
 		}

@@ -33,15 +33,22 @@ corrupt-rate 0.2
 
 var chaosPEs = []int{2, 4, 8, 16, 32, 64}
 
-// chaosReplica builds a real quick-mode serving replica, optionally
-// armed with a fault injector, behind an httptest listener.
-func chaosReplica(t *testing.T, inj *faultinject.Injector) (*httptest.Server, *server.Server) {
+// chaosHandler builds a real quick-mode serving replica, optionally
+// armed with a fault injector.
+func chaosHandler(t *testing.T, inj *faultinject.Injector) *server.Server {
 	t.Helper()
 	h, err := server.New(server.Config{Quick: true, Faults: inj})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { h.Close() })
+	return h
+}
+
+// chaosReplica serves a chaosHandler behind an httptest listener.
+func chaosReplica(t *testing.T, inj *faultinject.Injector) (*httptest.Server, *server.Server) {
+	t.Helper()
+	h := chaosHandler(t, inj)
 	ts := httptest.NewServer(h)
 	t.Cleanup(ts.Close)
 	return ts, h
@@ -77,26 +84,63 @@ func newChaosInjector(t *testing.T) *faultinject.Injector {
 	return faultinject.New(plan)
 }
 
-// TestChaosKillAndCorruptMidSoak: replica 1 injects errors and corrupt
-// bodies the whole time, replica 0 is killed a third of the way in, and
+// TestChaosKillAndCorruptMidSoak: one replica injects errors and corrupt
+// bodies the whole time, another is killed a third of the way in, and
 // the soak still completes with every request answered 200 by a replica
 // and every body byte-identical to the single-node reference — retries
 // and failover alone absorb the kill and the fault plan, with no
 // request reaching a degraded tier.
+//
+// Ring placement hashes replica URLs and httptest ports differ run to
+// run, so which replica owns which chaos key is known only once the
+// listeners are bound. The replicas are bound unstarted, the ring is
+// built from their addresses, and only then is the replica owning the
+// most keys armed — so the injector sees traffic whatever the ports —
+// and the busiest of the others picked to die.
 func TestChaosKillAndCorruptMidSoak(t *testing.T) {
 	ref := referenceBodies(t)
 	inj := newChaosInjector(t)
 
-	ts0, _ := chaosReplica(t, nil)
-	ts1, _ := chaosReplica(t, inj)
-	ts2, _ := chaosReplica(t, nil)
+	replicas := make([]*httptest.Server, 3)
+	urls := make([]string, len(replicas))
+	for i := range replicas {
+		replicas[i] = httptest.NewUnstartedServer(nil)
+		t.Cleanup(replicas[i].Close)
+		urls[i] = "http://" + replicas[i].Listener.Addr().String()
+	}
 
-	cfg := testConfig(ts0.URL, ts1.URL, ts2.URL)
+	cfg := testConfig(urls...)
 	cfg.Quick = true
 	g, err := New(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	owned := make([]int, len(replicas))
+	for _, pe := range chaosPEs {
+		req := httptest.NewRequest("POST", "/v1/predict", nil)
+		owned[g.ring.owner(g.classify(req, predictBody(pe)).key)]++
+	}
+	armed := 0
+	for i, n := range owned {
+		if n > owned[armed] {
+			armed = i
+		}
+	}
+	victim := (armed + 1) % len(replicas)
+	for i, n := range owned {
+		if i != armed && n > owned[victim] {
+			victim = i
+		}
+	}
+	for i, ts := range replicas {
+		var faults *faultinject.Injector
+		if i == armed {
+			faults = inj
+		}
+		ts.Config.Handler = chaosHandler(t, faults)
+		ts.Start()
+	}
+
 	ctx, cancel := context.WithCancel(context.Background())
 	g.Start(ctx)
 	defer func() {
@@ -109,7 +153,7 @@ func TestChaosKillAndCorruptMidSoak(t *testing.T) {
 	sent := 0
 	for round := 0; round < rounds; round++ {
 		if round == killAt {
-			ts0.Close() // SIGKILL equivalent: connections refused from here on
+			replicas[victim].Close() // SIGKILL equivalent: connections refused from here on
 		}
 		for _, pe := range chaosPEs {
 			sent++

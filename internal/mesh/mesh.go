@@ -290,6 +290,7 @@ func BuildStructured(w, h int, lx, ly float64, mat func(cx, cy int) Material) (*
 	// Faces: vertical faces at x-index i in [0..w], horizontal at y-index j
 	// in [0..h]. Each is emitted once with its adjacent cells.
 	m.CellFaces = make([][4]int32, w*h)
+	m.Faces = make([]Face, 0, (w+1)*h+w*(h+1))
 	fill := make([]int, w*h) // next free slot per cell
 	addFace := func(f Face) {
 		fi := int32(len(m.Faces))

@@ -33,6 +33,21 @@ func TestBuildStructuredCounts(t *testing.T) {
 	}
 }
 
+// The face slice is allocated once at its exact size, never grown by
+// append: on full-size decks the growth copies dominated deck building.
+func TestBuildStructuredFacesExactCapacity(t *testing.T) {
+	for _, dims := range [][2]int{{1, 1}, {4, 3}, {7, 1}, {160, 80}} {
+		w, h := dims[0], dims[1]
+		m := mustStructured(t, w, h)
+		if want := (w+1)*h + w*(h+1); len(m.Faces) != want {
+			t.Errorf("%dx%d: %d faces, want %d", w, h, len(m.Faces), want)
+		}
+		if cap(m.Faces) != len(m.Faces) {
+			t.Errorf("%dx%d: faces cap %d != len %d", w, h, cap(m.Faces), len(m.Faces))
+		}
+	}
+}
+
 func TestBuildStructuredRejectsBadInput(t *testing.T) {
 	if _, err := BuildStructured(0, 3, 1, 1, func(cx, cy int) Material { return Foam }); err == nil {
 		t.Fatal("zero width accepted")
