@@ -18,17 +18,15 @@ import (
 // runGateway starts the multi-replica resilience layer: a reverse proxy
 // that routes across N `krak serve` replicas by consistent hashing of
 // the canonical request keys, with health probing, bounded retries,
-// per-replica circuit breakers, ring failover, and graceful degradation
-// (the disk-cache tier with a Krak-Degraded header, then 503) when every
-// replica for a key is down. Replicas come from repeated/comma-separated
-// -replica flags or a -config file.
+// per-replica circuit breakers, and ring failover, answering 503 with a
+// Retry-After when every replica for a key is down. Replicas come from
+// repeated/comma-separated -replica flags or a -config file.
 func runGateway(args []string) error {
 	fs := flag.NewFlagSet("krak gateway", flag.ExitOnError)
 	addr := fs.String("addr", ":8090", "listen address")
 	var replicaFlags stringList
 	fs.Var(&replicaFlags, "replica", "replica base URL (repeatable, or comma-separated)")
 	configPath := fs.String("config", "", "gateway config file (see docs/ARCHITECTURE.md, Resilience)")
-	cacheDir := fs.String("cache-dir", "", "read-through response cache directory for degraded serving (empty = off)")
 	quick := fs.Bool("quick", false, "replicas run -quick (keeps canonical routing and cache keys consistent)")
 	retries := fs.Int("retries", -1, "extra attempts per idempotent request (-1 = config/default)")
 	probeInterval := fs.Duration("probe-interval", 0, "health-check cadence per replica (0 = config/default)")
@@ -49,9 +47,6 @@ func runGateway(args []string) error {
 		}
 	}
 	cfg.Replicas = append(cfg.Replicas, replicaFlags...)
-	if *cacheDir != "" {
-		cfg.CacheDir = *cacheDir
-	}
 	if *quick {
 		cfg.Quick = true
 	}

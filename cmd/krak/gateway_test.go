@@ -79,7 +79,6 @@ func TestRunGatewayListenConflict(t *testing.T) {
 		"-addr", ln.Addr().String(),
 		"-config", conf,
 		"-replica", "http://127.0.0.1:2,http://127.0.0.1:3",
-		"-cache-dir", filepath.Join(dir, "cache"),
 		"-quick",
 		"-retries", "2",
 		"-probe-interval", "30s",

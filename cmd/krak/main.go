@@ -15,7 +15,7 @@
 //	krak calibrate   -data runs.txt -model auto -folds 5 [-append fresh.txt] | -synth -deck small -pe 2,4,8 [--json]
 //	krak machines    [-forms] [--json]
 //	krak serve       -addr :8080 -parallel 8 -cache-size 1024 [-quick]
-//	krak gateway     -addr :8090 -replica http://127.0.0.1:8081,http://127.0.0.1:8082 [-cache-dir DIR] [-quick]
+//	krak gateway     -addr :8090 -replica http://127.0.0.1:8081,http://127.0.0.1:8082 [-quick]
 //
 // sweep and experiments fan their work out over the machine's worker pool
 // (-parallel N, default as wide as the hardware). experiments output is

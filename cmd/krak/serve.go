@@ -58,8 +58,6 @@ func runServe(args []string) error {
 	heavyLimit := fs.Int("heavy-limit", 0, "concurrent in-flight limit for sweep/compare/calibrate (0 = default 4, -1 = unlimited)")
 	heavyQueue := fs.Int("heavy-queue", 0, "admission wait-queue depth for sweep/compare/calibrate (0 = default 16, -1 = no queue)")
 	requestTimeout := fs.Duration("request-timeout", 0, "per-request timeout for heavy endpoints once admitted (0 = none)")
-	maxJobs := fs.Int("max-jobs", 0, "cap on live background jobs (0 = default 256)")
-	jobTTL := fs.Duration("job-ttl", 0, "how long finished job results stay fetchable (0 = default 15m)")
 	faultPlan := fs.String("fault-plan", "", "fault-injection plan file for chaos drills (requires -allow-faults)")
 	allowFaults := fs.Bool("allow-faults", false, "acknowledge that -fault-plan deliberately breaks responses")
 	pf := addProfileFlags(fs)
@@ -95,8 +93,6 @@ func runServe(args []string) error {
 		HeavyLimit:     *heavyLimit,
 		HeavyQueue:     *heavyQueue,
 		RequestTimeout: *requestTimeout,
-		MaxJobs:        *maxJobs,
-		JobTTL:         *jobTTL,
 		Faults:         faults,
 	})
 	if err != nil {

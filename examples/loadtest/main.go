@@ -92,7 +92,6 @@ func main() {
 		failures   atomic.Int64
 		rejected   atomic.Int64 // 429: admission queue full
 		retryHints atomic.Int64 // 429/503 responses carrying Retry-After
-		degraded   atomic.Int64 // gateway responses carrying Krak-Degraded
 		latencies  = make([]time.Duration, *n)
 		client     = &http.Client{Timeout: 120 * time.Second}
 	)
@@ -108,13 +107,7 @@ func main() {
 					return
 				}
 				t0 := time.Now()
-				deg, err := request(client, *addr, *endpoint, bodies[i%len(bodies)])
-				if deg != "" {
-					// A gateway answered from its disk-cache degradation
-					// tier — served, not failed, but worth its own line in
-					// the report.
-					degraded.Add(1)
-				}
+				err := request(client, *addr, *endpoint, bodies[i%len(bodies)])
 				switch {
 				case err == nil:
 				case errors429(err):
@@ -145,9 +138,6 @@ func main() {
 		*n, *endpoint, *c, served, failures.Load())
 	fmt.Printf("  backpressure: %d rejected with 429 (%d carried Retry-After)\n",
 		rejected.Load(), retryHints.Load())
-	if degraded.Load() > 0 {
-		fmt.Printf("  degraded: %d served via a gateway degradation tier (Krak-Degraded)\n", degraded.Load())
-	}
 	fmt.Printf("  wall %.2fs  throughput %.0f req/s\n", wall.Seconds(), float64(*n)/wall.Seconds())
 	fmt.Printf("  latency p50 %v  p95 %v  p99 %v  max %v\n",
 		pct(0.50).Round(time.Microsecond), pct(0.95).Round(time.Microsecond),
@@ -178,44 +168,42 @@ func hasRetryAfter(err error) bool {
 }
 
 // request POSTs one request and validates the response decodes as the
-// endpoint's schema-stamped result type. The first return is the
-// Krak-Degraded header ("" when a replica served normally).
-func request(client *http.Client, addr, endpoint string, body []byte) (string, error) {
+// endpoint's schema-stamped result type.
+func request(client *http.Client, addr, endpoint string, body []byte) error {
 	resp, err := client.Post(addr+"/v1/"+endpoint, "application/json", bytes.NewReader(body))
 	if err != nil {
-		return "", err
+		return err
 	}
 	defer resp.Body.Close()
-	degraded := resp.Header.Get("Krak-Degraded")
 	data, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return degraded, err
+		return err
 	}
 	if resp.StatusCode == http.StatusTooManyRequests {
-		return degraded, &backpressureErr{retryAfter: resp.Header.Get("Retry-After")}
+		return &backpressureErr{retryAfter: resp.Header.Get("Retry-After")}
 	}
 	if resp.StatusCode != http.StatusOK {
-		return degraded, fmt.Errorf("status %d: %s", resp.StatusCode, data)
+		return fmt.Errorf("status %d: %s", resp.StatusCode, data)
 	}
 	switch endpoint {
 	case "sweep":
 		var sr krak.SweepResult
 		if err := json.Unmarshal(data, &sr); err != nil {
-			return degraded, err // ErrSchema here means the server drifted
+			return err // ErrSchema here means the server drifted
 		}
 		if len(sr.Points) == 0 {
-			return degraded, fmt.Errorf("implausible sweep: no points")
+			return fmt.Errorf("implausible sweep: no points")
 		}
 	default:
 		var res krak.Result
 		if err := json.Unmarshal(data, &res); err != nil {
-			return degraded, err // ErrSchema here means the server drifted
+			return err // ErrSchema here means the server drifted
 		}
 		if res.Kind != krak.KindPredict || res.TotalSeconds <= 0 {
-			return degraded, fmt.Errorf("implausible result: kind=%s total=%g", res.Kind, res.TotalSeconds)
+			return fmt.Errorf("implausible result: kind=%s total=%g", res.Kind, res.TotalSeconds)
 		}
 	}
-	return degraded, nil
+	return nil
 }
 
 // waitHealthy polls /healthz until the server answers or the budget runs

@@ -72,23 +72,7 @@ func (l *Limiter) Acquire(ctx context.Context) error {
 	}
 }
 
-// Wait takes a slot without consuming queue capacity, blocking however
-// long it takes (or until ctx ends). Background work whose queue is
-// bounded elsewhere — the server's job store — uses Wait so a saturated
-// interactive queue cannot refuse an already-admitted job.
-func (l *Limiter) Wait(ctx context.Context) error {
-	if l == nil {
-		return nil
-	}
-	select {
-	case l.slots <- struct{}{}:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// Release frees a slot taken by Acquire or Wait.
+// Release frees a slot taken by Acquire.
 func (l *Limiter) Release() {
 	if l == nil {
 		return

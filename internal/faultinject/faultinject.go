@@ -2,7 +2,7 @@
 // tier: an Injector configured from a bounded textual plan that makes a
 // configurable fraction of HTTP traffic fail, stall, truncate, or
 // corrupt — reproducibly. It exists so the resilience machinery
-// (gateway retries, circuit breakers, degradation) can be proven
+// (gateway retries, circuit breakers, failover) can be proven
 // against faults rather than trusted, and so a chaos run can be
 // replayed byte-for-byte: every injection decision is a pure function
 // of the plan's seed, the request's content, and how many times that

@@ -81,6 +81,19 @@ func (b *breaker) failure(now time.Time) {
 	}
 }
 
+// abandon reports an attempt that ended with no verdict on the replica
+// because the client gave up first. The failure count is untouched; a
+// half-open probe goes back to open with its cooldown already spent, so
+// the next request probes again instead of the breaker waiting forever
+// on a probe that will never report.
+func (b *breaker) abandon() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.state == breakerHalfOpen {
+		b.state = breakerOpen
+	}
+}
+
 // value returns the state as the metric gauge value.
 func (b *breaker) value() int {
 	b.mu.Lock()

@@ -79,3 +79,28 @@ func TestBreakerProbeFailureReopens(t *testing.T) {
 		t.Fatal("re-opened breaker never recovered")
 	}
 }
+
+// TestBreakerAbandonedProbeProbesAgain: a half-open probe whose client
+// gave up reports nothing about the replica, so the next request gets
+// the probe instead of the breaker staying half-open forever.
+func TestBreakerAbandonedProbeProbesAgain(t *testing.T) {
+	now := time.Now()
+	b := newBreaker(2, 100*time.Millisecond)
+	b.failure(now)
+	b.abandon()
+	b.failure(now)
+	if b.value() != breakerOpen {
+		t.Fatalf("state %d, want open: abandon must not reset the failure count", b.value())
+	}
+	later := now.Add(150 * time.Millisecond)
+	if !b.allow(later) {
+		t.Fatal("no half-open probe")
+	}
+	b.abandon()
+	if b.value() != breakerOpen {
+		t.Fatalf("state %d after an abandoned probe, want open", b.value())
+	}
+	if !b.allow(later) {
+		t.Fatal("abandoned probe was not handed to the next request")
+	}
+}

@@ -89,7 +89,7 @@ func newChaosInjector(t *testing.T) *faultinject.Injector {
 // the soak still completes with every request answered 200 by a replica
 // and every body byte-identical to the single-node reference — retries
 // and failover alone absorb the kill and the fault plan, with no
-// request reaching a degraded tier.
+// request answered 503.
 //
 // Ring placement hashes replica URLs and httptest ports differ run to
 // run, so which replica owns which chaos key is known only once the
@@ -175,8 +175,8 @@ func TestChaosKillAndCorruptMidSoak(t *testing.T) {
 	if g.retries.Load() == 0 {
 		t.Fatal("soak survived a dead replica and a chaos plan without a single retry — faults cannot have been exercised")
 	}
-	if degraded, unavailable := g.degradedCache.Load(), g.unavailable.Load(); degraded+unavailable != 0 {
-		t.Fatalf("retries and failover left %d requests to the disk tier and %d to 503", degraded, unavailable)
+	if unavailable := g.unavailable.Load(); unavailable != 0 {
+		t.Fatalf("retries and failover left %d requests to 503", unavailable)
 	}
 	totals := inj.Totals()
 	if totals[faultinject.KindError]+totals[faultinject.KindCorrupt] == 0 {

@@ -11,8 +11,7 @@ import (
 )
 
 // TestClassify pins the routing table: which ring key each endpoint
-// hashes on, which methods are safe to retry across replicas, and
-// which requests carry a canonical cache key for the disk tier.
+// hashes on and which methods are safe to retry across replicas.
 func TestClassify(t *testing.T) {
 	g, err := New(testConfig("http://127.0.0.1:1"), nil)
 	if err != nil {
@@ -41,22 +40,19 @@ func TestClassify(t *testing.T) {
 		body               []byte
 		wantKey            string // exact, or "|"-suffixed digest prefix
 		idempotent         bool
-		canonical          bool // cacheKey present and equal to the ring key
 	}{
-		{"job poll", http.MethodGet, "/v1/jobs/abc123", nil, "jobs", true, false},
-		{"machine read", http.MethodGet, "/v1/machines/f00dcafe", nil, "machines|f00dcafe", true, false},
-		{"plain GET", http.MethodGet, "/v1/experiments", nil, "GET /v1/experiments", true, false},
-		{"predict", http.MethodPost, "/v1/predict", pb, preq.CanonicalKey(), true, true},
-		{"predict bad json", http.MethodPost, "/v1/predict", []byte("{"), "/v1/predict|", true, false},
-		{"simulate", http.MethodPost, "/v1/simulate", sb, "", true, true},
-		{"simulate bad json", http.MethodPost, "/v1/simulate", []byte("]"), "/v1/simulate|", true, false},
-		{"sweep", http.MethodPost, "/v1/sweep", []byte(`{}`), "/v1/sweep|", true, false},
-		{"compare", http.MethodPost, "/v1/compare", []byte(`{}`), "/v1/compare|", true, false},
-		{"calibrate", http.MethodPost, "/v1/calibrate", []byte(`{}`), "/v1/calibrate|", true, false},
-		{"job submit", http.MethodPost, "/v1/jobs", []byte(`{}`), "jobs", false, false},
-		{"append", http.MethodPost, "/v1/calibrate/append", []byte(`{}`), "/v1/calibrate/append|", false, false},
-		{"machine register", http.MethodPut, "/v1/machines/beef", nil, "machines|beef", false, false},
-		{"unknown POST", http.MethodPost, "/v1/else", nil, "/v1/else|", false, false},
+		{"machine read", http.MethodGet, "/v1/machines/f00dcafe", nil, "machines|f00dcafe", true},
+		{"plain GET", http.MethodGet, "/v1/experiments", nil, "GET /v1/experiments", true},
+		{"predict", http.MethodPost, "/v1/predict", pb, preq.CanonicalKey(), true},
+		{"predict bad json", http.MethodPost, "/v1/predict", []byte("{"), "/v1/predict|", true},
+		{"simulate", http.MethodPost, "/v1/simulate", sb, "", true},
+		{"simulate bad json", http.MethodPost, "/v1/simulate", []byte("]"), "/v1/simulate|", true},
+		{"sweep", http.MethodPost, "/v1/sweep", []byte(`{}`), "/v1/sweep|", true},
+		{"compare", http.MethodPost, "/v1/compare", []byte(`{}`), "/v1/compare|", true},
+		{"calibrate", http.MethodPost, "/v1/calibrate", []byte(`{}`), "/v1/calibrate|", true},
+		{"append", http.MethodPost, "/v1/calibrate/append", []byte(`{}`), "/v1/calibrate/append|", false},
+		{"machine register", http.MethodPut, "/v1/machines/beef", nil, "machines|beef", false},
+		{"unknown POST", http.MethodPost, "/v1/else", nil, "/v1/else|", false},
 	}
 	for _, tc := range cases {
 		c := classify(tc.method, tc.path, tc.body)
@@ -74,13 +70,6 @@ func TestClassify(t *testing.T) {
 				t.Errorf("%s: key = %q, want %q", tc.name, c.key, tc.wantKey)
 			}
 		}
-		if tc.canonical {
-			if c.cacheKey == "" || c.cacheKey != c.key {
-				t.Errorf("%s: cacheKey = %q, want the ring key %q", tc.name, c.cacheKey, c.key)
-			}
-		} else if c.cacheKey != "" {
-			t.Errorf("%s: unexpected degraded tier: cacheKey=%q", tc.name, c.cacheKey)
-		}
 	}
 
 	// Identical content always lands on the same ring key, so replica
@@ -94,8 +83,6 @@ func TestClassify(t *testing.T) {
 
 func TestEndpointLabel(t *testing.T) {
 	cases := map[string]string{
-		"/v1/jobs/abc/result":   "/v1/jobs/{id}/result",
-		"/v1/jobs/abc":          "/v1/jobs/{id}",
 		"/v1/machines/f00":      "/v1/machines/{fingerprint}",
 		"/v1/experiments/fig_4": "/v1/experiments/{id}",
 		"/v1/predict":           "/v1/predict",

@@ -48,16 +48,10 @@ type Config struct {
 	Seed uint64
 
 	// Quick applies the serving tier's -quick to the gateway's own view
-	// of each request (the canonical routing and disk-tier keys). Set it
-	// exactly when the replicas run -quick, or keys will not match the
-	// bodies the replicas cache.
+	// of each request (its canonical routing keys). Set it exactly when
+	// the replicas run -quick, or keys will not match the bodies the
+	// replicas cache.
 	Quick bool
-
-	// CacheDir, when set, roots the gateway's own read-through response
-	// cache: bodies proxied for predict/simulate land there, and when
-	// every replica for a key is down the gateway serves from it before
-	// answering 503. "" disables the tier.
-	CacheDir string
 }
 
 // DefaultConfig returns the gateway defaults (no replicas).

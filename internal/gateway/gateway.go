@@ -4,19 +4,16 @@
 // hashing of the serving tier's canonical request keys — the same
 // content-derived keys the replicas' response LRUs use — so a given
 // scenario always lands on the replica whose caches are already warm
-// for it. Around that routing sit the failure-handling layers ROADMAP
-// item 1's "millions of users" story needs: per-replica health probing,
-// bounded retries with exponential backoff and full jitter on
-// idempotent endpoints, per-replica circuit breakers, failover along
-// the hash ring, and graceful degradation — when every replica for a
-// key is unavailable the gateway serves from its own read-through disk
-// cache with a `Krak-Degraded: cache` response header, before it will
-// return a 503 (which then carries krak.ErrUnavailable semantics and a
-// Retry-After).
+// for it. Around that routing sit the failure-handling layers:
+// per-replica health probing, bounded retries with exponential backoff
+// and full jitter on idempotent endpoints, per-replica circuit breakers,
+// and failover along the hash ring. When every replica for a key is
+// unavailable the gateway answers 503, carrying krak.ErrUnavailable
+// semantics and a Retry-After.
 //
 // Everything observable is exported through the shared metrics
 // registry: krak_gateway_retries_total, krak_gateway_breaker_state,
-// krak_gateway_degraded_total{mode}, per-replica health gauges, and the
+// krak_gateway_unavailable_total, per-replica health gauges, and the
 // standard request/latency families.
 package gateway
 
@@ -34,7 +31,6 @@ import (
 	"time"
 	"unicode/utf8"
 
-	"krak/internal/artifacts"
 	"krak/internal/faultinject"
 	"krak/internal/metrics"
 	"krak/internal/stats"
@@ -44,10 +40,11 @@ import (
 // maxBody bounds proxied request bodies, mirroring the serving tier.
 const maxBody = 1 << 20
 
-// responseKind namespaces rendered response bodies in the disk tier —
-// the same namespace `krak serve` uses, so a gateway and a replica
-// pointed at one directory share entries.
-const responseKind = "response"
+// statusClientClosed is the status recorded for a request whose client
+// hung up or timed out before any replica answered (nginx's 499). The
+// client never sees it; it keeps such requests apart from real 503s in
+// krak_http_requests_total.
+const statusClientClosed = 499
 
 // replica is one backend: its URL, probe-maintained health, and
 // breaker.
@@ -70,10 +67,6 @@ type Gateway struct {
 	metrics  *metrics.Registry
 	start    time.Time
 
-	// disk is the gateway's own read-through response cache (nil
-	// without a cache directory) — the degradation tier.
-	disk *artifacts.DiskCache
-
 	// rng drives retry jitter; guarded by rngMu (SplitMix64 is not
 	// concurrency-safe).
 	rngMu sync.Mutex
@@ -85,7 +78,6 @@ type Gateway struct {
 	requests       atomic.Int64
 	retries        atomic.Int64
 	failovers      atomic.Int64
-	degradedCache  atomic.Int64
 	unavailable    atomic.Int64
 	proxiedByIndex []atomic.Int64
 }
@@ -101,13 +93,6 @@ func New(cfg Config, faults *faultinject.Injector) (*Gateway, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	var disk *artifacts.DiskCache
-	if cfg.CacheDir != "" {
-		var err error
-		if disk, err = artifacts.OpenDiskCache(cfg.CacheDir); err != nil {
-			return nil, err
-		}
-	}
 	g := &Gateway{
 		cfg:    cfg,
 		faults: faults,
@@ -117,7 +102,6 @@ func New(cfg Config, faults *faultinject.Injector) (*Gateway, error) {
 		ring:           newRing(cfg.Replicas, cfg.VirtualNodes),
 		metrics:        metrics.NewRegistry(),
 		start:          time.Now(),
-		disk:           disk,
 		rng:            stats.NewSplitMix64(cfg.Seed),
 		proxiedByIndex: make([]atomic.Int64, len(cfg.Replicas)),
 	}
@@ -187,32 +171,24 @@ func (g *Gateway) probe(ctx context.Context, rep *replica) {
 }
 
 // reqClass is the routing classification of one request: the ring key
-// it hashes on, whether retry/failover across replicas is safe, and —
-// for the two canonically-keyed endpoints — the response-cache key of
-// the degraded tier.
+// it hashes on and whether retry/failover across replicas is safe.
 type reqClass struct {
 	key        string
 	idempotent bool
-	cacheKey   string
 }
 
 // classify derives a request's class from method, path, and body.
 //
 // Predict and simulate route by their canonical content key (the warm-
-// cache routing the ring exists for) and degrade to the disk tier under
-// that key. Sweep, compare, and calibrate are pure functions of their
-// body, so they route by a body digest and are retried/failed over, but
-// have no degraded tier. Job endpoints all anchor to one ring key — the
-// job store is per-replica state, so submissions and polls must land on
-// the same backend; submission is the one non-idempotent POST there.
-// Machine registry writes anchor to the fingerprint and are
-// single-attempt. GETs are idempotent by definition and route by path.
+// cache routing the ring exists for). Sweep, compare, and calibrate are
+// pure functions of their body, so they route by a body digest and are
+// retried/failed over. Calibrate-append folds fresh timings into a
+// registered machine and is single-attempt. Machine registry writes
+// anchor to the fingerprint and are single-attempt too. GETs are
+// idempotent by definition and route by path.
 func (g *Gateway) classify(r *http.Request, body []byte) reqClass {
 	path := r.URL.Path
 	if r.Method == http.MethodGet {
-		if strings.HasPrefix(path, "/v1/jobs/") {
-			return reqClass{key: "jobs", idempotent: true}
-		}
 		if strings.HasPrefix(path, "/v1/machines/") {
 			return reqClass{key: "machines|" + strings.TrimPrefix(path, "/v1/machines/"), idempotent: true}
 		}
@@ -233,8 +209,7 @@ func (g *Gateway) classify(r *http.Request, body []byte) reqClass {
 			return reqClass{key: digest(), idempotent: true}
 		}
 		req.Machine = ms
-		key := req.CanonicalKey()
-		return reqClass{key: key, idempotent: true, cacheKey: key}
+		return reqClass{key: req.CanonicalKey(), idempotent: true}
 	case "/v1/simulate":
 		var req krak.SimulateRequest
 		if err := json.Unmarshal(body, &req); err != nil {
@@ -245,12 +220,9 @@ func (g *Gateway) classify(r *http.Request, body []byte) reqClass {
 			return reqClass{key: digest(), idempotent: true}
 		}
 		req.Machine = ms
-		key := req.CanonicalKey()
-		return reqClass{key: key, idempotent: true, cacheKey: key}
+		return reqClass{key: req.CanonicalKey(), idempotent: true}
 	case "/v1/sweep", "/v1/compare", "/v1/calibrate":
 		return reqClass{key: digest(), idempotent: true}
-	case "/v1/jobs":
-		return reqClass{key: "jobs", idempotent: false}
 	case "/v1/calibrate/append":
 		return reqClass{key: digest(), idempotent: false}
 	}
@@ -276,7 +248,7 @@ func (g *Gateway) resolveSpec(ms krak.MachineSpec) (krak.MachineSpec, error) {
 }
 
 // ServeHTTP routes one request: gateway-local observability endpoints,
-// then the proxy path with retry, failover, and degradation.
+// then the proxy path with retry and failover.
 func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	g.requests.Add(1)
 	switch {
@@ -294,10 +266,6 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // the metric label space stays bounded.
 func endpointLabel(path string) string {
 	switch {
-	case strings.HasPrefix(path, "/v1/jobs/") && strings.HasSuffix(path, "/result"):
-		return "/v1/jobs/{id}/result"
-	case strings.HasPrefix(path, "/v1/jobs/"):
-		return "/v1/jobs/{id}"
 	case strings.HasPrefix(path, "/v1/machines/"):
 		return "/v1/machines/{fingerprint}"
 	case strings.HasPrefix(path, "/v1/experiments/"):
@@ -307,7 +275,12 @@ func endpointLabel(path string) string {
 }
 
 // proxy is the routed path: pick the key's replica sequence, attempt
-// with retry/backoff/failover as the class allows, then degrade.
+// with retry/backoff/failover as the class allows, then answer 503.
+//
+// A client that hangs up or times out ends the attempts at once. Its
+// dead context fails every later forward, and charging that to the
+// replicas would open healthy breakers and count retries and 503s that
+// no replica caused.
 func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxBody+1))
 	if err != nil {
@@ -320,6 +293,7 @@ func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request) {
 	}
 	class := g.classify(r, body)
 	seq := g.ring.sequence(class.key)
+	ctx := r.Context()
 
 	attempts := 0
 	budget := 1
@@ -336,12 +310,20 @@ func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		if attempts > 0 {
+			g.backoff(ctx, attempts)
+			if ctx.Err() != nil {
+				rep.breaker.abandon()
+				break
+			}
 			g.retries.Add(1)
 			g.failovers.Add(1)
-			g.backoff(r.Context(), attempts)
 		}
 		attempts++
 		resp, respBody, err := g.forward(r, rep, body)
+		if err != nil && ctx.Err() != nil {
+			rep.breaker.abandon()
+			break
+		}
 		if err != nil || !acceptable(resp.StatusCode, respBody) {
 			rep.breaker.failure(time.Now())
 			now = time.Now()
@@ -349,15 +331,18 @@ func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request) {
 		}
 		rep.breaker.success()
 		g.proxiedByIndex[idx].Add(1)
-		if class.cacheKey != "" && resp.StatusCode == http.StatusOK {
-			g.disk.Put(responseKind, class.cacheKey, respBody)
-		}
 		copyHeaders(w, resp)
 		w.WriteHeader(resp.StatusCode)
 		w.Write(respBody)
 		return
 	}
-	g.degrade(w, class)
+	if err := ctx.Err(); err != nil {
+		writeError(w, statusClientClosed, fmt.Errorf("gateway: client gave up: %w", err))
+		return
+	}
+	g.unavailable.Add(1)
+	writeError(w, http.StatusServiceUnavailable,
+		fmt.Errorf("%w: no replica available for this request", krak.ErrUnavailable))
 }
 
 // acceptable reports whether a proxied response is servable. 5xx means
@@ -405,7 +390,7 @@ func (g *Gateway) forward(r *http.Request, rep *replica, body []byte) (*http.Res
 // copyHeaders relays the response headers the serving tier's clients
 // depend on; hop-by-hop noise stays behind.
 func copyHeaders(w http.ResponseWriter, resp *http.Response) {
-	for _, k := range []string{"Content-Type", "Location", "Retry-After"} {
+	for _, k := range []string{"Content-Type", "Retry-After"} {
 		if v := resp.Header.Get(k); v != "" {
 			w.Header().Set(k, v)
 		}
@@ -435,25 +420,6 @@ func (g *Gateway) backoff(ctx context.Context, attempt int) {
 	}
 }
 
-// degrade serves a request no replica could: the read-through disk tier
-// (a body some replica rendered earlier — byte-identical by
-// construction), then an honest 503 carrying krak.ErrUnavailable and a
-// Retry-After.
-func (g *Gateway) degrade(w http.ResponseWriter, class reqClass) {
-	if class.cacheKey != "" {
-		if body, ok := g.disk.Get(responseKind, class.cacheKey); ok {
-			g.degradedCache.Add(1)
-			w.Header().Set("Content-Type", "application/json")
-			w.Header().Set("Krak-Degraded", "cache")
-			w.Write(body)
-			return
-		}
-	}
-	g.unavailable.Add(1)
-	writeError(w, http.StatusServiceUnavailable,
-		fmt.Errorf("%w: no replica available for this request", krak.ErrUnavailable))
-}
-
 // handleHealthz renders the gateway's liveness view; like the serving
 // tier's, every number is read back out of the metrics registry so
 // /healthz and /metrics cannot disagree.
@@ -473,7 +439,6 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"requests":         total("krak_gateway_requests_total"),
 		"retries":          total("krak_gateway_retries_total"),
 		"failovers":        total("krak_gateway_failovers_total"),
-		"degraded":         total("krak_gateway_degraded_total"),
 		"unavailable":      total("krak_gateway_unavailable_total"),
 	})
 }
@@ -493,11 +458,7 @@ func (g *Gateway) registerMetrics() {
 	reg.AddScalar("krak_gateway_failovers_total", "counter",
 		"Attempts that moved to a different replica on the ring.", counter(&g.failovers))
 	reg.AddScalar("krak_gateway_unavailable_total", "counter",
-		"Requests no replica and no degraded tier could serve (503).", counter(&g.unavailable))
-	reg.AddLabeled("krak_gateway_degraded_total", "counter",
-		"Requests served by a degraded tier instead of a replica.", map[string]func() float64{
-			"cache": counter(&g.degradedCache),
-		}, "mode")
+		"Requests no replica could serve (503).", counter(&g.unavailable))
 	breakerSeries := make(map[string]func() float64, len(g.replicas))
 	healthSeries := make(map[string]func() float64, len(g.replicas))
 	proxiedSeries := make(map[string]func() float64, len(g.replicas))

@@ -5,15 +5,14 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"krak/internal/artifacts"
 	"krak/pkg/krak"
 )
 
@@ -192,51 +191,9 @@ func TestGatewayBreakerOpensOnConsecutiveFailures(t *testing.T) {
 	}
 }
 
-func TestGatewayDegradedCacheTier(t *testing.T) {
-	dir := t.TempDir()
-	// Pre-render what a replica would have cached for this request.
-	req := krak.PredictRequest{Deck: "small", PEs: 8}
-	ms, err := req.Machine.Resolved()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ms.Quick = true
-	req.Machine = ms.Normalized()
-	key := req.CanonicalKey()
-	cachedBody := []byte("{\n  \"cached\": true\n}\n")
-	disk, err := artifacts.OpenDiskCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	disk.Put("response", key, cachedBody)
-
-	dead := newStubReplica()
-	dead.ts.Close() // every attempt is a transport error
-	cfg := testConfig(dead.ts.URL)
-	cfg.CacheDir = dir
-	cfg.Quick = true
-	g, err := New(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := post(t, g, "/v1/predict", predictBody(8))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d, want degraded 200", rec.Code)
-	}
-	if got := rec.Header().Get("Krak-Degraded"); got != "cache" {
-		t.Fatalf("Krak-Degraded %q, want cache", got)
-	}
-	if !bytes.Equal(rec.Body.Bytes(), cachedBody) {
-		t.Fatalf("degraded body %q, want the cached bytes", rec.Body.String())
-	}
-	if g.degradedCache.Load() != 1 {
-		t.Fatal("degraded-cache counter not bumped")
-	}
-}
-
-// TestGatewayUnavailable: with every replica dead and no cache
-// directory, both canonically-keyed endpoints answer an honest 503 with
-// Retry-After and the krak.ErrUnavailable envelope.
+// TestGatewayUnavailable: with every replica dead, both canonically-keyed
+// endpoints answer an honest 503 with Retry-After and the
+// krak.ErrUnavailable envelope.
 func TestGatewayUnavailable(t *testing.T) {
 	simulate, _ := json.Marshal(krak.SimulateRequest{Deck: "small", PEs: 2, Iterations: 1})
 	for _, tc := range []struct {
@@ -286,8 +243,8 @@ func TestGatewayNonIdempotentSingleAttempt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, _ := json.Marshal(krak.SweepRequest{Decks: []string{"small"}, PEs: []int{2, 4}})
-	rec := post(t, g, "/v1/jobs", body)
+	body := []byte(`{"fingerprint":"f00d","dataset":"obs small 2 0.05\n"}`)
+	rec := post(t, g, "/v1/calibrate/append", body)
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503", rec.Code)
 	}
@@ -296,7 +253,55 @@ func TestGatewayNonIdempotentSingleAttempt(t *testing.T) {
 		attempts += s.requests.Load()
 	}
 	if attempts != 1 {
-		t.Fatalf("non-idempotent submit attempted %d times, want exactly 1", attempts)
+		t.Fatalf("non-idempotent append attempted %d times, want exactly 1", attempts)
+	}
+}
+
+// TestGatewayClientCancelChargesNoReplica is the regression test for a
+// client that hangs up: its dead context fails every forward, and none
+// of that may open a breaker or count as a retry, failover, or 503.
+// Three 5 ms client timeouts against slow replicas used to open all
+// three breakers (threshold 3), refusing every client until cooldown.
+func TestGatewayClientCancelChargesNoReplica(t *testing.T) {
+	var urls []string
+	for i := 0; i < 3; i++ {
+		slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/healthz" {
+				fmt.Fprint(w, `{"status":"ok"}`)
+				return
+			}
+			// Drain the body so the server watches the connection and
+			// cancels r.Context() when the gateway hangs up.
+			io.Copy(io.Discard, r.Body)
+			select {
+			case <-r.Context().Done():
+			case <-time.After(2 * time.Second):
+			}
+		}))
+		defer slow.Close()
+		urls = append(urls, slow.URL)
+	}
+	g, err := New(testConfig(urls...), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+		req := httptest.NewRequest("POST", "/v1/predict", bytes.NewReader(predictBody(4+i))).WithContext(ctx)
+		rec := httptest.NewRecorder()
+		g.ServeHTTP(rec, req)
+		cancel()
+		if rec.Code != statusClientClosed {
+			t.Fatalf("request %d: status %d, want %d", i, rec.Code, statusClientClosed)
+		}
+	}
+	for _, rep := range g.replicas {
+		if st := rep.breaker.value(); st != breakerClosed {
+			t.Errorf("%s: breaker state %d after client cancels, want closed", rep.url, st)
+		}
+	}
+	if r, f, u := g.retries.Load(), g.failovers.Load(), g.unavailable.Load(); r+f+u != 0 {
+		t.Fatalf("client cancels counted %d retries, %d failovers, %d unavailable; want 0", r, f, u)
 	}
 }
 
@@ -346,7 +351,7 @@ func TestGatewayObservability(t *testing.T) {
 		"krak_gateway_requests_total",
 		"krak_gateway_retries_total",
 		"krak_gateway_breaker_state",
-		"krak_gateway_degraded_total",
+		"krak_gateway_unavailable_total",
 		"krak_gateway_replica_healthy",
 		"krak_http_requests_total",
 	} {
@@ -366,42 +371,5 @@ func TestGatewayObservability(t *testing.T) {
 	}
 	if view["replicas"] != float64(1) {
 		t.Fatalf("healthz replicas %v", view["replicas"])
-	}
-}
-
-// TestGatewayReadThroughCachePopulates pins the read-through property:
-// a body proxied for a canonically-keyed endpoint lands in the
-// gateway's disk tier, keyed exactly as a replica would key it.
-func TestGatewayReadThroughCachePopulates(t *testing.T) {
-	dir := t.TempDir()
-	s := newStubReplica()
-	defer s.ts.Close()
-	cfg := testConfig(s.ts.URL)
-	cfg.CacheDir = dir
-	cfg.Quick = true
-	g, err := New(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec := post(t, g, "/v1/predict", predictBody(8)); rec.Code != http.StatusOK {
-		t.Fatalf("status %d", rec.Code)
-	}
-	req := krak.PredictRequest{Deck: "small", PEs: 8}
-	ms, err := req.Machine.Resolved()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ms.Quick = true
-	req.Machine = ms.Normalized()
-	if _, ok := g.disk.Get("response", req.CanonicalKey()); !ok {
-		t.Fatal("proxied response not written through to the disk tier")
-	}
-	// And nothing leaked as temp files.
-	matches, err := filepath.Glob(filepath.Join(dir, "*", "*", ".tmp-*"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(matches) != 0 {
-		t.Fatalf("temp files left behind: %v", matches)
 	}
 }

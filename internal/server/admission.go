@@ -11,8 +11,8 @@ import (
 
 // Admission control: every endpoint belongs to a class, and each class
 // has a concurrency limiter with a bounded wait queue. Cheap cached
-// reads (predict, simulate, experiments, machines, job polls) share the
-// light class and a generous limit; sweep, compare, and calibrate — the
+// reads (predict, simulate, experiments, machines) share the light
+// class and a generous limit; sweep, compare, and calibrate — the
 // endpoints that can occupy the worker pool for seconds — share the
 // heavy class and a tight one. A caller who finds both the slots and the
 // queue full is refused immediately with 429 and a Retry-After, which
@@ -20,10 +20,6 @@ import (
 // start: the client learns to back off while queued requests still in
 // budget keep their latency. /healthz and /metrics are never limited —
 // observability must work best exactly when the server is saturated.
-//
-// Background jobs take the same heavy limiter but through Wait, which
-// blocks past the queue bound instead of being refused: the job store is
-// their queue, already bounded, and a submitted job must eventually run.
 
 // Endpoint classes.
 const (

@@ -9,9 +9,6 @@
 //	POST /v1/compare            one scenario across many machines (cached)
 //	POST /v1/calibrate          fit machine parameters to timings (cached)
 //	POST /v1/calibrate/append   fold fresh timings into a registered machine (drift-checked)
-//	POST /v1/jobs               submit a sweep as a background job
-//	GET  /v1/jobs/{id}          poll a job's status
-//	GET  /v1/jobs/{id}/result   fetch a finished job's sweep result
 //	GET  /v1/experiments        the paper-artifact registry
 //	GET  /v1/experiments/{id}   one regenerated table/figure (cached)
 //	GET  /v1/machines           the interconnect presets
@@ -58,7 +55,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -90,8 +86,8 @@ type Config struct {
 	CacheDir string
 
 	// LightLimit/LightQueue size the light admission class (cached reads:
-	// predict, simulate, experiments, machines, job polls): concurrent
-	// in-flight requests and the bounded wait queue behind them. 0 means
+	// predict, simulate, experiments, machines): concurrent in-flight
+	// requests and the bounded wait queue behind them. 0 means
 	// the defaults (256/1024); a negative limit disables the class's
 	// limiter; a negative queue means no queue (refuse once slots fill).
 	LightLimit int
@@ -106,11 +102,6 @@ type Config struct {
 	// RequestTimeout bounds how long a heavy request may run once
 	// admitted; 0 means no timeout.
 	RequestTimeout time.Duration
-
-	// MaxJobs caps live background jobs (0 means 256); JobTTL is how long
-	// a finished job's result stays fetchable (0 means 15m).
-	MaxJobs int
-	JobTTL  time.Duration
 
 	// Faults, when non-nil, wraps every /v1 route in the deterministic
 	// fault-injection middleware — chaos drills only. The CLI refuses to
@@ -158,20 +149,14 @@ type Server struct {
 	pool      *engine.Pool
 	metrics   *metrics.Registry
 	admission *admission
-	jobs      *jobStore
 
 	// machineReg is the versioned fingerprint → fitted-machine history
 	// store behind GET/POST /v1/machines/{fingerprint} and the append
 	// endpoint (see registry.go).
 	machineReg *machineRegistry
 
-	// bg tracks background job goroutines; bgCtx is the context they run
-	// under, canceled by Close so shutdown never waits on a sweep that no
-	// one is left to poll.
-	bg       sync.WaitGroup
-	bgCtx    context.Context
-	shutdown context.CancelFunc
-	closed   atomic.Bool
+	// closed is set by Close; a closed server answers only 503s.
+	closed atomic.Bool
 
 	requests         atomic.Int64
 	cacheHits        atomic.Int64
@@ -207,9 +192,7 @@ func New(cfg Config) (*Server, error) {
 		disk:      disk,
 		metrics:   metrics.NewRegistry(),
 		admission: newAdmission(cfg),
-		jobs:      newJobStore(cfg.MaxJobs, cfg.JobTTL),
 	}
-	s.bgCtx, s.shutdown = context.WithCancel(context.Background())
 	s.machineReg = newMachineRegistry(disk)
 	s.registerMetrics()
 	mux := http.NewServeMux()
@@ -236,9 +219,6 @@ func New(cfg Config) (*Server, error) {
 	route("POST /v1/sweep", "/v1/sweep", classHeavy, s.handleSweep)
 	route("POST /v1/compare", "/v1/compare", classHeavy, s.handleCompare)
 	route("POST /v1/calibrate", "/v1/calibrate", classHeavy, s.handleCalibrate)
-	route("POST /v1/jobs", "/v1/jobs", classLight, s.handleJobSubmit)
-	route("GET /v1/jobs/{id}", "/v1/jobs/{id}", classLight, s.handleJobStatus)
-	route("GET /v1/jobs/{id}/result", "/v1/jobs/{id}/result", classLight, s.handleJobResult)
 	route("GET /v1/experiments", "/v1/experiments", classLight, s.handleExperimentList)
 	route("GET /v1/experiments/{id}", "/v1/experiments/{id}", classLight, s.handleExperiment)
 	s.mux = mux
@@ -294,19 +274,6 @@ func (s *Server) registerMetrics() {
 			classLight: counter(&s.admission.rejectedLight),
 			classHeavy: counter(&s.admission.rejectedHeavy),
 		}, "class")
-	jobGauge := func(state string) func() float64 {
-		return func() float64 { return float64(s.jobs.countByStatus()[state]) }
-	}
-	reg.AddLabeled("krak_jobs", "gauge",
-		"Live background jobs, by lifecycle state.",
-		map[string]func() float64{
-			krak.JobPending: jobGauge(krak.JobPending),
-			krak.JobRunning: jobGauge(krak.JobRunning),
-			krak.JobDone:    jobGauge(krak.JobDone),
-			krak.JobFailed:  jobGauge(krak.JobFailed),
-		}, "state")
-	reg.AddScalar("krak_jobs_evicted_total", "counter",
-		"Finished jobs evicted by TTL or the store cap.", counter(&s.jobs.evicted))
 	reg.AddScalar("krak_registered_machines", "gauge",
 		"Distinct machine fingerprints in the calibration registry.",
 		func() float64 { return float64(s.machineReg.len()) })
@@ -362,16 +329,11 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// Close stops the server's background machinery after the HTTP listener
-// has drained (call it after http.Server.Shutdown): it cancels the
-// context background jobs run under and waits for every job goroutine to
-// exit. Idempotent; safe on a server that never served a request.
+// Close marks the server closed after the HTTP listener has drained
+// (call it after http.Server.Shutdown); from then on every request gets
+// a 503. Idempotent; safe on a server that never served a request.
 func (s *Server) Close() error {
-	if !s.closed.CompareAndSwap(false, true) {
-		return nil
-	}
-	s.shutdown()
-	s.bg.Wait()
+	s.closed.Store(true)
 	return nil
 }
 
@@ -421,8 +383,8 @@ func errorStatus(err error) int {
 	return http.StatusInternalServerError
 }
 
-// writeError emits the JSON error envelope. Transient refusals — 503s
-// like the machine-configuration cap, 429s like a full job store — all
+// writeError emits the JSON error envelope. Transient refusals — 429s,
+// and 503s like the machine-configuration cap — all
 // carry a Retry-After hint, not just the admission path: the condition
 // clears on its own, and the header is what tells a well-behaved client
 // to back off instead of abandoning the request.
@@ -531,7 +493,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"machines":           total("krak_machines"),
 		"parallelism":        total("krak_parallelism"),
 		"admission_rejected": total("krak_admission_rejected_total"),
-		"jobs":               total("krak_jobs"),
 		"registered":         total("krak_registered_machines"),
 		"drift_flagged":      total("krak_calib_drift_flagged_total"),
 		"partition_computes": total("krak_partition_computes_total"),

@@ -307,6 +307,7 @@ func TestErrorStatuses(t *testing.T) {
 		{"huge sweep", http.MethodPost, "/v1/sweep", `{"decks":["small","medium","large","figure2"],"pes":[` + bigPEList(2000) + `]}`, http.StatusBadRequest},
 		{"wrong method", http.MethodGet, "/v1/predict", "", http.StatusMethodNotAllowed},
 		{"unknown path", http.MethodGet, "/v1/wibble", "", http.StatusNotFound},
+		{"removed jobs api", http.MethodPost, "/v1/jobs", `{"decks":["small"],"pes":[2]}`, http.StatusNotFound},
 		{"bad seed query", http.MethodGet, "/v1/experiments/table1?seed=banana", "", http.StatusBadRequest},
 	}
 	for _, tc := range cases {

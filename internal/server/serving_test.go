@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"krak/pkg/krak"
 )
@@ -171,147 +170,6 @@ func TestAdmissionSaturated429(t *testing.T) {
 	s.admission.heavy.Release()
 	if w := post(t, s, "/v1/sweep", `{"decks":["small"],"pes":[4]}`); w.Code != http.StatusOK {
 		t.Fatalf("sweep after release: status %d: %s", w.Code, w.Body.String())
-	}
-}
-
-// TestJobsLifecycle is the async-jobs integration test: submit a sweep as
-// a job, poll it to completion, and check the stored result is
-// byte-identical to the synchronous endpoint's response modulo the
-// timing fields that legitimately vary run to run.
-func TestJobsLifecycle(t *testing.T) {
-	s := quickServer()
-	const body = `{"op":"predict","decks":["small"],"pes":[4,8]}`
-
-	sync := post(t, s, "/v1/sweep", body)
-	if sync.Code != http.StatusOK {
-		t.Fatalf("sync sweep: %d %s", sync.Code, sync.Body.String())
-	}
-
-	sub := post(t, s, "/v1/jobs", body)
-	if sub.Code != http.StatusAccepted {
-		t.Fatalf("submit: status %d, want 202: %s", sub.Code, sub.Body.String())
-	}
-	var js krak.JobStatus
-	if err := json.Unmarshal(sub.Body.Bytes(), &js); err != nil {
-		t.Fatal(err)
-	}
-	if js.Schema != krak.JobSchema || js.ID == "" {
-		t.Fatalf("submit body: %+v", js)
-	}
-	if loc := sub.Header().Get("Location"); loc != "/v1/jobs/"+js.ID {
-		t.Errorf("Location = %q", loc)
-	}
-
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		w := get(t, s, "/v1/jobs/"+js.ID)
-		if w.Code != http.StatusOK {
-			t.Fatalf("poll: status %d: %s", w.Code, w.Body.String())
-		}
-		if err := json.Unmarshal(w.Body.Bytes(), &js); err != nil {
-			t.Fatal(err)
-		}
-		if js.Status == krak.JobDone {
-			break
-		}
-		if js.Status == krak.JobFailed {
-			t.Fatalf("job failed: %s", js.Error)
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job stuck in %q", js.Status)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-
-	res := get(t, s, "/v1/jobs/"+js.ID+"/result")
-	if res.Code != http.StatusOK {
-		t.Fatalf("result: status %d: %s", res.Code, res.Body.String())
-	}
-	if got, want := stripSweepTimings(t, res.Body.Bytes()), stripSweepTimings(t, sync.Body.Bytes()); got != want {
-		t.Errorf("job result differs from sync sweep beyond timing fields:\n--- job ---\n%s\n--- sync ---\n%s", got, want)
-	}
-
-	if w := get(t, s, "/v1/jobs/job-999999"); w.Code != http.StatusNotFound {
-		t.Errorf("unknown job status: %d, want 404", w.Code)
-	}
-	if w := get(t, s, "/v1/jobs/job-999999/result"); w.Code != http.StatusNotFound {
-		t.Errorf("unknown job result: %d, want 404", w.Code)
-	}
-}
-
-// stripSweepTimings decodes a SweepResult and re-renders it with every
-// run-varying timing field zeroed, leaving only the deterministic bytes.
-func stripSweepTimings(t *testing.T, b []byte) string {
-	t.Helper()
-	var sr krak.SweepResult
-	if err := json.Unmarshal(b, &sr); err != nil {
-		t.Fatalf("decoding sweep: %v", err)
-	}
-	sr.WallSeconds, sr.WorkSeconds = 0, 0
-	for i := range sr.Points {
-		sr.Points[i].Seconds = 0
-	}
-	out, err := json.MarshalIndent(&sr, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(out)
-}
-
-// TestJobSubmitValidatesSynchronously checks a bad request dies at
-// submission with 400, not inside a job the client would have to poll.
-func TestJobSubmitValidatesSynchronously(t *testing.T) {
-	s := quickServer()
-	if w := post(t, s, "/v1/jobs", `{"decks":["not-a-deck"]}`); w.Code != http.StatusBadRequest {
-		t.Fatalf("status %d, want 400: %s", w.Code, w.Body.String())
-	}
-	if n := s.jobs.len(); n != 0 {
-		t.Fatalf("invalid submission created %d jobs", n)
-	}
-}
-
-// TestJobStoreBounds drives the store's cap and TTL directly with
-// crafted clocks: expired finished jobs age out, the oldest finished job
-// is evicted at the cap, and a store full of unfinished jobs refuses.
-func TestJobStoreBounds(t *testing.T) {
-	t0 := time.Unix(1000, 0)
-	st := newJobStore(2, time.Minute)
-
-	a, err := st.add(t0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := st.add(t0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Full of unfinished jobs: the bound refuses.
-	if _, err := st.add(t0); !errors.Is(err, errJobsFull) {
-		t.Fatalf("add at cap: %v, want errJobsFull", err)
-	}
-	// Finish a; at the cap the oldest finished job is evicted to admit.
-	st.finish(a, []byte("{}"), nil, t0.Add(time.Second))
-	c, err := st.add(t0.Add(2 * time.Second))
-	if err != nil {
-		t.Fatalf("add after finish: %v", err)
-	}
-	if _, ok := st.get(a.id, t0.Add(2*time.Second)); ok {
-		t.Error("evicted job still resolvable")
-	}
-	if st.evicted.Load() != 1 {
-		t.Errorf("evicted = %d, want 1", st.evicted.Load())
-	}
-	// TTL: a finished job expires out of lookups after a minute.
-	st.finish(c, []byte("{}"), nil, t0.Add(3*time.Second))
-	if _, ok := st.get(c.id, t0.Add(10*time.Second)); !ok {
-		t.Fatal("fresh finished job not resolvable")
-	}
-	if _, ok := st.get(c.id, t0.Add(2*time.Minute)); ok {
-		t.Error("expired job still resolvable")
-	}
-	// b is still live (never finished): unaffected by the sweep above.
-	if _, ok := st.get(b.id, t0.Add(2*time.Minute)); !ok {
-		t.Error("unfinished job was evicted")
 	}
 }
 

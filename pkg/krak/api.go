@@ -676,26 +676,3 @@ func (sr *SweepResult) UnmarshalJSON(data []byte) error {
 	}
 	return nil
 }
-
-// JobSchema stamps job-status payloads.
-const JobSchema = "krak.job/v1"
-
-// Job states, as reported in JobStatus.Status.
-const (
-	JobPending = "pending" // accepted, waiting for a worker slot
-	JobRunning = "running" // sweep in progress
-	JobDone    = "done"    // result available at /v1/jobs/{id}/result
-	JobFailed  = "failed"  // Error says why
-)
-
-// JobStatus is the body POST /v1/jobs returns on submission and GET
-// /v1/jobs/{id} returns on every poll: the job's id and lifecycle state.
-// When the state is JobDone, GET /v1/jobs/{id}/result serves the stored
-// SweepResult — byte-identical to what POST /v1/sweep would have returned
-// for the same request at completion time.
-type JobStatus struct {
-	Schema string `json:"schema"`
-	ID     string `json:"id"`
-	Status string `json:"status"`
-	Error  string `json:"error,omitempty"`
-}

@@ -98,7 +98,7 @@
 // refusal (HTTP 503 + Retry-After on the wire) both the server and the
 // gateway return when a request cannot be placed right now — shed it
 // or retry later. docs/ARCHITECTURE.md's Resilience section covers the
-// gateway's retry/breaker/degradation design and the deterministic
+// gateway's retry/breaker/failover design and the deterministic
 // fault-injection layer behind its chaos suite.
 //
 // Everything under internal/ is unstable implementation detail; new code

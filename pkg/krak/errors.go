@@ -60,10 +60,10 @@ var (
 
 	// ErrUnavailable is returned (and mapped to 503 on the wire) when the
 	// serving tier cannot take or place a request right now: every replica
-	// for a key is down or circuit-broken at the gateway and no degraded
-	// tier can answer, or a bounded server resource (machine cache, job
-	// store) is full. Responses carrying it include a Retry-After header;
-	// the condition is transient and the request is safe to retry.
+	// for a key is down or circuit-broken at the gateway, or a bounded
+	// server resource (the machine cache) is full. Responses carrying it
+	// include a Retry-After header; the condition is transient and the
+	// request is safe to retry.
 	ErrUnavailable = errors.New("krak: service unavailable")
 
 	// ErrModel wraps failures surfacing from the internal model layers —
