@@ -7,13 +7,14 @@
 // computed once — no matter which layer asks first or how many concurrent
 // jobs ask at the same time.
 //
-// Every cache is single-flight (engine.Cache): duplicate concurrent
-// requests coalesce onto one computation, and results are immutable by
-// convention — callers must never mutate a returned deck, graph, vector,
-// or summary. Partition identity is (deck content, partitioner name, seed,
-// parts): the partitioner's Name() must pin the algorithm and the caller
-// must pass the same seed the partitioner was built with, which is what
-// keys cached results to the machine configuration that produced them.
+// Every cache is an unbounded engine.Cache: duplicate concurrent requests
+// coalesce onto one computation, a failed computation is not kept (the
+// next request retries it), and results are immutable by convention —
+// callers must never mutate a returned deck, graph, vector, or summary.
+// Partition identity is (deck content, partitioner name, seed, parts):
+// the partitioner's Name() must pin the algorithm and the caller must
+// pass the same seed the partitioner was built with, which is what keys
+// cached results to the machine configuration that produced them.
 package artifacts
 
 import (
@@ -77,7 +78,7 @@ func (s *Store) StandardDeck(sz mesh.StandardSize, quick bool) (*mesh.Deck, erro
 	if quick {
 		key += "/quick"
 	}
-	return s.decks.Get(key, func() (*mesh.Deck, error) {
+	d, _, err := s.decks.Do(key, func() (*mesh.Deck, error) {
 		if quick {
 			w, h := sz.Dims()
 			for w*h > quickDeckCellCap {
@@ -93,22 +94,25 @@ func (s *Store) StandardDeck(sz mesh.StandardSize, quick bool) (*mesh.Deck, erro
 		}
 		return mesh.BuildStandardDeck(sz)
 	})
+	return d, err
 }
 
 // LayeredDeck returns (and caches) the custom W x H layered deck — the
 // deck a WithCustomDeck scenario or a sweep over custom sizes resolves to.
 func (s *Store) LayeredDeck(w, h int) (*mesh.Deck, error) {
-	return s.decks.Get(fmt.Sprintf("layered/%dx%d", w, h), func() (*mesh.Deck, error) {
+	d, _, err := s.decks.Do(fmt.Sprintf("layered/%dx%d", w, h), func() (*mesh.Deck, error) {
 		return mesh.BuildLayeredDeck(w, h)
 	})
+	return d, err
 }
 
 // Graph returns (and caches) the dual graph of a deck, keyed by the deck's
 // content-derived CacheKey.
 func (s *Store) Graph(d *mesh.Deck) (*partition.Graph, error) {
-	return s.graphs.Get(d.CacheKey(), func() (*partition.Graph, error) {
+	g, _, err := s.graphs.Do(d.CacheKey(), func() (*partition.Graph, error) {
 		return partition.FromMesh(d.Mesh), nil
 	})
+	return g, err
 }
 
 // partKey identifies a partition artifact: deck content, algorithm, seed,
@@ -127,13 +131,14 @@ const vectorKind = "vector"
 // are persisted for future processes.
 func (s *Store) Vector(d *mesh.Deck, pr partition.Partitioner, seed uint64, p int) ([]int, error) {
 	key := partKey(d, pr, seed, p)
-	return s.vectors.Get(key, func() ([]int, error) {
+	vec, _, err := s.vectors.Do(key, func() ([]int, error) {
 		if raw, ok := s.disk.Get(vectorKind, key); ok {
-			if v, ok := decodeVector(raw); ok && len(v) == d.Mesh.NumCells() {
+			if v, ok := decodeVector(raw, p); ok && len(v) == d.Mesh.NumCells() {
 				return v, nil
 			}
-			// Decodable header but undecodable (or wrong-sized) payload:
-			// fall through and recompute; the Put below overwrites it.
+			// Verified entry but a payload that is not a p-part vector of
+			// this deck: fall through and recompute; the Put below
+			// overwrites it.
 		}
 		g, err := s.Graph(d)
 		if err != nil {
@@ -147,17 +152,19 @@ func (s *Store) Vector(d *mesh.Deck, pr partition.Partitioner, seed uint64, p in
 		s.disk.Put(vectorKind, key, encodeVector(part))
 		return part, nil
 	})
+	return vec, err
 }
 
 // Summary returns (and caches) the partition summary of d under pr at p
 // parts, building on the cached Vector so the quality report, the
 // simulator, and the model all derive from one partitioning run.
 func (s *Store) Summary(d *mesh.Deck, pr partition.Partitioner, seed uint64, p int) (*mesh.PartitionSummary, error) {
-	return s.sums.Get(partKey(d, pr, seed, p), func() (*mesh.PartitionSummary, error) {
+	sum, _, err := s.sums.Do(partKey(d, pr, seed, p), func() (*mesh.PartitionSummary, error) {
 		part, err := s.Vector(d, pr, seed, p)
 		if err != nil {
 			return nil, err
 		}
 		return mesh.Summarize(d.Mesh, part, p)
 	})
+	return sum, err
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync/atomic"
@@ -20,9 +21,9 @@ import (
 //
 // Every entry is addressed by (kind, key): kind namespaces the artifact
 // family ("vector" for partition vectors, "response" for rendered HTTP
-// bodies), and key is the same content-derived string the in-memory
-// caches use, so an entry is valid for exactly as long as its key would
-// be. Entries are self-verifying — a schema stamp and a payload checksum
+// bodies, "registry" for machine histories), and key is the same
+// content-derived string the in-memory caches use, so an entry is valid
+// for exactly as long as its key would be. Entries are self-verifying — a schema stamp and a payload checksum
 // in the header — and anything that fails verification (truncated write,
 // bit rot, a format change between versions) is treated as a miss and
 // silently recomputed by the caller; Get deletes such entries so they are
@@ -99,19 +100,28 @@ func (c *DiskCache) Get(kind, key string) ([]byte, bool) {
 		return nil, false
 	}
 	p := c.path(kind, key)
-	fi, err := os.Stat(p)
-	if err != nil || fi.Size() > maxDiskEntryBytes {
-		if err == nil {
-			c.drop(p)
-		}
-		c.misses.Add(1)
-		return nil, false
-	}
-	data, err := os.ReadFile(p)
+	// One descriptor for the size check and the read: a sibling replica
+	// renaming a fresh entry into place between a Stat of the path and a
+	// read of it would bound one file and load another. The read takes
+	// exactly the checked size, so it is bounded by construction.
+	f, err := os.Open(p)
 	if err != nil {
 		c.misses.Add(1)
 		return nil, false
 	}
+	defer f.Close()
+	var data []byte
+	fi, err := f.Stat()
+	if err == nil && fi.Size() <= maxDiskEntryBytes {
+		data = make([]byte, fi.Size())
+		_, err = io.ReadFull(f, data)
+	}
+	if err != nil {
+		c.misses.Add(1)
+		return nil, false
+	}
+	// An oversized entry leaves data empty and is dropped like any other
+	// corrupt one.
 	payload, ok := verifyEntry(kind, key, data)
 	if !ok {
 		c.drop(p)
@@ -228,9 +238,11 @@ func encodeVector(v []int) []byte {
 	return out
 }
 
-// decodeVector reverses encodeVector, refusing length prefixes beyond
-// maxVectorEntries or payloads that do not match their count.
-func decodeVector(b []byte) ([]int, bool) {
+// decodeVector reverses encodeVector for a p-part vector, refusing length
+// prefixes beyond maxVectorEntries, payloads that do not match their
+// count, and part indices outside [0, p) — a checksummed entry can still
+// hold a vector no p-part partition could produce.
+func decodeVector(b []byte, p int) ([]int, bool) {
 	if len(b) < 4 {
 		return nil, false
 	}
@@ -241,6 +253,9 @@ func decodeVector(b []byte) ([]int, bool) {
 	v := make([]int, n)
 	for i := range v {
 		v[i] = int(binary.LittleEndian.Uint32(b[4+4*i:]))
+		if v[i] >= p {
+			return nil, false
+		}
 	}
 	return v, true
 }

@@ -146,21 +146,90 @@ func TestNilDiskCacheIsNoOp(t *testing.T) {
 	}
 }
 
+// TestDiskCacheOversizeEntryIsMissAndDropped grows an entry past
+// maxDiskEntryBytes (sparsely, so no blocks are written) and checks Get
+// refuses it without loading it: a miss, the file removed, one corrupt.
+func TestDiskCacheOversizeEntryIsMissAndDropped(t *testing.T) {
+	dir := t.TempDir()
+	dc, err := OpenDiskCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dc.Put("vector", "k", []byte("payload bytes"))
+	p := entryFile(t, dir)
+	if err := os.Truncate(p, maxDiskEntryBytes+1); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := dc.Get("vector", "k"); ok {
+		t.Fatal("oversized entry served")
+	}
+	if _, err := os.Stat(p); !os.IsNotExist(err) {
+		t.Fatalf("oversized entry not removed: %v", err)
+	}
+	if st := dc.Stats(); st.Corrupt != 1 {
+		t.Fatalf("corrupt count = %d, want 1", st.Corrupt)
+	}
+}
+
 func TestVectorEncodeDecode(t *testing.T) {
 	for _, v := range [][]int{nil, {0}, {3, 1, 4, 1, 5, 9, 2, 6}, make([]int, 1000)} {
-		got, ok := decodeVector(encodeVector(v))
+		got, ok := decodeVector(encodeVector(v), 10)
 		if !ok || !slices.Equal(got, append([]int{}, v...)) {
 			t.Fatalf("round trip of %v -> %v/%v", v, got, ok)
 		}
 	}
-	if _, ok := decodeVector(nil); ok {
+	if _, ok := decodeVector(nil, 10); ok {
 		t.Fatal("decoded empty bytes")
 	}
-	if _, ok := decodeVector([]byte{1, 0, 0, 0}); ok {
+	if _, ok := decodeVector([]byte{1, 0, 0, 0}, 10); ok {
 		t.Fatal("decoded truncated payload")
 	}
-	if _, ok := decodeVector([]byte{0xff, 0xff, 0xff, 0xff}); ok {
+	if _, ok := decodeVector([]byte{0xff, 0xff, 0xff, 0xff}, 10); ok {
 		t.Fatal("decoded oversized length prefix")
+	}
+	if _, ok := decodeVector(encodeVector([]int{0, 1, 4}), 4); ok {
+		t.Fatal("decoded a part index outside [0, p)")
+	}
+}
+
+// TestStoreRecomputesOutOfRangeDiskVector is the regression test for a
+// checksummed vector entry holding a part index outside [0, p): it used
+// to load, stay cached, and fail every Summary for its key, across
+// restarts too. It must instead be recomputed and overwritten.
+func TestStoreRecomputesOutOfRangeDiskVector(t *testing.T) {
+	dir := t.TempDir()
+	dc, err := OpenDiskCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewStoreWithDisk(dc)
+	d, err := s.LayeredDeck(24, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ml := partition.NewMultilevel(1)
+	bad := make([]int, d.Mesh.NumCells())
+	bad[0] = 99
+	dc.Put(vectorKind, partKey(d, ml, 1, 4), encodeVector(bad))
+
+	if _, err := s.Summary(d, ml, 1, 4); err != nil {
+		t.Fatalf("summary over a bad disk vector: %v", err)
+	}
+	if n := s.PartitionComputes(); n != 1 {
+		t.Fatalf("partition computes = %d, want 1 (the bad entry must be recomputed)", n)
+	}
+
+	// The recompute overwrote the entry: a restarted store serves it.
+	s2 := NewStoreWithDisk(dc)
+	d2, err := s2.LayeredDeck(24, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s2.Summary(d2, ml, 1, 4); err != nil {
+		t.Fatalf("summary after restart: %v", err)
+	}
+	if n := s2.PartitionComputes(); n != 0 {
+		t.Fatalf("restarted store ran %d partitions, want 0", n)
 	}
 }
 

@@ -1,17 +1,20 @@
 // Package engine is the concurrent execution substrate of the repository:
-// a bounded worker pool with deterministic result ordering (Pool, Map) and
-// a single-flight memoization cache (Cache) that lets parallel jobs share
-// expensive artifacts — decks, partitions, calibrated models — instead of
-// recomputing them.
+// a bounded worker pool with deterministic result ordering (Pool, Map),
+// an admission limiter (Limiter), and the one single-flight memoization
+// cache (Cache) that lets parallel jobs and requests share expensive
+// artifacts — decks, partitions, calibrated models, rendered responses —
+// instead of recomputing them. Cache is unbounded as a zero value and
+// least-recently-used bounded from NewCache; in both forms it never
+// caches an error.
 //
 // The design contract, relied on by internal/experiments and pkg/krak, is
 // that running a batch of jobs through Map produces results that are
 // byte-for-byte identical to running the same jobs serially: results come
 // back in submission order, every job computes exactly the same values it
 // would compute alone (jobs share artifacts only through Cache, whose
-// single-flight discipline guarantees one computation per key), and the
-// first failure — by submission order, matching where a serial loop would
-// have stopped — is the error reported.
+// single-flight discipline guarantees one successful computation per
+// key), and the first failure — by submission order, matching where a
+// serial loop would have stopped — is the error reported.
 package engine
 
 import (

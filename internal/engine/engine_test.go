@@ -197,126 +197,3 @@ func TestMapNestedBounded(t *testing.T) {
 		t.Fatalf("peak leaf concurrency %d exceeds pool width %d", got, width)
 	}
 }
-
-// TestCachePanicPoisonsEntry checks a panicking compute propagates the
-// panic and leaves the entry erroring, never a zero value with nil error.
-func TestCachePanicPoisonsEntry(t *testing.T) {
-	var c Cache[string, *int]
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("panic did not propagate")
-			}
-		}()
-		_, _ = c.Get("k", func() (*int, error) { panic("boom") })
-	}()
-	v, err := c.Get("k", func() (*int, error) {
-		t.Fatal("compute retried after panic")
-		return nil, nil
-	})
-	if err == nil || v != nil {
-		t.Fatalf("poisoned Get = %v, %v; want nil, error", v, err)
-	}
-}
-
-// TestCacheSingleFlight checks that concurrent Gets for one key run the
-// compute function exactly once and all observe its value.
-func TestCacheSingleFlight(t *testing.T) {
-	var c Cache[string, int]
-	var computes atomic.Int32
-	var wg sync.WaitGroup
-	start := make(chan struct{})
-	const goroutines = 32
-	vals := make([]int, goroutines)
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-start
-			v, err := c.Get("deck/medium", func() (int, error) {
-				computes.Add(1)
-				time.Sleep(2 * time.Millisecond) // widen the race window
-				return 42, nil
-			})
-			if err != nil {
-				t.Error(err)
-			}
-			vals[g] = v
-		}()
-	}
-	close(start)
-	wg.Wait()
-	if n := computes.Load(); n != 1 {
-		t.Fatalf("compute ran %d times, want 1", n)
-	}
-	for g, v := range vals {
-		if v != 42 {
-			t.Fatalf("goroutine %d saw %d, want 42", g, v)
-		}
-	}
-	if c.Len() != 1 {
-		t.Fatalf("Len() = %d, want 1", c.Len())
-	}
-}
-
-// TestCacheDistinctKeysConcurrent checks that different keys do not
-// serialize behind one another.
-func TestCacheDistinctKeysConcurrent(t *testing.T) {
-	var c Cache[int, int]
-	const keys = 16
-	gate := make(chan struct{})
-	var inFlight atomic.Int32
-	var wg sync.WaitGroup
-	for k := 0; k < keys; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, _ = c.Get(k, func() (int, error) {
-				// Every key's compute blocks until all computes have
-				// started; this deadlocks if the cache holds its lock
-				// while computing.
-				if inFlight.Add(1) == keys {
-					close(gate)
-				}
-				<-gate
-				return k, nil
-			})
-		}()
-	}
-	wg.Wait()
-	if c.Len() != keys {
-		t.Fatalf("Len() = %d, want %d", c.Len(), keys)
-	}
-}
-
-// TestCacheCachesErrors checks a failed compute is not retried.
-func TestCacheCachesErrors(t *testing.T) {
-	var c Cache[string, int]
-	boom := errors.New("boom")
-	calls := 0
-	for i := 0; i < 3; i++ {
-		_, err := c.Get("k", func() (int, error) {
-			calls++
-			return 0, boom
-		})
-		if !errors.Is(err, boom) {
-			t.Fatalf("Get #%d err = %v, want boom", i, err)
-		}
-	}
-	if calls != 1 {
-		t.Fatalf("compute ran %d times, want 1", calls)
-	}
-}
-
-// TestCacheZeroValue checks a zero-value cache inside a struct literal
-// works, as the ablation sub-environments require.
-func TestCacheZeroValue(t *testing.T) {
-	type holder struct {
-		c Cache[string, string]
-	}
-	h := &holder{}
-	v, err := h.c.Get("x", func() (string, error) { return "y", nil })
-	if err != nil || v != "y" {
-		t.Fatalf("Get = %q, %v; want y, nil", v, err)
-	}
-}

@@ -209,7 +209,7 @@ func (e *Env) Profiler() core.ProfileFunc {
 // ContrivedCalibration returns (and caches) the §3.1 contrived-grid
 // calibration backed by the simulator.
 func (e *Env) ContrivedCalibration() (*compute.Calibrated, error) {
-	return e.contrived.Get(struct{}{}, func() (*compute.Calibrated, error) {
+	v, _, err := e.contrived.Do(struct{}{}, func() (*compute.Calibrated, error) {
 		cal := &core.Calibrator{Profile: e.Profiler()}
 		sizes := core.DefaultContrivedSizes()
 		if e.Quick {
@@ -217,6 +217,7 @@ func (e *Env) ContrivedCalibration() (*compute.Calibrated, error) {
 		}
 		return cal.Contrived(sizes)
 	})
+	return v, err
 }
 
 // DeckCalibration returns (and caches) the §3.1 least-squares calibration
@@ -227,7 +228,7 @@ func (e *Env) DeckCalibration(d *mesh.Deck, calPs []int) (*compute.Calibrated, e
 	for _, p := range calPs {
 		key += fmt.Sprintf("/%d", p)
 	}
-	return e.deckCals.Get(key, func() (*compute.Calibrated, error) {
+	v, _, err := e.deckCals.Do(key, func() (*compute.Calibrated, error) {
 		var samples []core.DeckSample
 		for _, p := range calPs {
 			sum, err := e.Partition(d, p)
@@ -239,4 +240,5 @@ func (e *Env) DeckCalibration(d *mesh.Deck, calPs []int) (*compute.Calibrated, e
 		cal := &core.Calibrator{Profile: e.Profiler()}
 		return cal.FromDeck(samples)
 	})
+	return v, err
 }

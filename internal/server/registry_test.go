@@ -234,6 +234,19 @@ func TestMachineRegistryLifecycle(t *testing.T) {
 	if len(hist.Versions) != 4 || hist.Versions[3].Version != 4 {
 		t.Fatalf("history after restart append: %+v", hist.Versions)
 	}
+	// Registry histories are their own disk tier: the restart's read and
+	// the append's write count there, never as cached responses.
+	scrape := get(t, s2, "/metrics").Body.String()
+	for series, want := range map[string]float64{
+		`krak_disk_cache_hits_total{tier="registry"}`:   1,
+		`krak_disk_cache_writes_total{tier="registry"}`: 1,
+		`krak_disk_cache_hits_total{tier="response"}`:   0,
+		`krak_disk_cache_writes_total{tier="response"}`: 0,
+	} {
+		if got := metricValue(t, scrape, series); got != want {
+			t.Errorf("%s = %g, want %g", series, got, want)
+		}
+	}
 }
 
 // grepMetric extracts the lines of a metrics dump mentioning a name, for

@@ -31,15 +31,15 @@
 // same capped machine cache as the interconnect presets.
 //
 // Request flow: a predict/simulate/experiment request is normalized to a
-// canonical key and looked up in a size-bounded LRU of fully rendered
-// response bodies; concurrent misses for the same key coalesce through
-// the LRU's single-flight fill (the same discipline engine.Cache gives
-// the machine's artifact caches below), so one computation feeds every
-// duplicate in flight. A miss evaluates inline in that fill, on the
+// canonical key and looked up in a size-bounded engine.Cache of fully
+// rendered response bodies; concurrent misses for the same key coalesce
+// onto one fill, so one computation feeds every duplicate in flight, and
+// a failed fill is not kept. A miss evaluates inline in that fill, on the
 // request's own goroutine, with concurrency bounded by the endpoint's
-// admission class; the machines themselves are shared across requests,
-// so decks, partitions, and calibrations stay warm in their single-flight
-// engine.Cache instances across the whole request stream.
+// admission class. The machines sit in an unbounded engine.Cache that
+// refuses new keys at maxMachines, and are shared across requests, so
+// decks, partitions, and calibrations stay warm in their own caches (the
+// same engine.Cache type) across the whole request stream.
 //
 // Responses are byte-identical to the CLI: /v1/predict for a scenario
 // returns exactly the bytes `krak predict --json` prints for the same
@@ -139,7 +139,7 @@ type Server struct {
 	// responses is the size-bounded LRU of rendered response bodies,
 	// keyed by canonical request. Its single-flight Do coalesces
 	// duplicate in-flight requests.
-	responses *engine.LRU[string, []byte]
+	responses *engine.Cache[string, []byte]
 
 	// disk is the persistent tier for rendered response bodies (nil
 	// without a cache directory); the artifact store holds its own
@@ -173,7 +173,9 @@ func New(cfg Config) (*Server, error) {
 		cfg.CacheSize = 1024
 	}
 	sa := krak.NewSharedArtifacts()
-	var disk *artifacts.DiskCache
+	// Responses and registry histories share the directory but keep
+	// their own DiskCache instances, so each tier's counters are its own.
+	var disk, regDisk *artifacts.DiskCache
 	if cfg.CacheDir != "" {
 		var err error
 		if sa, err = krak.NewSharedArtifactsAt(cfg.CacheDir); err != nil {
@@ -182,18 +184,21 @@ func New(cfg Config) (*Server, error) {
 		if disk, err = artifacts.OpenDiskCache(cfg.CacheDir); err != nil {
 			return nil, err
 		}
+		if regDisk, err = artifacts.OpenDiskCache(cfg.CacheDir); err != nil {
+			return nil, err
+		}
 	}
 	s := &Server{
 		cfg:       cfg,
 		start:     time.Now(),
-		responses: engine.NewLRU[string, []byte](cfg.CacheSize),
+		responses: engine.NewCache[string, []byte](cfg.CacheSize),
 		pool:      engine.New(cfg.Parallel),
 		artifacts: sa,
 		disk:      disk,
 		metrics:   metrics.NewRegistry(),
 		admission: newAdmission(cfg),
 	}
-	s.machineReg = newMachineRegistry(disk)
+	s.machineReg = newMachineRegistry(regDisk)
 	s.registerMetrics()
 	mux := http.NewServeMux()
 	// Observability endpoints are neither instrumented nor admission
@@ -283,10 +288,11 @@ func (s *Server) registerMetrics() {
 	reg.AddScalar("krak_partition_computes_total", "counter",
 		"Partition vectors computed from scratch (neither memory nor disk had them).",
 		func() float64 { return float64(s.artifacts.Stats().PartitionComputes) })
-	diskSeries := func(art func(krak.ArtifactStats) int64, resp func(artifacts.DiskStats) int64) map[string]func() float64 {
+	diskSeries := func(art func(krak.ArtifactStats) int64, tier func(artifacts.DiskStats) int64) map[string]func() float64 {
 		return map[string]func() float64{
 			"artifact": func() float64 { return float64(art(s.artifacts.Stats())) },
-			"response": func() float64 { return float64(resp(s.disk.Stats())) },
+			"response": func() float64 { return float64(tier(s.disk.Stats())) },
+			"registry": func() float64 { return float64(tier(s.machineReg.disk.Stats())) },
 		}
 	}
 	reg.AddLabeled("krak_disk_cache_hits_total", "counter",
@@ -445,29 +451,22 @@ var errTooManyMachines = errors.New("server: too many distinct machine configura
 // machineFor returns the shared Machine for a normalized spec, building
 // it on first use. All requests against the same platform share the
 // machine and therefore its single-flight artifact caches.
+//
+// The cap check and the insert happen atomically inside GetBounded: a
+// separate Len probe followed by Do would let a burst of novel specs race
+// past the cap, each seeing Len just under the limit before any of them
+// inserted. Known configurations keep serving at the cap. An invalid spec
+// fails inside the fill, and a failed fill is not kept, so a stream of
+// bad requests never consumes the cap.
 func (s *Server) machineFor(ms krak.MachineSpec) (*krak.Machine, error) {
-	build := func() (*krak.Machine, error) {
+	m, _, err := s.machines.GetBounded(ms.Fingerprint(), maxMachines, func() (*krak.Machine, error) {
 		opts := ms.Options()
 		if s.cfg.Parallel > 0 {
 			opts = append(opts, krak.WithParallelism(s.cfg.Parallel))
 		}
 		opts = append(opts, krak.WithSharedArtifacts(s.artifacts))
 		return krak.NewMachine(opts...)
-	}
-	// Validate before touching the cache: engine.Cache memoizes errors
-	// forever and Len counts them, so letting invalid specs in would both
-	// pin dead entries and let a stream of bad requests consume the
-	// machine cap. Machine construction is cheap (no artifact computes),
-	// so validating with a throwaway build costs nothing.
-	if _, err := build(); err != nil {
-		return nil, err
-	}
-	// The cap check and the insert happen atomically inside GetBounded: a
-	// separate Len/Has probe followed by Get would let a burst of novel
-	// specs race past the cap, each seeing Len just under the limit before
-	// any of them inserted. Known configurations keep serving past the cap
-	// (soft cap) — GetBounded admits existing keys unconditionally.
-	m, err := s.machines.GetBounded(ms.Fingerprint(), maxMachines, build)
+	})
 	if errors.Is(err, engine.ErrCacheFull) {
 		s.machinesRejected.Add(1)
 		return nil, errTooManyMachines
@@ -533,9 +532,9 @@ func (s *Server) cachedBody(w http.ResponseWriter, key string, fill func() ([]by
 		return
 	}
 	switch outcome {
-	case engine.LRUHit:
+	case engine.Hit:
 		s.cacheHits.Add(1)
-	case engine.LRUCoalesced:
+	case engine.Coalesced:
 		s.cacheCoalesced.Add(1)
 	default:
 		s.cacheMisses.Add(1)

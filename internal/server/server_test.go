@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -120,7 +121,7 @@ func TestPredictResponseDecodes(t *testing.T) {
 // first caller's fill is held open on a release channel, so the other
 // n-1 find the entry in flight by construction and join it. It returns
 // every caller's recorder and how many fills ran. (The same idiom as
-// engine.TestLRUOutcomes: the callers reach Do before the release.)
+// engine.TestCacheOutcomes: the callers reach Do before the release.)
 func burstOnHeldFill(t *testing.T, s *Server, key string, n int) ([]*httptest.ResponseRecorder, int64) {
 	t.Helper()
 	started, release := make(chan struct{}), make(chan struct{})
@@ -375,9 +376,10 @@ func TestQuickDefaultApplied(t *testing.T) {
 	if s.machines.Len() != 1 {
 		t.Fatalf("machines = %d", s.machines.Len())
 	}
-	if !s.machines.Has(krak.MachineSpec{Quick: true}.Fingerprint()) {
+	s.machines.Do(krak.MachineSpec{Quick: true}.Fingerprint(), func() (*krak.Machine, error) {
 		t.Error("request was not served by the quick machine")
-	}
+		return nil, errors.New("quick machine not cached")
+	})
 }
 
 // TestInvalidSpecsDoNotConsumeMachineCap is the regression test for the
