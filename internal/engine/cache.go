@@ -21,8 +21,8 @@ import (
 //     coalesced waiters receive an error and the key is dropped.
 //   - The zero value is ready to use and unbounded, so a Cache can sit
 //     directly inside a struct literal. NewCache(n) builds the bounded
-//     form, which keeps at most n filled entries and evicts the least
-//     recently used.
+//     (LRU) form, which keeps at most n filled entries and evicts the
+//     least recently used.
 //
 // A Cache must not be copied after first use.
 type Cache[K comparable, V any] struct {
@@ -77,10 +77,11 @@ var ErrCacheFull = errors.New("engine: cache at capacity")
 var errFillPanicked = errors.New("engine: cache fill panicked")
 
 // NewCache returns a cache holding at most n filled entries, evicting the
-// least recently used beyond that. n <= 0 means unbounded, the same as
-// the zero value.
+// least recently used beyond that. n is clamped to at least 1, so the
+// bounded form is always bounded; use the zero value for an unbounded
+// cache.
 func NewCache[K comparable, V any](n int) *Cache[K, V] {
-	return &Cache[K, V]{max: max(n, 0)}
+	return &Cache[K, V]{max: max(n, 1)}
 }
 
 // Cap reports the filled-entry bound (0 for an unbounded cache).

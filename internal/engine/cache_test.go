@@ -143,15 +143,19 @@ func TestCachePanicPropagatesAndUnpins(t *testing.T) {
 	}
 }
 
-// TestCacheEvictsLeastRecentlyUsed checks the bounded form: at most n
-// filled entries, with a hit refreshing an entry's recency.
-func TestCacheEvictsLeastRecentlyUsed(t *testing.T) {
+// TestLRUHitMissEvict checks the bounded (LRU) form: at most n filled
+// entries, a hit refreshing an entry's recency without refilling it.
+func TestLRUHitMissEvict(t *testing.T) {
 	c := NewCache[int, string](2)
 	if c.Cap() != 2 {
 		t.Fatalf("Cap = %d, want 2", c.Cap())
 	}
+	fills := 0
 	do := func(k int) Outcome {
-		v, o, err := c.Do(k, func() (string, error) { return fmt.Sprintf("v%d", k), nil })
+		v, o, err := c.Do(k, func() (string, error) {
+			fills++
+			return fmt.Sprintf("v%d", k), nil
+		})
 		if err != nil || v != fmt.Sprintf("v%d", k) {
 			t.Fatalf("Do(%d) = %q, %v", k, v, err)
 		}
@@ -174,22 +178,67 @@ func TestCacheEvictsLeastRecentlyUsed(t *testing.T) {
 			t.Fatalf("len=%d exceeds the bound", c.Len())
 		}
 	}
-
-	unbounded := NewCache[int, int](0)
-	for k := 0; k < 8; k++ {
-		unbounded.Do(k, func() (int, error) { return k, nil })
-	}
-	if unbounded.Cap() != 0 || unbounded.Len() != 8 {
-		t.Fatalf("NewCache(0): cap=%d len=%d, want unbounded with 8", unbounded.Cap(), unbounded.Len())
+	if fills != 5 {
+		t.Fatalf("fills=%d, want 5 (hits must not refill)", fills)
 	}
 }
 
-// TestCacheOutcomes pins the three-way hit/miss/coalesced classification:
+// TestLRUSingleFlight checks concurrent Dos for one key on the bounded
+// form share a single computation and all observe its value.
+func TestLRUSingleFlight(t *testing.T) {
+	c := NewCache[string, int](4)
+	var fills atomic.Int32
+	release := make(chan struct{})
+	const waiters = 16
+	var wg sync.WaitGroup
+	results := make([]int, waiters)
+	for i := 0; i < waiters; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			v, _, err := c.Do("k", func() (int, error) {
+				fills.Add(1)
+				<-release
+				return 42, nil
+			})
+			if err != nil {
+				t.Error(err)
+			}
+			results[i] = v
+		}(i)
+	}
+	close(release)
+	wg.Wait()
+	if n := fills.Load(); n != 1 {
+		t.Fatalf("fills=%d, want 1", n)
+	}
+	for i, v := range results {
+		if v != 42 {
+			t.Fatalf("waiter %d got %d", i, v)
+		}
+	}
+}
+
+// TestLRUZeroCapacityClamped checks NewCache never builds an unbounded
+// cache by accident: a bound below 1 is clamped to 1.
+func TestLRUZeroCapacityClamped(t *testing.T) {
+	c := NewCache[int, int](0)
+	if c.Cap() != 1 {
+		t.Fatalf("Cap = %d, want 1", c.Cap())
+	}
+	c.Do(1, func() (int, error) { return 1, nil })
+	c.Do(2, func() (int, error) { return 2, nil })
+	if c.Len() != 1 {
+		t.Fatalf("len=%d, want 1", c.Len())
+	}
+}
+
+// TestLRUOutcomes pins the three-way hit/miss/coalesced classification:
 // the first Do for a key is a miss, callers that join its in-flight fill
 // are coalesced (not hits — they waited on a fresh computation), and only
 // a Do against the filled entry is a hit. This is the regression test for
 // the serving layer's hit-rate miscount, at the primitive level.
-func TestCacheOutcomes(t *testing.T) {
+func TestLRUOutcomes(t *testing.T) {
 	c := NewCache[string, int](4)
 	started := make(chan struct{})
 	release := make(chan struct{})
@@ -257,6 +306,9 @@ func TestCacheOutcomes(t *testing.T) {
 		t.Fatalf("outcomes miss=%d coalesced=%d hit=%d, want 1/%d/1",
 			counts[Miss], counts[Coalesced], counts[Hit], coalescers)
 	}
+}
+
+func TestLRUOutcomeString(t *testing.T) {
 	for o, want := range map[Outcome]string{Miss: "miss", Hit: "hit", Coalesced: "coalesced", Outcome(99): "unknown"} {
 		if got := o.String(); got != want {
 			t.Errorf("Outcome(%d).String() = %q, want %q", int(o), got, want)
@@ -277,6 +329,12 @@ func TestCacheZeroValue(t *testing.T) {
 	}
 	if h.c.Cap() != 0 {
 		t.Fatalf("zero value Cap = %d, want 0 (unbounded)", h.c.Cap())
+	}
+	for k := 0; k < 8; k++ {
+		h.c.Do(fmt.Sprint(k), func() (string, error) { return "v", nil })
+	}
+	if h.c.Len() != 9 {
+		t.Fatalf("zero value len=%d, want 9 (nothing evicted)", h.c.Len())
 	}
 }
 

@@ -121,7 +121,7 @@ func TestPredictResponseDecodes(t *testing.T) {
 // first caller's fill is held open on a release channel, so the other
 // n-1 find the entry in flight by construction and join it. It returns
 // every caller's recorder and how many fills ran. (The same idiom as
-// engine.TestCacheOutcomes: the callers reach Do before the release.)
+// engine.TestLRUOutcomes: the callers reach Do before the release.)
 func burstOnHeldFill(t *testing.T, s *Server, key string, n int) ([]*httptest.ResponseRecorder, int64) {
 	t.Helper()
 	started, release := make(chan struct{}), make(chan struct{})
