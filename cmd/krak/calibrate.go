@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -127,12 +126,7 @@ func runCalibrate(args []string) error {
 		}
 	}
 	if *asJSON {
-		out, err := json.MarshalIndent(cr, "", "  ")
-		if err != nil {
-			return err
-		}
-		fmt.Println(string(out))
-		return nil
+		return printJSON(cr)
 	}
 	fmt.Print(cr.Render())
 	return nil
@@ -150,12 +144,7 @@ func runMachines(args []string) error {
 
 	if *forms {
 		if *asJSON {
-			out, err := json.MarshalIndent(krak.ModelForms(), "", "  ")
-			if err != nil {
-				return err
-			}
-			fmt.Println(string(out))
-			return nil
+			return printJSON(krak.ModelForms())
 		}
 		fmt.Printf("%-10s %-6s %s\n", "FORM", "COEFFS", "DESCRIPTION")
 		for _, f := range krak.ModelForms() {
@@ -179,12 +168,7 @@ func runMachines(args []string) error {
 		})
 	}
 	if *asJSON {
-		b, err := json.MarshalIndent(out, "", "  ")
-		if err != nil {
-			return err
-		}
-		fmt.Println(string(b))
-		return nil
+		return printJSON(out)
 	}
 	fmt.Printf("%-12s %-16s %s\n", "INTERCONNECT", "NETWORK", "FINGERPRINT")
 	for _, e := range out {

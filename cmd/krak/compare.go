@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"strings"
@@ -86,12 +85,7 @@ func runCompare(args []string) error {
 		return err
 	}
 	if *asJSON {
-		out, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		fmt.Println(string(out))
-		return nil
+		return printJSON(rep)
 	}
 	fmt.Print(rep.Render())
 	return nil

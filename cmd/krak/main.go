@@ -60,7 +60,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -239,15 +238,21 @@ func parseIntList(flagName, s string) ([]int, error) {
 	return out, nil
 }
 
+// printJSON prints v as --json output: krak.RenderJSON's bytes, the
+// same ones `krak serve` answers with.
+func printJSON(v any) error {
+	out, err := krak.RenderJSON(v)
+	if err != nil {
+		return err
+	}
+	_, err = os.Stdout.Write(out)
+	return err
+}
+
 // emit prints a result as text or JSON.
 func emit(res *krak.Result, asJSON bool) error {
 	if asJSON {
-		out, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
-		}
-		fmt.Println(string(out))
-		return nil
+		return printJSON(res)
 	}
 	fmt.Print(res.Render())
 	return nil
@@ -268,15 +273,11 @@ func runPredict(args []string) error {
 	}
 	defer stopProf()
 
-	model, err := krak.ParseModel(*modelName)
+	sc, err := krak.PredictRequest{Deck: *deck, PEs: *pe, Model: *modelName}.Scenario()
 	if err != nil {
 		return err
 	}
 	m, err := mf.machine()
-	if err != nil {
-		return err
-	}
-	sc, err := krak.NewScenario(krak.WithDeck(*deck), krak.WithPE(*pe), krak.WithModel(model))
 	if err != nil {
 		return err
 	}
@@ -295,7 +296,7 @@ func runSimulate(args []string) error {
 	fs := flag.NewFlagSet("krak simulate", flag.ExitOnError)
 	deck := fs.String("deck", "medium", "deck: small, medium, large, figure2")
 	pe := fs.Int("pe", 128, "processor count")
-	iters := fs.Int("iterations", 5, "iterations to simulate")
+	iters := fs.Int("iterations", 5, "iterations to simulate (0 = machine repeats)")
 	parter := fs.String("partitioner", "multilevel", "multilevel, rcb, sfc, strips, random")
 	asJSON := fs.Bool("json", false, "emit JSON")
 	mf := addMachineFlags(fs, true)
@@ -307,16 +308,11 @@ func runSimulate(args []string) error {
 	}
 	defer stopProf()
 
-	m, err := mf.machine()
+	sc, err := krak.SimulateRequest{Deck: *deck, PEs: *pe, Iterations: *iters, Partitioner: *parter}.Scenario()
 	if err != nil {
 		return err
 	}
-	sc, err := krak.NewScenario(
-		krak.WithDeck(*deck),
-		krak.WithPE(*pe),
-		krak.WithPartitioner(*parter),
-		krak.WithIterations(*iters),
-	)
+	m, err := mf.machine()
 	if err != nil {
 		return err
 	}
@@ -448,18 +444,30 @@ func runSweep(args []string) error {
 	}
 	defer stopProf()
 
-	if *iters < 0 {
-		return fmt.Errorf("krak: -iterations must be >= 0 (0 = machine repeats), got %d", *iters)
+	var deckList []string
+	for _, deck := range strings.Split(*decks, ",") {
+		if deck = strings.TrimSpace(deck); deck != "" {
+			deckList = append(deckList, deck)
+		}
 	}
-	sweepOp, err := krak.ParseSweepOp(*op)
-	if err != nil {
-		return err
-	}
-	model, err := krak.ParseModel(*modelName)
-	if err != nil {
-		return err
+	if len(deckList) == 0 {
+		return fmt.Errorf("krak: empty sweep grid")
 	}
 	peList, err := parseIntList("pe", *pes)
+	if err != nil {
+		return err
+	}
+	// The grid is built exactly as POST /v1/sweep builds it: the cross
+	// product of decks and PE counts, decks major, under the same
+	// MaxSweepPoints bound.
+	sweepOp, grid, err := krak.SweepRequest{
+		Op:          *op,
+		Decks:       deckList,
+		PEs:         peList,
+		Model:       *modelName,
+		Partitioner: *parter,
+		Iterations:  *iters,
+	}.Grid()
 	if err != nil {
 		return err
 	}
@@ -467,36 +475,6 @@ func runSweep(args []string) error {
 	if err != nil {
 		return err
 	}
-
-	// The grid is the cross product of decks and PE counts, decks major,
-	// so output order matches the flag order.
-	var grid []*krak.Scenario
-	for _, deck := range strings.Split(*decks, ",") {
-		deck = strings.TrimSpace(deck)
-		if deck == "" {
-			continue
-		}
-		for _, pe := range peList {
-			opts := []krak.ScenarioOption{
-				krak.WithDeck(deck),
-				krak.WithPE(pe),
-				krak.WithModel(model),
-				krak.WithPartitioner(*parter),
-			}
-			if *iters > 0 {
-				opts = append(opts, krak.WithIterations(*iters))
-			}
-			sc, err := krak.NewScenario(opts...)
-			if err != nil {
-				return err
-			}
-			grid = append(grid, sc)
-		}
-	}
-	if len(grid) == 0 {
-		return fmt.Errorf("krak: empty sweep grid")
-	}
-
 	sc, err := krak.NewScenario()
 	if err != nil {
 		return err
@@ -510,12 +488,7 @@ func runSweep(args []string) error {
 		return err
 	}
 	if *asJSON {
-		out, err := json.MarshalIndent(sr, "", "  ")
-		if err != nil {
-			return err
-		}
-		fmt.Println(string(out))
-		return nil
+		return printJSON(sr)
 	}
 	fmt.Print(sr.Render())
 	return nil
@@ -538,12 +511,7 @@ func runExperiments(args []string) error {
 
 	if *list {
 		if *asJSON {
-			out, err := json.MarshalIndent(krak.ListExperiments(), "", "  ")
-			if err != nil {
-				return err
-			}
-			fmt.Println(string(out))
-			return nil
+			return printJSON(krak.ListExperiments())
 		}
 		for _, e := range krak.ListExperiments() {
 			fmt.Printf("%-22s %s\n", e.ID, e.Title)
@@ -582,11 +550,9 @@ func runExperiments(args []string) error {
 		}
 	}
 	if *asJSON {
-		out, err := json.MarshalIndent(results, "", "  ")
-		if err != nil {
+		if err := printJSON(results); err != nil {
 			return err
 		}
-		fmt.Println(string(out))
 	}
 	if *write != "" {
 		if err := os.WriteFile(*write, []byte(experimentsMarkdown(results, *mf.quick)), 0o644); err != nil {

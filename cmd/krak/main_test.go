@@ -3,11 +3,15 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
+
+	"krak/pkg/krak"
 )
 
 // captureStdout runs one subcommand runner with os.Stdout redirected,
@@ -101,6 +105,16 @@ func TestRunSweepQuick(t *testing.T) {
 	}
 	if err := runSweep([]string{"-deck", ",", "-pe", "2", "-quick"}); err == nil {
 		t.Error("empty sweep grid accepted")
+	}
+	// The grid is built as /v1/sweep builds it, under the same
+	// MaxSweepPoints bound: 2 decks x 4096 PEs is refused before any
+	// point is built.
+	pes := make([]string, krak.MaxSweepPoints)
+	for i := range pes {
+		pes[i] = strconv.Itoa(i + 1)
+	}
+	if err := runSweep([]string{"-deck", "small,medium", "-pe", strings.Join(pes, ","), "-quick"}); !errors.Is(err, krak.ErrBadOption) {
+		t.Errorf("oversized sweep grid: err = %v, want krak.ErrBadOption", err)
 	}
 }
 

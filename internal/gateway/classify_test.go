@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"krak/internal/server"
 	"krak/pkg/krak"
 )
 
@@ -27,7 +28,7 @@ func TestClassify(t *testing.T) {
 	if err := json.Unmarshal(pb, &preq); err != nil {
 		t.Fatal(err)
 	}
-	spec, err := g.resolveSpec(preq.Machine)
+	spec, err := server.ResolveSpec(preq.Machine, g.cfg.Quick)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,6 @@ package gateway
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -33,12 +32,23 @@ import (
 
 	"krak/internal/faultinject"
 	"krak/internal/metrics"
+	"krak/internal/server"
 	"krak/internal/stats"
 	"krak/pkg/krak"
 )
 
-// maxBody bounds proxied request bodies, mirroring the serving tier.
-const maxBody = 1 << 20
+// maxResponseBody bounds a relayed replica response, which the gateway
+// buffers whole to integrity-check it. It is not the 1 MiB request
+// bound: a legal 256-point predict sweep already exceeds that. Measured
+// with -quick, the largest legal responses are a MaxSweepPoints predict
+// sweep (about 17.6 MB), a MaxSweepPoints simulate sweep (about 15 MB)
+// and a compare.MaxPoints compare (under 1 MB); the bound leaves
+// headroom above all three.
+const maxResponseBody = 32 << 20
+
+// unmatchedLabel is the metric endpoint label every path outside the
+// endpoint table shares, so arbitrary paths cannot mint new series.
+const unmatchedLabel = "unmatched"
 
 // statusClientClosed is the status recorded for a request whose client
 // hung up or timed out before any replica answered (nginx's 499). The
@@ -74,6 +84,10 @@ type Gateway struct {
 
 	// probeWG tracks the health-probe goroutines Start launched.
 	probeWG sync.WaitGroup
+
+	// proxies holds one instrumented proxy handler per endpoint label,
+	// built at New; ServeHTTP picks one by endpointLabel.
+	proxies map[string]http.HandlerFunc
 
 	requests       atomic.Int64
 	retries        atomic.Int64
@@ -112,6 +126,14 @@ func New(cfg Config, faults *faultinject.Injector) (*Gateway, error) {
 		// retry/failover path absorbs anyway.
 		rep.healthy.Store(true)
 		g.replicas = append(g.replicas, rep)
+	}
+	g.proxies = map[string]http.HandlerFunc{}
+	labels := []string{"/healthz", "/metrics", unmatchedLabel}
+	for _, rt := range server.Routes() {
+		labels = append(labels, rt.Pattern)
+	}
+	for _, label := range labels {
+		g.proxies[label] = g.metrics.Instrument(label, g.proxy)
 	}
 	g.registerMetrics()
 	return g, nil
@@ -177,74 +199,18 @@ type reqClass struct {
 	idempotent bool
 }
 
-// classify derives a request's class from method, path, and body.
-//
-// Predict and simulate route by their canonical content key (the warm-
-// cache routing the ring exists for). Sweep, compare, and calibrate are
-// pure functions of their body, so they route by a body digest and are
-// retried/failed over. Calibrate-append folds fresh timings into a
-// registered machine and is single-attempt. Machine registry writes
-// anchor to the fingerprint and are single-attempt too. GETs are
-// idempotent by definition and route by path.
+// classify derives a request's class from its endpoint-table row
+// (server.Lookup): the row's ring key, and retry/failover only when the
+// row is idempotent and the request uses the row's own method. A path
+// outside the table gets a body-digest key and one attempt; it is still
+// proxied, so a replica running a newer version keeps serving it during
+// a rolling upgrade.
 func (g *Gateway) classify(r *http.Request, body []byte) reqClass {
-	path := r.URL.Path
-	if r.Method == http.MethodGet {
-		if strings.HasPrefix(path, "/v1/machines/") {
-			return reqClass{key: "machines|" + strings.TrimPrefix(path, "/v1/machines/"), idempotent: true}
-		}
-		return reqClass{key: "GET " + path, idempotent: true}
+	rt, _ := server.Lookup(r.Method, r.URL.Path)
+	return reqClass{
+		key:        rt.Key(r, body, g.cfg.Quick),
+		idempotent: rt.Idempotent && rt.Method == r.Method,
 	}
-	digest := func() string {
-		sum := sha256.Sum256(body)
-		return fmt.Sprintf("%s|%x", path, sum[:8])
-	}
-	switch path {
-	case "/v1/predict":
-		var req krak.PredictRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return reqClass{key: digest(), idempotent: true}
-		}
-		ms, err := g.resolveSpec(req.Machine)
-		if err != nil {
-			return reqClass{key: digest(), idempotent: true}
-		}
-		req.Machine = ms
-		return reqClass{key: req.CanonicalKey(), idempotent: true}
-	case "/v1/simulate":
-		var req krak.SimulateRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return reqClass{key: digest(), idempotent: true}
-		}
-		ms, err := g.resolveSpec(req.Machine)
-		if err != nil {
-			return reqClass{key: digest(), idempotent: true}
-		}
-		req.Machine = ms
-		return reqClass{key: req.CanonicalKey(), idempotent: true}
-	case "/v1/sweep", "/v1/compare", "/v1/calibrate":
-		return reqClass{key: digest(), idempotent: true}
-	case "/v1/calibrate/append":
-		return reqClass{key: digest(), idempotent: false}
-	}
-	if strings.HasPrefix(path, "/v1/machines/") {
-		return reqClass{key: "machines|" + strings.TrimPrefix(path, "/v1/machines/"), idempotent: false}
-	}
-	return reqClass{key: digest(), idempotent: false}
-}
-
-// resolveSpec mirrors the serving tier's: expand an embedded machine
-// file, apply the gateway-level Quick, normalize. The gateway's view of
-// a request must resolve exactly as the replicas' or the canonical keys
-// would not match the bodies the replicas cache.
-func (g *Gateway) resolveSpec(ms krak.MachineSpec) (krak.MachineSpec, error) {
-	r, err := ms.Resolved()
-	if err != nil {
-		return ms, err
-	}
-	if g.cfg.Quick {
-		r.Quick = true
-	}
-	return r.Normalized(), nil
 }
 
 // ServeHTTP routes one request: gateway-local observability endpoints,
@@ -259,19 +225,20 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		g.metrics.Handler(w, r)
 		return
 	}
-	g.metrics.Instrument(endpointLabel(r.URL.Path), g.proxy)(w, r)
+	g.proxies[endpointLabel(r.URL.Path)](w, r)
 }
 
-// endpointLabel collapses id-bearing paths onto their route patterns so
-// the metric label space stays bounded.
+// endpointLabel is a request path's metric label: its table row's
+// pattern, the path itself for the gateway's own observability
+// endpoints, and unmatchedLabel for everything else.
 func endpointLabel(path string) string {
-	switch {
-	case strings.HasPrefix(path, "/v1/machines/"):
-		return "/v1/machines/{fingerprint}"
-	case strings.HasPrefix(path, "/v1/experiments/"):
-		return "/v1/experiments/{id}"
+	if rt, ok := server.Lookup("", path); ok {
+		return rt.Pattern
 	}
-	return path
+	if path == "/healthz" || path == "/metrics" {
+		return path
+	}
+	return unmatchedLabel
 }
 
 // proxy is the routed path: pick the key's replica sequence, attempt
@@ -282,13 +249,9 @@ func endpointLabel(path string) string {
 // replicas would open healthy breakers and count retries and 503s that
 // no replica caused.
 func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBody+1))
+	body, err := server.ReadBody(w, r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("gateway: reading request body: %v", err))
-		return
-	}
-	if len(body) > maxBody {
-		writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("gateway: request body exceeds %d bytes", maxBody))
+		server.WriteError(w, server.ErrorStatus(err), err)
 		return
 	}
 	class := g.classify(r, body)
@@ -337,11 +300,11 @@ func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := ctx.Err(); err != nil {
-		writeError(w, statusClientClosed, fmt.Errorf("gateway: client gave up: %w", err))
+		server.WriteError(w, statusClientClosed, fmt.Errorf("gateway: client gave up: %w", err))
 		return
 	}
 	g.unavailable.Add(1)
-	writeError(w, http.StatusServiceUnavailable,
+	server.WriteError(w, http.StatusServiceUnavailable,
 		fmt.Errorf("%w: no replica available for this request", krak.ErrUnavailable))
 }
 
@@ -362,7 +325,9 @@ func acceptable(status int, body []byte) bool {
 
 // forward sends one attempt to one replica, preserving method, path,
 // query, and content type. The response body is fully read here so the
-// caller can integrity-check before a byte reaches the client.
+// caller can integrity-check before a byte reaches the client; a body
+// past maxResponseBody fails the attempt by its length, before any
+// truncated prefix could reach the JSON check.
 func (g *Gateway) forward(r *http.Request, rep *replica, body []byte) (*http.Response, []byte, error) {
 	url := rep.url + r.URL.Path
 	if r.URL.RawQuery != "" {
@@ -380,9 +345,12 @@ func (g *Gateway) forward(r *http.Request, rep *replica, body []byte) (*http.Res
 		return nil, nil, err
 	}
 	defer resp.Body.Close()
-	respBody, err := io.ReadAll(io.LimitReader(resp.Body, maxBody))
+	respBody, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBody+1))
 	if err != nil {
 		return nil, nil, err
+	}
+	if len(respBody) > maxResponseBody {
+		return nil, nil, fmt.Errorf("gateway: replica response exceeds %d bytes", maxResponseBody)
 	}
 	return resp, respBody, nil
 }
@@ -431,7 +399,7 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			healthy++
 		}
 	}
-	writeJSON(w, map[string]any{
+	server.WriteJSON(w, map[string]any{
 		"status":           "ok",
 		"uptime_s":         time.Since(g.start).Seconds(),
 		"replicas":         len(g.replicas),
@@ -485,38 +453,4 @@ func (g *Gateway) registerMetrics() {
 			"Faults injected into the replica-facing client by the armed chaos plan, by kind.",
 			g.faults.MetricSeries(), "kind")
 	}
-}
-
-// writeError emits the serving tier's JSON error envelope; transient
-// refusals carry a Retry-After, exactly as replicas' do.
-func writeError(w http.ResponseWriter, status int, err error) {
-	if status == http.StatusServiceUnavailable || status == http.StatusTooManyRequests {
-		if w.Header().Get("Retry-After") == "" {
-			w.Header().Set("Retry-After", "1")
-		}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
-}
-
-// writeJSON renders v CLI-identically (two-space indent, trailing
-// newline) and writes it.
-func writeJSON(w http.ResponseWriter, v any) {
-	body, err := renderJSON(v)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(body)
-}
-
-// renderJSON produces the exact bytes the CLI and the replicas emit.
-func renderJSON(v any) ([]byte, error) {
-	out, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
 }

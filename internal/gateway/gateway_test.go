@@ -373,3 +373,69 @@ func TestGatewayObservability(t *testing.T) {
 		t.Fatalf("healthz replicas %v", view["replicas"])
 	}
 }
+
+// TestGatewayRelaysLargeResponses pins that responses are bounded
+// separately from requests: a legal 256-point sweep is already over the
+// 1 MiB request bound, and must reach the client byte-identically
+// without charging the replica's breaker.
+func TestGatewayRelaysLargeResponses(t *testing.T) {
+	big := []byte(`{"pad":"` + strings.Repeat("x", 2<<20) + `"}`)
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(big)
+	}))
+	defer stub.Close()
+	g, err := New(testConfig(stub.URL), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := post(t, g, "/v1/sweep", []byte(`{}`))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d, want 200", rec.Code)
+	}
+	if !bytes.Equal(rec.Body.Bytes(), big) {
+		t.Fatalf("relayed %d bytes, want the replica's %d byte-identically", rec.Body.Len(), len(big))
+	}
+	if state := g.replicas[0].breaker.value(); state != 0 {
+		t.Fatalf("breaker state %d after a good response, want 0 (closed)", state)
+	}
+	if n := g.metrics.Total("krak_gateway_unavailable_total"); n != 0 {
+		t.Fatalf("krak_gateway_unavailable_total = %v, want 0", n)
+	}
+}
+
+// TestGatewayUnknownPathsShareOneLabel pins that arbitrary paths cannot
+// grow the metrics: every path outside the endpoint table is still
+// proxied, once, but counted under one shared label.
+func TestGatewayUnknownPathsShareOneLabel(t *testing.T) {
+	s := newStubReplica()
+	defer s.ts.Close()
+	g, err := New(testConfig(s.ts.URL), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 2000
+	for i := 0; i < n; i++ {
+		if rec := post(t, g, fmt.Sprintf("/nope/%d", i), nil); rec.Code != http.StatusOK {
+			t.Fatalf("unknown path %d: status %d, want the replica's 200", i, rec.Code)
+		}
+	}
+	if got := s.requests.Load(); got != n {
+		t.Fatalf("replica saw %d requests, want %d (one attempt each)", got, n)
+	}
+	rec := httptest.NewRecorder()
+	g.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	var series int
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		if strings.HasPrefix(line, "krak_http_requests_total{") {
+			series++
+		}
+	}
+	if series != 1 {
+		t.Fatalf("%d krak_http_requests_total series after %d unknown paths, want 1", series, n)
+	}
+	want := fmt.Sprintf(`krak_http_requests_total{endpoint=%q,code="200"} %d`, unmatchedLabel, n)
+	if !strings.Contains(rec.Body.String(), want+"\n") {
+		t.Fatalf("scrape lacks %s:\n%s", want, rec.Body.String())
+	}
+}

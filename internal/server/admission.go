@@ -99,7 +99,7 @@ func (s *Server) withAdmission(class string, h http.HandlerFunc) http.HandlerFun
 			if errors.Is(err, engine.ErrSaturated) {
 				status = http.StatusTooManyRequests
 			}
-			writeError(w, status, err)
+			WriteError(w, status, err)
 			return
 		}
 		defer lim.Release()

@@ -21,21 +21,21 @@ import (
 func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	var req compare.Request
 	if err := decode(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, ErrorStatus(err), err)
 		return
 	}
 	req = req.Normalized()
 	for i, ms := range req.Machines {
-		resolved, err := s.resolveSpec(ms)
+		resolved, err := ResolveSpec(ms, s.cfg.Quick)
 		if err != nil {
-			writeError(w, errorStatus(err), fmt.Errorf("machine %d: %w", i, err))
+			WriteError(w, ErrorStatus(err), fmt.Errorf("machine %d: %w", i, err))
 			return
 		}
 		req.Machines[i] = resolved
 	}
 	canon, err := json.Marshal(req)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	key := fmt.Sprintf("compare|%x", sha256.Sum256(canon))
@@ -44,10 +44,6 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	// client disconnecting, and the report is cacheable regardless.
 	s.cachedBody(w, key, func() ([]byte, error) {
 		//krakcheck:ignore ctxflow deliberate detach: coalesced fill shared by other requests must survive this client disconnecting
-		rep, err := compare.Run(context.Background(), req, s.machineFor, s.pool)
-		if err != nil {
-			return nil, err
-		}
-		return renderJSON(rep)
+		return rendered(compare.Run(context.Background(), req, s.machineFor, s.pool))
 	})
 }

@@ -128,7 +128,7 @@ func (g *machineRegistry) register(fp string, res *krak.CalibrationResult, datas
 	if len(h.Versions) > maxRegistryVersions {
 		h.Versions = h.Versions[len(h.Versions)-maxRegistryVersions:]
 	}
-	b, err := renderJSON(h)
+	b, err := krak.RenderJSON(h)
 	if err != nil {
 		return nil, err
 	}

@@ -174,7 +174,7 @@ func TestMachineRegistryLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	localBytes, err := renderJSON(localCR)
+	localBytes, err := krak.RenderJSON(localCR)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestMachineRegistryBounds(t *testing.T) {
 	}
 	if _, err := reg.register("fp-novel", res, ""); err == nil {
 		t.Fatal("registry accepted a novel fingerprint past the cap")
-	} else if status := errorStatus(err); status != http.StatusServiceUnavailable {
+	} else if status := ErrorStatus(err); status != http.StatusServiceUnavailable {
 		t.Fatalf("registry-full error maps to %d, want 503", status)
 	}
 	// Known fingerprints keep accepting versions past the cap, and the
@@ -306,7 +306,7 @@ func TestMachineRegistryBounds(t *testing.T) {
 	if hist.Versions[0].Version != 5 {
 		t.Fatalf("oldest retained version %d, want 5", hist.Versions[0].Version)
 	}
-	if _, err := reg.history("fp-unknown"); errorStatus(err) != http.StatusNotFound {
-		t.Fatalf("unknown fingerprint error maps to %d, want 404", errorStatus(err))
+	if _, err := reg.history("fp-unknown"); ErrorStatus(err) != http.StatusNotFound {
+		t.Fatalf("unknown fingerprint error maps to %d, want 404", ErrorStatus(err))
 	}
 }

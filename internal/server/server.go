@@ -1,21 +1,12 @@
 // Package server is the serving subsystem: an http.Handler exposing the
 // performance model over JSON endpoints, built directly on the
 // repository's concurrent engine. It turns the one-shot CLI workflow
-// into a long-running traffic-serving system:
-//
-//	POST /v1/predict            analytic model (cached)
-//	POST /v1/simulate           cluster simulator (cached)
-//	POST /v1/sweep              concurrent (deck, PE) grid (uncached: timings vary)
-//	POST /v1/compare            one scenario across many machines (cached)
-//	POST /v1/calibrate          fit machine parameters to timings (cached)
-//	POST /v1/calibrate/append   fold fresh timings into a registered machine (drift-checked)
-//	GET  /v1/experiments        the paper-artifact registry
-//	GET  /v1/experiments/{id}   one regenerated table/figure (cached)
-//	GET  /v1/machines           the interconnect presets
-//	GET  /v1/machines/{fp}      a registered machine's calibration history
-//	POST /v1/machines/{fp}      register a calibration under its fingerprint
-//	GET  /healthz               liveness + serving counters (view over /metrics)
-//	GET  /metrics               Prometheus text-format serving metrics
+// into a long-running traffic-serving system. Its endpoints are the rows
+// of one table (routes.go): each row's method, path pattern, admission
+// class, metric label, gateway ring key and handler, written once and
+// read by the server, the gateway and the docs test. /healthz (liveness
+// plus serving counters, a view over /metrics) and /metrics (Prometheus
+// text format) sit outside the table.
 //
 // Every /v1 route runs behind admission control: endpoint classes (light
 // cached reads vs heavy pool-occupying computes) each have a concurrency
@@ -48,11 +39,13 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync/atomic"
@@ -208,24 +201,13 @@ func New(cfg Config) (*Server, error) {
 	// observer would be unmeasurable.
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.metrics.Handler)
-	route := func(pattern, endpoint, class string, h http.HandlerFunc) {
-		h = s.withAdmission(class, h)
+	for _, rt := range routes {
+		h := s.withAdmission(rt.Class, func(w http.ResponseWriter, r *http.Request) { rt.handle(s, w, r) })
 		if cfg.Faults != nil {
 			h = cfg.Faults.Middleware(h)
 		}
-		mux.HandleFunc(pattern, s.metrics.Instrument(endpoint, h))
+		mux.HandleFunc(rt.Method+" "+rt.Pattern, s.metrics.Instrument(rt.Pattern, h))
 	}
-	route("GET /v1/machines", "/v1/machines", classLight, s.handleMachines)
-	route("GET /v1/machines/{fingerprint}", "/v1/machines/{fingerprint}", classLight, s.handleMachineHistory)
-	route("POST /v1/machines/{fingerprint}", "/v1/machines/{fingerprint}", classLight, s.handleMachineRegister)
-	route("POST /v1/calibrate/append", "/v1/calibrate/append", classHeavy, s.handleCalibrateAppend)
-	route("POST /v1/predict", "/v1/predict", classLight, s.handlePredict)
-	route("POST /v1/simulate", "/v1/simulate", classLight, s.handleSimulate)
-	route("POST /v1/sweep", "/v1/sweep", classHeavy, s.handleSweep)
-	route("POST /v1/compare", "/v1/compare", classHeavy, s.handleCompare)
-	route("POST /v1/calibrate", "/v1/calibrate", classHeavy, s.handleCalibrate)
-	route("GET /v1/experiments", "/v1/experiments", classLight, s.handleExperimentList)
-	route("GET /v1/experiments/{id}", "/v1/experiments/{id}", classLight, s.handleExperiment)
 	s.mux = mux
 	return s, nil
 }
@@ -329,7 +311,7 @@ func (s *Server) registerMetrics() {
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
 	if s.closed.Load() {
-		writeError(w, http.StatusServiceUnavailable, fmt.Errorf("%w: server is shutting down", krak.ErrUnavailable))
+		WriteError(w, http.StatusServiceUnavailable, fmt.Errorf("%w: server is shutting down", krak.ErrUnavailable))
 		return
 	}
 	s.mux.ServeHTTP(w, r)
@@ -343,26 +325,53 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// maxBody bounds request bodies; the wire types are a few hundred bytes.
+// maxBody bounds request bodies at the server and the gateway alike;
+// the wire types are a few hundred bytes.
 const maxBody = 1 << 20
+
+// badRequest marks an error as the client's malformed request (400)
+// without changing its message.
+type badRequest struct{ error }
+
+func (e badRequest) Unwrap() error { return e.error }
+
+// ReadBody reads a request body of at most maxBody bytes. Its
+// errors are the client's: ErrorStatus maps an oversized body to 413
+// and any other failure to 400, at the server and the gateway alike.
+func ReadBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
+	if err != nil {
+		return nil, badRequest{fmt.Errorf("reading request: %w", err)}
+	}
+	return body, nil
+}
 
 // decode reads a strict JSON body into v: unknown fields and trailing
 // garbage are errors, exactly what the fuzz harness pounds on.
 func decode(w http.ResponseWriter, r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
+	body, err := ReadBody(w, r)
+	if err != nil {
+		return err
+	}
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("decoding request: %w", err)
+		return badRequest{fmt.Errorf("decoding request: %w", err)}
 	}
 	if dec.More() {
-		return fmt.Errorf("decoding request: trailing data after JSON body")
+		return badRequest{errors.New("decoding request: trailing data after JSON body")}
 	}
 	return nil
 }
 
-// errorStatus maps a typed krak error to its HTTP status.
-func errorStatus(err error) int {
+// ErrorStatus maps an error to its HTTP status: typed krak errors to
+// theirs, request-body failures to 413 or 400, anything else to 500.
+func ErrorStatus(err error) int {
 	switch {
+	case errors.As(err, new(*http.MaxBytesError)):
+		return http.StatusRequestEntityTooLarge
+	case errors.As(err, new(badRequest)):
+		return http.StatusBadRequest
 	case errors.Is(err, errTooManyMachines):
 		// The machine cap can surface through cached fills (compare builds
 		// its machines inside one), not only through machineFor call sites.
@@ -389,12 +398,13 @@ func errorStatus(err error) int {
 	return http.StatusInternalServerError
 }
 
-// writeError emits the JSON error envelope. Transient refusals — 429s,
-// and 503s like the machine-configuration cap — all
-// carry a Retry-After hint, not just the admission path: the condition
-// clears on its own, and the header is what tells a well-behaved client
-// to back off instead of abandoning the request.
-func writeError(w http.ResponseWriter, status int, err error) {
+// WriteError emits the JSON error envelope, for the server and the
+// gateway alike. Transient refusals — 429s, and 503s like the
+// machine-configuration cap — all carry a Retry-After hint, not just
+// the admission path: the condition clears on its own, and the header
+// is what tells a well-behaved client to back off instead of abandoning
+// the request.
+func WriteError(w http.ResponseWriter, status int, err error) {
 	if status == http.StatusServiceUnavailable || status == http.StatusTooManyRequests {
 		if w.Header().Get("Retry-After") == "" {
 			w.Header().Set("Retry-After", "1")
@@ -405,12 +415,12 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
 }
 
-// writeJSON marshals v the way the CLI's emit does (indented, trailing
-// newline) and writes it.
-func writeJSON(w http.ResponseWriter, v any) {
-	body, err := renderJSON(v)
+// WriteJSON renders v with krak.RenderJSON, the bytes the CLI's --json
+// prints, and writes it.
+func WriteJSON(w http.ResponseWriter, v any) {
+	body, err := krak.RenderJSON(v)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	writeBody(w, body)
@@ -421,28 +431,55 @@ func writeBody(w http.ResponseWriter, body []byte) {
 	w.Write(body)
 }
 
-// renderJSON produces the exact bytes `krak <subcommand> --json` prints:
-// two-space indentation plus the trailing newline fmt.Println adds.
-func renderJSON(v any) ([]byte, error) {
-	out, err := json.MarshalIndent(v, "", "  ")
+// rendered renders a computation's result with krak.RenderJSON, passing
+// its error through: the last step of every cached fill.
+func rendered[T any](v T, err error) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return append(out, '\n'), nil
+	return krak.RenderJSON(v)
 }
 
-// resolveSpec expands an embedded machine file (the wire MachineSpec's
-// file field), applies the server-level Quick default, and normalizes —
+// ResolveSpec expands an embedded machine file (the wire MachineSpec's
+// file field), applies a tier-level Quick default, and normalizes —
 // after it, the spec's Fingerprint is the machine's serving identity.
-func (s *Server) resolveSpec(ms krak.MachineSpec) (krak.MachineSpec, error) {
+// The gateway resolves through it too, so its ring keys match the keys
+// the replicas cache under.
+func ResolveSpec(ms krak.MachineSpec, quick bool) (krak.MachineSpec, error) {
 	r, err := ms.Resolved()
 	if err != nil {
 		return ms, err
 	}
-	if s.cfg.Quick {
+	if quick {
 		r.Quick = true
 	}
 	return r.Normalized(), nil
+}
+
+// bindMachine is the prologue of every handler whose body names one
+// machine: strict decode into req, wire defaults, the spec at machine
+// (a field of req) resolved against the server's Quick, the request
+// validated by check, and only then the shared machine — so an invalid
+// request never consumes the machine cap. On failure it writes the
+// error response and returns nil.
+func bindMachine[R interface{ Normalized() R }](s *Server, w http.ResponseWriter, r *http.Request,
+	req *R, machine *krak.MachineSpec, check func() error) *krak.Machine {
+	err := decode(w, r, req)
+	if err == nil {
+		*req = (*req).Normalized()
+		*machine, err = ResolveSpec(*machine, s.cfg.Quick)
+	}
+	if err == nil {
+		err = check()
+	}
+	var m *krak.Machine
+	if err == nil {
+		m, err = s.machineFor(*machine)
+	}
+	if err != nil {
+		WriteError(w, ErrorStatus(err), err)
+	}
+	return m
 }
 
 // errTooManyMachines is the 503 the machine cap returns.
@@ -480,7 +517,7 @@ func (s *Server) machineFor(ms krak.MachineSpec) (*krak.Machine, error) {
 // agreement test can diff them.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	total := func(name string) int64 { return int64(s.metrics.Total(name)) }
-	writeJSON(w, map[string]any{
+	WriteJSON(w, map[string]any{
 		"status":             "ok",
 		"uptime_s":           time.Since(s.start).Seconds(),
 		"requests":           total("krak_requests_total"),
@@ -500,7 +537,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMachines(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, krak.ListMachines())
+	WriteJSON(w, krak.ListMachines())
 }
 
 // responseKind namespaces rendered response bodies in the disk tier.
@@ -528,7 +565,7 @@ func (s *Server) cachedBody(w http.ResponseWriter, key string, fill func() ([]by
 		return b, nil
 	})
 	if err != nil {
-		writeError(w, errorStatus(err), err)
+		WriteError(w, ErrorStatus(err), err)
 		return
 	}
 	switch outcome {
@@ -542,119 +579,67 @@ func (s *Server) cachedBody(w http.ResponseWriter, key string, fill func() ([]by
 	writeBody(w, body)
 }
 
-// cachedResult is cachedBody for handlers that compute a Result,
-// rendering it CLI-identically.
-func (s *Server) cachedResult(w http.ResponseWriter, key string, compute func() (*krak.Result, error)) {
-	s.cachedBody(w, key, func() ([]byte, error) {
-		res, err := compute()
-		if err != nil {
-			return nil, err
-		}
-		return renderJSON(res)
-	})
-}
-
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	var req krak.PredictRequest
-	if err := decode(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	var sc *krak.Scenario
+	m := bindMachine(s, w, r, &req, &req.Machine, func() (err error) {
+		sc, err = req.Scenario()
+		return err
+	})
+	if m == nil {
 		return
 	}
-	req = req.Normalized()
-	ms, err := s.resolveSpec(req.Machine)
-	if err != nil {
-		writeError(w, errorStatus(err), err)
-		return
-	}
-	req.Machine = ms
-	sc, err := req.Scenario()
-	if err != nil {
-		writeError(w, errorStatus(err), err)
-		return
-	}
-	m, err := s.machineFor(req.Machine)
-	if err != nil {
-		writeError(w, s.machineStatus(err), err)
-		return
-	}
-	key := req.CanonicalKey()
 	// The fill takes no context: other requests may be coalesced onto it,
 	// so one client disconnecting must not fail the strangers sharing the
 	// computation (predictions are short and the rendered result is
 	// cacheable regardless).
-	s.cachedResult(w, key, func() (*krak.Result, error) {
+	s.cachedBody(w, req.CanonicalKey(), func() ([]byte, error) {
 		sess, err := krak.NewSession(m, sc)
 		if err != nil {
 			return nil, err
 		}
-		return sess.Predict()
+		return rendered(sess.Predict())
 	})
 }
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	var req krak.SimulateRequest
-	if err := decode(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	var sc *krak.Scenario
+	m := bindMachine(s, w, r, &req, &req.Machine, func() (err error) {
+		sc, err = req.Scenario()
+		return err
+	})
+	if m == nil {
 		return
 	}
-	req = req.Normalized()
-	ms, err := s.resolveSpec(req.Machine)
-	if err != nil {
-		writeError(w, errorStatus(err), err)
-		return
-	}
-	req.Machine = ms
-	sc, err := req.Scenario()
-	if err != nil {
-		writeError(w, errorStatus(err), err)
-		return
-	}
-	m, err := s.machineFor(req.Machine)
-	if err != nil {
-		writeError(w, s.machineStatus(err), err)
-		return
-	}
-	key := req.CanonicalKey()
-	s.cachedResult(w, key, func() (*krak.Result, error) {
+	s.cachedBody(w, req.CanonicalKey(), func() ([]byte, error) {
 		sess, err := krak.NewSession(m, sc)
 		if err != nil {
 			return nil, err
 		}
-		return sess.Simulate()
+		return rendered(sess.Simulate())
 	})
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req krak.SweepRequest
-	if err := decode(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	req = req.Normalized()
-	ms, err := s.resolveSpec(req.Machine)
-	if err != nil {
-		writeError(w, errorStatus(err), err)
-		return
-	}
-	req.Machine = ms
-	op, grid, err := req.Grid()
-	if err != nil {
-		writeError(w, errorStatus(err), err)
-		return
-	}
-	m, err := s.machineFor(req.Machine)
-	if err != nil {
-		writeError(w, s.machineStatus(err), err)
+	var op krak.SweepOp
+	var grid []*krak.Scenario
+	m := bindMachine(s, w, r, &req, &req.Machine, func() (err error) {
+		op, grid, err = req.Grid()
+		return err
+	})
+	if m == nil {
 		return
 	}
 	base, err := krak.NewScenario()
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	sess, err := krak.NewSession(m, base)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	// Sweeps are not response-cached: their wall/work timing fields
@@ -663,10 +648,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// machine's warm artifact caches.
 	sr, err := sess.Sweep(r.Context(), op, grid)
 	if err != nil {
-		writeError(w, errorStatus(err), err)
+		WriteError(w, ErrorStatus(err), err)
 		return
 	}
-	writeJSON(w, sr)
+	WriteJSON(w, sr)
 }
 
 // handleCalibrate fits machine parameters to the request's dataset
@@ -678,30 +663,17 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 // canonical request.
 func (s *Server) handleCalibrate(w http.ResponseWriter, r *http.Request) {
 	var req krak.CalibrateRequest
-	if err := decode(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	req = req.Normalized()
-	ms, err := s.resolveSpec(req.Machine)
-	if err != nil {
-		writeError(w, errorStatus(err), err)
-		return
-	}
-	req.Machine = ms
-	sc, err := req.Scenario()
-	if err != nil {
-		writeError(w, errorStatus(err), err)
-		return
-	}
-	m, err := s.machineFor(req.Machine)
-	if err != nil {
-		writeError(w, s.machineStatus(err), err)
+	var sc *krak.Scenario
+	m := bindMachine(s, w, r, &req, &req.Machine, func() (err error) {
+		sc, err = req.Scenario()
+		return err
+	})
+	if m == nil {
 		return
 	}
 	canon, err := json.Marshal(req)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	key := fmt.Sprintf("calibrate|%x", sha256.Sum256(canon))
@@ -719,11 +691,7 @@ func (s *Server) handleCalibrate(w http.ResponseWriter, r *http.Request) {
 			return nil, err
 		}
 		//krakcheck:ignore ctxflow same deliberate detach as the Materialize call above
-		cr, err := sess.Calibrate(context.Background(), ds, krak.CalibrateOptions{Folds: req.Folds, Form: req.Form})
-		if err != nil {
-			return nil, err
-		}
-		return renderJSON(cr)
+		return rendered(sess.Calibrate(context.Background(), ds, krak.CalibrateOptions{Folds: req.Folds, Form: req.Form}))
 	})
 }
 
@@ -733,7 +701,7 @@ func (s *Server) handleCalibrate(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMachineHistory(w http.ResponseWriter, r *http.Request) {
 	body, err := s.machineReg.history(r.PathValue("fingerprint"))
 	if err != nil {
-		writeError(w, errorStatus(err), err)
+		WriteError(w, ErrorStatus(err), err)
 		return
 	}
 	writeBody(w, body)
@@ -747,22 +715,22 @@ func (s *Server) handleMachineRegister(w http.ResponseWriter, r *http.Request) {
 	fp := r.PathValue("fingerprint")
 	var req krak.RegisterMachineRequest
 	if err := decode(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, ErrorStatus(err), err)
 		return
 	}
 	if req.Result == nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("register request carries no calibration result"))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("register request carries no calibration result"))
 		return
 	}
 	if req.Result.FittedFingerprint != fp {
-		writeError(w, http.StatusBadRequest,
+		WriteError(w, http.StatusBadRequest,
 			fmt.Errorf("result's fitted fingerprint %s does not match path fingerprint %s",
 				req.Result.FittedFingerprint, fp))
 		return
 	}
 	body, err := s.machineReg.register(fp, req.Result, req.Dataset)
 	if err != nil {
-		writeError(w, errorStatus(err), err)
+		WriteError(w, ErrorStatus(err), err)
 		return
 	}
 	writeBody(w, body)
@@ -777,56 +745,43 @@ func (s *Server) handleMachineRegister(w http.ResponseWriter, r *http.Request) {
 // never response-cached.
 func (s *Server) handleCalibrateAppend(w http.ResponseWriter, r *http.Request) {
 	var req krak.AppendRequest
-	if err := decode(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	req = req.Normalized()
-	ms, err := s.resolveSpec(req.Machine)
-	if err != nil {
-		writeError(w, errorStatus(err), err)
-		return
-	}
-	req.Machine = ms
-	sc, err := req.Scenario()
-	if err != nil {
-		writeError(w, errorStatus(err), err)
-		return
-	}
-	m, err := s.machineFor(req.Machine)
-	if err != nil {
-		writeError(w, s.machineStatus(err), err)
+	var sc *krak.Scenario
+	m := bindMachine(s, w, r, &req, &req.Machine, func() (err error) {
+		sc, err = req.Scenario()
+		return err
+	})
+	if m == nil {
 		return
 	}
 	ver, err := s.machineReg.latest(req.Fingerprint)
 	if err != nil {
-		writeError(w, errorStatus(err), err)
+		WriteError(w, ErrorStatus(err), err)
 		return
 	}
 	if ver.Dataset == "" {
-		writeError(w, http.StatusConflict,
+		WriteError(w, http.StatusConflict,
 			fmt.Errorf("version %d of %s was registered without its dataset; appends need it to refit",
 				ver.Version, req.Fingerprint))
 		return
 	}
 	base, err := krak.ParseDataset([]byte(ver.Dataset))
 	if err != nil {
-		writeError(w, errorStatus(err), err)
+		WriteError(w, ErrorStatus(err), err)
 		return
 	}
 	fresh, err := req.Fresh()
 	if err != nil {
-		writeError(w, errorStatus(err), err)
+		WriteError(w, ErrorStatus(err), err)
 		return
 	}
 	sess, err := krak.NewSession(m, sc)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	cr, err := sess.CalibrateAppend(r.Context(), base, fresh, krak.CalibrateOptions{Folds: req.Folds, Form: req.Form})
 	if err != nil {
-		writeError(w, errorStatus(err), err)
+		WriteError(w, ErrorStatus(err), err)
 		return
 	}
 	if cr.Drift != nil && cr.Drift.Flagged {
@@ -836,34 +791,34 @@ func (s *Server) handleCalibrateAppend(w http.ResponseWriter, r *http.Request) {
 	merged.Observations = append(merged.Observations, base.Observations...)
 	merged.Observations = append(merged.Observations, fresh.Observations...)
 	if _, err := s.machineReg.register(req.Fingerprint, cr, string(merged.Format())); err != nil {
-		writeError(w, errorStatus(err), err)
+		WriteError(w, ErrorStatus(err), err)
 		return
 	}
-	writeJSON(w, cr)
+	WriteJSON(w, cr)
 }
 
 func (s *Server) handleExperimentList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, krak.ListExperiments())
+	WriteJSON(w, krak.ListExperiments())
 }
 
 func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	ms, err := machineSpecFromQuery(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	if ms, err = s.resolveSpec(ms); err != nil {
-		writeError(w, errorStatus(err), err)
+	if ms, err = ResolveSpec(ms, s.cfg.Quick); err != nil {
+		WriteError(w, ErrorStatus(err), err)
 		return
 	}
 	m, err := s.machineFor(ms)
 	if err != nil {
-		writeError(w, s.machineStatus(err), err)
+		WriteError(w, ErrorStatus(err), err)
 		return
 	}
 	key := fmt.Sprintf("experiment|%s|%s", id, ms.Fingerprint())
-	s.cachedResult(w, key, func() (*krak.Result, error) {
+	s.cachedBody(w, key, func() ([]byte, error) {
 		sc, err := krak.NewScenario()
 		if err != nil {
 			return nil, err
@@ -872,7 +827,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		return sess.Experiment(id)
+		return rendered(sess.Experiment(id))
 	})
 }
 
@@ -904,13 +859,4 @@ func machineSpecFromQuery(r *http.Request) (krak.MachineSpec, error) {
 		ms.Quick = b
 	}
 	return ms, nil
-}
-
-// machineStatus maps machineFor errors: the cap is 503, the rest are the
-// usual typed-error statuses.
-func (s *Server) machineStatus(err error) int {
-	if errors.Is(err, errTooManyMachines) {
-		return http.StatusServiceUnavailable
-	}
-	return errorStatus(err)
 }

@@ -306,6 +306,7 @@ func TestErrorStatuses(t *testing.T) {
 		{"bad iterations", http.MethodPost, "/v1/simulate", `{"iterations":-1}`, http.StatusBadRequest},
 		{"bad sweep op", http.MethodPost, "/v1/sweep", `{"op":"hydro"}`, http.StatusBadRequest},
 		{"huge sweep", http.MethodPost, "/v1/sweep", `{"decks":["small","medium","large","figure2"],"pes":[` + bigPEList(2000) + `]}`, http.StatusBadRequest},
+		{"oversized body", http.MethodPost, "/v1/predict", `{"deck":"` + strings.Repeat("x", 2<<20) + `"}`, http.StatusRequestEntityTooLarge},
 		{"wrong method", http.MethodGet, "/v1/predict", "", http.StatusMethodNotAllowed},
 		{"unknown path", http.MethodGet, "/v1/wibble", "", http.StatusNotFound},
 		{"removed jobs api", http.MethodPost, "/v1/jobs", `{"decks":["small"],"pes":[2]}`, http.StatusNotFound},
@@ -319,7 +320,7 @@ func TestErrorStatuses(t *testing.T) {
 			if w.Code != tc.want {
 				t.Fatalf("status %d, want %d: %s", w.Code, tc.want, w.Body.String())
 			}
-			if tc.want == http.StatusBadRequest {
+			if tc.want == http.StatusBadRequest || tc.want == http.StatusRequestEntityTooLarge {
 				var env map[string]string
 				if err := json.Unmarshal(w.Body.Bytes(), &env); err != nil || env["error"] == "" {
 					t.Errorf("missing error envelope: %s", w.Body.String())

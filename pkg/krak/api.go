@@ -17,6 +17,18 @@ import (
 // (Result.MarshalJSON stamps ResultSchema; Result.UnmarshalJSON rejects
 // anything else with ErrSchema).
 
+// RenderJSON renders v as the serving contract's bytes: two-space
+// indented JSON plus a trailing newline. Every `--json` the CLI prints
+// and every successful body `krak serve` answers goes through it, which
+// is what makes the two byte-identical.
+func RenderJSON(v any) ([]byte, error) {
+	out, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return nil, fmt.Errorf("%w: rendering JSON: %w", ErrSchema, err)
+	}
+	return append(out, '\n'), nil
+}
+
 // MachineSpec is the wire and file form of a Machine: every field is
 // optional and the zero value means the paper's default platform
 // (QsNet-I, seed 1, full-size decks). Beyond the presets, a spec can
