@@ -38,32 +38,16 @@ type Store struct {
 	vectors engine.Cache[string, []int]
 	sums    engine.Cache[string, *mesh.PartitionSummary]
 
-	// disk, when set, persists partition vectors under the in-memory
-	// vectors cache: a vector computed by any process lands on disk, and a
-	// restarted (or sibling) process loads it instead of re-running the
-	// partitioner. nil disables persistence.
-	disk *DiskCache
-
-	// partitionComputes counts actual partitioner runs — misses of both
-	// tiers. A restart over a warm disk cache serves every vector with
-	// this counter still at zero, which is exactly what the restart tests
-	// and the serving metrics pin.
+	// partitionComputes counts actual partitioner runs — vectors cache
+	// misses. The serving metrics expose it.
 	partitionComputes atomic.Int64
 }
 
 // NewStore returns an empty store.
 func NewStore() *Store { return &Store{} }
 
-// NewStoreWithDisk returns an empty store persisting partition vectors to
-// dc (nil dc is equivalent to NewStore).
-func NewStoreWithDisk(dc *DiskCache) *Store { return &Store{disk: dc} }
-
-// Disk returns the store's persistent tier (nil when persistence is off).
-func (s *Store) Disk() *DiskCache { return s.disk }
-
 // PartitionComputes reports how many partition vectors were computed from
-// scratch — cache misses that reached the partitioner, rather than being
-// served from memory or disk.
+// scratch — cache misses that reached the partitioner.
 func (s *Store) PartitionComputes() int64 { return s.partitionComputes.Load() }
 
 // quickDeckCellCap bounds quick-mode standard decks (cells), halving each
@@ -121,25 +105,11 @@ func partKey(d *mesh.Deck, pr partition.Partitioner, seed uint64, p int) string 
 	return fmt.Sprintf("%s/%s/%d/%d", d.CacheKey(), pr.Name(), seed, p)
 }
 
-// vectorKind namespaces partition vectors in the disk tier.
-const vectorKind = "vector"
-
 // Vector returns (and caches) the raw cell-to-part assignment of d under
 // pr at p parts. The returned slice is shared — read-only for callers.
-// With a disk tier attached, a vector not in memory is loaded from disk
-// before falling back to the partitioner, and freshly computed vectors
-// are persisted for future processes.
 func (s *Store) Vector(d *mesh.Deck, pr partition.Partitioner, seed uint64, p int) ([]int, error) {
 	key := partKey(d, pr, seed, p)
 	vec, _, err := s.vectors.Do(key, func() ([]int, error) {
-		if raw, ok := s.disk.Get(vectorKind, key); ok {
-			if v, ok := decodeVector(raw, p); ok && len(v) == d.Mesh.NumCells() {
-				return v, nil
-			}
-			// Verified entry but a payload that is not a p-part vector of
-			// this deck: fall through and recompute; the Put below
-			// overwrites it.
-		}
 		g, err := s.Graph(d)
 		if err != nil {
 			return nil, err
@@ -149,7 +119,6 @@ func (s *Store) Vector(d *mesh.Deck, pr partition.Partitioner, seed uint64, p in
 		if err != nil {
 			return nil, fmt.Errorf("artifacts: partitioning %s to %d parts: %w", d.Name, p, err)
 		}
-		s.disk.Put(vectorKind, key, encodeVector(part))
 		return part, nil
 	})
 	return vec, err

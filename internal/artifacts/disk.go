@@ -3,7 +3,6 @@ package artifacts
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"io"
@@ -12,24 +11,21 @@ import (
 	"sync/atomic"
 )
 
-// DiskCache is the persistent tier under the in-memory artifact caches: a
-// content-addressed directory of cache entries that survives restarts and
-// is shareable between replicas (writes are atomic rename-into-place, so
-// two servers pointed at the same directory — or one serving while
-// another warms — never observe a torn entry; last-writer-wins on the
-// identical content both would write).
+// DiskCache is a content-addressed directory of self-verifying entries
+// that survives restarts. Its one caller is the server's machine
+// registry, which persists each fingerprint's rendered history under the
+// "registry" kind, so a server restarted on the same directory serves it
+// again. Writes are atomic rename-into-place, so a reader — or a second
+// process over the same directory — never observes a torn entry.
 //
-// Every entry is addressed by (kind, key): kind namespaces the artifact
-// family ("vector" for partition vectors, "response" for rendered HTTP
-// bodies, "registry" for machine histories), and key is the same
-// content-derived string the in-memory caches use, so an entry is valid
-// for exactly as long as its key would be. Entries are self-verifying — a schema stamp and a payload checksum
-// in the header — and anything that fails verification (truncated write,
-// bit rot, a format change between versions) is treated as a miss and
-// silently recomputed by the caller; Get deletes such entries so they are
-// rewritten fresh.
+// Every entry is addressed by (kind, key): kind namespaces the entry
+// family and key is the caller's identity string. Entries are
+// self-verifying — a schema stamp and a payload checksum in the header —
+// and anything that fails verification (truncated write, bit rot, a
+// format change between versions) reads as a miss; Get deletes such
+// entries so the next Put rewrites them fresh.
 //
-// A nil *DiskCache is a valid no-op tier: Get always misses, Put does
+// A nil *DiskCache is a valid no-op store: Get always misses, Put does
 // nothing. Callers thread the cache unconditionally and the nil case
 // disables persistence.
 type DiskCache struct {
@@ -42,15 +38,15 @@ type DiskCache struct {
 }
 
 // diskSchema stamps every entry. Bump it when the on-disk layout — or the
-// byte layout of any persisted artifact family — changes; entries with a
-// different stamp read as misses and are recomputed, which is how version
-// skew between replicas sharing a directory degrades (to recompute, never
-// to corruption).
+// byte layout of any persisted entry family — changes; entries with a
+// different stamp read as misses, which is how version skew between
+// processes sharing a directory degrades (to a miss, never to
+// corruption).
 const diskSchema = "krakart/v1"
 
-// maxDiskEntryBytes bounds how large an entry Get will load: the disk
-// tier stores partition vectors and rendered responses, both well under
-// this; anything larger is treated as corrupt rather than trusted.
+// maxDiskEntryBytes bounds how large an entry Get will load: registry
+// histories are far under this; anything larger is treated as corrupt
+// rather than trusted.
 const maxDiskEntryBytes = 1 << 28 // 256 MiB
 
 // OpenDiskCache opens (creating if needed) the content-addressed cache
@@ -173,34 +169,38 @@ func (c *DiskCache) drop(p string) {
 
 // Put stores payload under (kind, key). The write is atomic: a temp file
 // in the entry's directory renamed into place, so concurrent readers and
-// sibling replicas never see a partial entry. Errors are swallowed — the
-// disk tier is an optimization, and a failed write simply means the next
-// process recomputes.
-func (c *DiskCache) Put(kind, key string, payload []byte) {
+// other processes never see a partial entry. A write that fails leaves
+// any previous entry in place and returns the error; on the nil cache Put
+// does nothing.
+func (c *DiskCache) Put(kind, key string, payload []byte) error {
 	if c == nil {
-		return
+		return nil
 	}
 	p := c.path(kind, key)
 	dir := filepath.Dir(p)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return
+		return fmt.Errorf("artifacts: writing %s entry: %w", kind, err)
 	}
 	tmp, err := os.CreateTemp(dir, ".tmp-*")
 	if err != nil {
-		return
+		return fmt.Errorf("artifacts: writing %s entry: %w", kind, err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	_, werr := tmp.Write(entryHeader(kind, key, payload))
-	if werr == nil {
-		_, werr = tmp.Write(payload)
+	_, err = tmp.Write(entryHeader(kind, key, payload))
+	if err == nil {
+		_, err = tmp.Write(payload)
 	}
-	if cerr := tmp.Close(); werr != nil || cerr != nil {
-		return
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := os.Rename(tmp.Name(), p); err != nil {
-		return
+	if err == nil {
+		err = os.Rename(tmp.Name(), p)
+	}
+	if err != nil {
+		return fmt.Errorf("artifacts: writing %s entry: %w", kind, err)
 	}
 	c.writes.Add(1)
+	return nil
 }
 
 // DiskStats is a point-in-time snapshot of a DiskCache's counters.
@@ -219,43 +219,4 @@ func (c *DiskCache) Stats() DiskStats {
 		Writes:  c.writes.Load(),
 		Corrupt: c.corrupt.Load(),
 	}
-}
-
-// maxVectorEntries bounds how many cells a persisted partition vector may
-// claim, so a corrupt length prefix cannot demand an absurd allocation
-// before the checksum would have caught it.
-const maxVectorEntries = 1 << 27
-
-// encodeVector serializes a partition vector for the disk tier:
-// little-endian uint32 count then one uint32 per cell. Part indices are
-// small non-negative ints (bounded by the PE count), so uint32 is exact.
-func encodeVector(v []int) []byte {
-	out := make([]byte, 4+4*len(v))
-	binary.LittleEndian.PutUint32(out, uint32(len(v)))
-	for i, x := range v {
-		binary.LittleEndian.PutUint32(out[4+4*i:], uint32(x))
-	}
-	return out
-}
-
-// decodeVector reverses encodeVector for a p-part vector, refusing length
-// prefixes beyond maxVectorEntries, payloads that do not match their
-// count, and part indices outside [0, p) — a checksummed entry can still
-// hold a vector no p-part partition could produce.
-func decodeVector(b []byte, p int) ([]int, bool) {
-	if len(b) < 4 {
-		return nil, false
-	}
-	n := int(binary.LittleEndian.Uint32(b))
-	if n > maxVectorEntries || len(b) != 4+4*n {
-		return nil, false
-	}
-	v := make([]int, n)
-	for i := range v {
-		v[i] = int(binary.LittleEndian.Uint32(b[4+4*i:]))
-		if v[i] >= p {
-			return nil, false
-		}
-	}
-	return v, true
 }

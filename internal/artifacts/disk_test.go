@@ -3,10 +3,7 @@ package artifacts
 import (
 	"os"
 	"path/filepath"
-	"slices"
 	"testing"
-
-	"krak/internal/partition"
 )
 
 func TestDiskCacheRoundTrip(t *testing.T) {
@@ -168,118 +165,5 @@ func TestDiskCacheOversizeEntryIsMissAndDropped(t *testing.T) {
 	}
 	if st := dc.Stats(); st.Corrupt != 1 {
 		t.Fatalf("corrupt count = %d, want 1", st.Corrupt)
-	}
-}
-
-func TestVectorEncodeDecode(t *testing.T) {
-	for _, v := range [][]int{nil, {0}, {3, 1, 4, 1, 5, 9, 2, 6}, make([]int, 1000)} {
-		got, ok := decodeVector(encodeVector(v), 10)
-		if !ok || !slices.Equal(got, append([]int{}, v...)) {
-			t.Fatalf("round trip of %v -> %v/%v", v, got, ok)
-		}
-	}
-	if _, ok := decodeVector(nil, 10); ok {
-		t.Fatal("decoded empty bytes")
-	}
-	if _, ok := decodeVector([]byte{1, 0, 0, 0}, 10); ok {
-		t.Fatal("decoded truncated payload")
-	}
-	if _, ok := decodeVector([]byte{0xff, 0xff, 0xff, 0xff}, 10); ok {
-		t.Fatal("decoded oversized length prefix")
-	}
-	if _, ok := decodeVector(encodeVector([]int{0, 1, 4}), 4); ok {
-		t.Fatal("decoded a part index outside [0, p)")
-	}
-}
-
-// TestStoreRecomputesOutOfRangeDiskVector is the regression test for a
-// checksummed vector entry holding a part index outside [0, p): it used
-// to load, stay cached, and fail every Summary for its key, across
-// restarts too. It must instead be recomputed and overwritten.
-func TestStoreRecomputesOutOfRangeDiskVector(t *testing.T) {
-	dir := t.TempDir()
-	dc, err := OpenDiskCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewStoreWithDisk(dc)
-	d, err := s.LayeredDeck(24, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ml := partition.NewMultilevel(1)
-	bad := make([]int, d.Mesh.NumCells())
-	bad[0] = 99
-	dc.Put(vectorKind, partKey(d, ml, 1, 4), encodeVector(bad))
-
-	if _, err := s.Summary(d, ml, 1, 4); err != nil {
-		t.Fatalf("summary over a bad disk vector: %v", err)
-	}
-	if n := s.PartitionComputes(); n != 1 {
-		t.Fatalf("partition computes = %d, want 1 (the bad entry must be recomputed)", n)
-	}
-
-	// The recompute overwrote the entry: a restarted store serves it.
-	s2 := NewStoreWithDisk(dc)
-	d2, err := s2.LayeredDeck(24, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s2.Summary(d2, ml, 1, 4); err != nil {
-		t.Fatalf("summary after restart: %v", err)
-	}
-	if n := s2.PartitionComputes(); n != 0 {
-		t.Fatalf("restarted store ran %d partitions, want 0", n)
-	}
-}
-
-// TestStoreVectorPersistsAcrossStores is the restart contract at the Store
-// level: a second Store over the same cache directory serves the vector
-// from disk, byte-identical, with zero partitioner runs.
-func TestStoreVectorPersistsAcrossStores(t *testing.T) {
-	dir := t.TempDir()
-	dc1, err := OpenDiskCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1 := NewStoreWithDisk(dc1)
-	d1, err := s1.LayeredDeck(24, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ml := partition.NewMultilevel(1)
-	v1, err := s1.Vector(d1, ml, 1, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := s1.PartitionComputes(); n != 1 {
-		t.Fatalf("first store ran %d partitions, want 1", n)
-	}
-	if st := dc1.Stats(); st.Writes != 1 {
-		t.Fatalf("first store wrote %d entries, want 1", st.Writes)
-	}
-
-	// "Restart": a fresh store, fresh in-memory caches, same directory.
-	dc2, err := OpenDiskCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2 := NewStoreWithDisk(dc2)
-	d2, err := s2.LayeredDeck(24, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2, err := s2.Vector(d2, ml, 1, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(v1, v2) {
-		t.Fatal("disk-served vector differs from computed vector")
-	}
-	if n := s2.PartitionComputes(); n != 0 {
-		t.Fatalf("second store ran %d partitions, want 0 (disk should have served it)", n)
-	}
-	if st := dc2.Stats(); st.Hits != 1 {
-		t.Fatalf("second store disk hits = %d, want 1", st.Hits)
 	}
 }

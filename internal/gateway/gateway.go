@@ -91,7 +91,6 @@ type Gateway struct {
 
 	requests       atomic.Int64
 	retries        atomic.Int64
-	failovers      atomic.Int64
 	unavailable    atomic.Int64
 	proxiedByIndex []atomic.Int64
 }
@@ -279,7 +278,6 @@ func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request) {
 				break
 			}
 			g.retries.Add(1)
-			g.failovers.Add(1)
 		}
 		attempts++
 		resp, respBody, err := g.forward(r, rep, body)
@@ -406,7 +404,6 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"replicas_healthy": healthy,
 		"requests":         total("krak_gateway_requests_total"),
 		"retries":          total("krak_gateway_retries_total"),
-		"failovers":        total("krak_gateway_failovers_total"),
 		"unavailable":      total("krak_gateway_unavailable_total"),
 	})
 }
@@ -423,8 +420,6 @@ func (g *Gateway) registerMetrics() {
 		"Requests received by the gateway (including observability endpoints).", counter(&g.requests))
 	reg.AddScalar("krak_gateway_retries_total", "counter",
 		"Retry attempts beyond each request's first.", counter(&g.retries))
-	reg.AddScalar("krak_gateway_failovers_total", "counter",
-		"Attempts that moved to a different replica on the ring.", counter(&g.failovers))
 	reg.AddScalar("krak_gateway_unavailable_total", "counter",
 		"Requests no replica could serve (503).", counter(&g.unavailable))
 	breakerSeries := make(map[string]func() float64, len(g.replicas))

@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"krak/internal/artifacts"
@@ -107,7 +108,10 @@ func (g *machineRegistry) latest(fp string) (krak.MachineVersion, error) {
 
 // register records a calibration as the fingerprint's next version and
 // returns the updated rendered history. New fingerprints past the cap
-// are refused with errRegistryFull; known ones always accept.
+// are refused with errRegistryFull; known ones always accept. With a
+// cache directory the history is persisted before it is published: a
+// failed write fails the registration and leaves the registry as it was,
+// so nothing is served that a restart would lose.
 func (g *machineRegistry) register(fp string, res *krak.CalibrationResult, dataset string) ([]byte, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -124,16 +128,21 @@ func (g *machineRegistry) register(fp string, res *krak.CalibrationResult, datas
 	if n := len(h.Versions); n > 0 {
 		next = h.Versions[n-1].Version + 1
 	}
-	h.Versions = append(h.Versions, krak.MachineVersion{Version: next, Dataset: dataset, Result: res})
-	if len(h.Versions) > maxRegistryVersions {
-		h.Versions = h.Versions[len(h.Versions)-maxRegistryVersions:]
+	// Build the next history beside the stored one (Clip makes append
+	// copy), so a failure below leaves the stored history untouched.
+	versions := append(slices.Clip(h.Versions), krak.MachineVersion{Version: next, Dataset: dataset, Result: res})
+	if len(versions) > maxRegistryVersions {
+		versions = versions[len(versions)-maxRegistryVersions:]
 	}
-	b, err := krak.RenderJSON(h)
+	nh := &krak.MachineHistory{Fingerprint: h.Fingerprint, Versions: versions}
+	b, err := krak.RenderJSON(nh)
 	if err != nil {
 		return nil, err
 	}
-	g.hist[fp] = h
+	if err := g.disk.Put(registryKind, fp, b); err != nil {
+		return nil, fmt.Errorf("server: machine history not persisted: %w", err)
+	}
+	g.hist[fp] = nh
 	g.body[fp] = b
-	g.disk.Put(registryKind, fp, b)
 	return b, nil
 }

@@ -234,14 +234,12 @@ func TestMachineRegistryLifecycle(t *testing.T) {
 	if len(hist.Versions) != 4 || hist.Versions[3].Version != 4 {
 		t.Fatalf("history after restart append: %+v", hist.Versions)
 	}
-	// Registry histories are their own disk tier: the restart's read and
-	// the append's write count there, never as cached responses.
+	// Registry histories are the one disk tier: the restart's read and
+	// the append's write count there.
 	scrape := get(t, s2, "/metrics").Body.String()
 	for series, want := range map[string]float64{
 		`krak_disk_cache_hits_total{tier="registry"}`:   1,
 		`krak_disk_cache_writes_total{tier="registry"}`: 1,
-		`krak_disk_cache_hits_total{tier="response"}`:   0,
-		`krak_disk_cache_writes_total{tier="response"}`: 0,
 	} {
 		if got := metricValue(t, scrape, series); got != want {
 			t.Errorf("%s = %g, want %g", series, got, want)
@@ -308,5 +306,127 @@ func TestMachineRegistryBounds(t *testing.T) {
 	}
 	if _, err := reg.history("fp-unknown"); ErrorStatus(err) != http.StatusNotFound {
 		t.Fatalf("unknown fingerprint error maps to %d, want 404", ErrorStatus(err))
+	}
+}
+
+// calibratedRegistration calibrates calibrateBody's dataset on s and
+// returns the fitted fingerprint with the body that registers the result
+// under it.
+func calibratedRegistration(t *testing.T, s *Server) (fp, body string) {
+	t.Helper()
+	w := post(t, s, "/v1/calibrate", calibrateBody)
+	if w.Code != http.StatusOK {
+		t.Fatalf("calibrate: %d %s", w.Code, w.Body)
+	}
+	var cr krak.CalibrationResult
+	if err := json.Unmarshal(w.Body.Bytes(), &cr); err != nil {
+		t.Fatal(err)
+	}
+	var req krak.CalibrateRequest
+	if err := json.Unmarshal([]byte(calibrateBody), &req); err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(krak.RegisterMachineRequest{Result: &cr, Dataset: req.Dataset})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cr.FittedFingerprint, string(b)
+}
+
+// TestRegisterFailsWhenHistoryNotPersisted is the regression test for
+// swallowed registry writes: with a regular file where the registry's
+// kind directory belongs, a registration used to answer 200 with nothing
+// written, and a restart then lost the history. It must fail instead and
+// leave the served history as it was.
+func TestRegisterFailsWhenHistoryNotPersisted(t *testing.T) {
+	dir := t.TempDir()
+	s := quickServer(func(c *Config) { c.CacheDir = dir })
+	fp, regBody := calibratedRegistration(t, s)
+	blockRegistry := func() {
+		t.Helper()
+		if err := os.RemoveAll(filepath.Join(dir, registryKind)); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, registryKind), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// A new fingerprint that cannot be persisted is refused and stays
+	// unknown.
+	blockRegistry()
+	if w := post(t, s, "/v1/machines/"+fp, regBody); w.Code != http.StatusInternalServerError {
+		t.Fatalf("register over an unwritable registry: %d %s, want 500", w.Code, w.Body)
+	}
+	if w := get(t, s, "/v1/machines/"+fp); w.Code != http.StatusNotFound {
+		t.Fatalf("history after a failed registration: %d, want 404", w.Code)
+	}
+
+	// A known fingerprint keeps serving its persisted history unchanged
+	// when the next version cannot be written.
+	if err := os.Remove(filepath.Join(dir, registryKind)); err != nil {
+		t.Fatal(err)
+	}
+	w := post(t, s, "/v1/machines/"+fp, regBody)
+	if w.Code != http.StatusOK {
+		t.Fatalf("register: %d %s", w.Code, w.Body)
+	}
+	v1 := w.Body.String()
+	blockRegistry()
+	if w := post(t, s, "/v1/machines/"+fp, regBody); w.Code != http.StatusInternalServerError {
+		t.Fatalf("re-register over an unwritable registry: %d %s, want 500", w.Code, w.Body)
+	}
+	if w := get(t, s, "/v1/machines/"+fp); w.Code != http.StatusOK || w.Body.String() != v1 {
+		t.Fatalf("history after a failed re-registration: %d, changed=%v", w.Code, w.Body.String() != v1)
+	}
+	scrape := get(t, s, "/metrics").Body.String()
+	if got := metricValue(t, scrape, `krak_disk_cache_writes_total{tier="registry"}`); got != 1 {
+		t.Errorf("registry writes = %g, want 1 (only the registration that persisted)", got)
+	}
+}
+
+// TestCacheDirHoldsOnlyMachineRegistry pins what a cache directory
+// persists: after predict (one that partitions), simulate, calibrate and
+// register traffic it holds only the registry's kind directory, and a
+// server restarted on it serves the history byte-identically and the
+// predict byte-identically by recomputing its partition.
+func TestCacheDirHoldsOnlyMachineRegistry(t *testing.T) {
+	dir := t.TempDir()
+	s1 := quickServer(func(c *Config) { c.CacheDir = dir })
+	const predictBody = `{"deck":"small","pes":8,"model":"mesh-specific"}`
+	predict := post(t, s1, "/v1/predict", predictBody)
+	if predict.Code != http.StatusOK {
+		t.Fatalf("predict: %d %s", predict.Code, predict.Body)
+	}
+	if w := post(t, s1, "/v1/simulate", `{"deck":"small","pes":8,"iterations":2,"partitioner":"rcb"}`); w.Code != http.StatusOK {
+		t.Fatalf("simulate: %d %s", w.Code, w.Body)
+	}
+	fp, regBody := calibratedRegistration(t, s1)
+	history := post(t, s1, "/v1/machines/"+fp, regBody)
+	if history.Code != http.StatusOK {
+		t.Fatalf("register: %d %s", history.Code, history.Body)
+	}
+
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if len(names) != 1 || names[0] != registryKind {
+		t.Fatalf("cache dir holds %v, want only [%s]", names, registryKind)
+	}
+
+	s2 := quickServer(func(c *Config) { c.CacheDir = dir })
+	if w := get(t, s2, "/v1/machines/"+fp); w.Code != http.StatusOK || w.Body.String() != history.Body.String() {
+		t.Errorf("restarted history: %d, byte-identical=%v", w.Code, w.Body.String() == history.Body.String())
+	}
+	if w := post(t, s2, "/v1/predict", predictBody); w.Code != http.StatusOK || w.Body.String() != predict.Body.String() {
+		t.Errorf("restarted predict: %d, byte-identical=%v", w.Code, w.Body.String() == predict.Body.String())
+	}
+	if got := metricValue(t, get(t, s2, "/metrics").Body.String(), "krak_partition_computes_total"); got == 0 {
+		t.Error("restarted predict computed no partition; nothing but the registry should persist")
 	}
 }

@@ -12,9 +12,9 @@
 // cached reads vs heavy pool-occupying computes) each have a concurrency
 // limit and a bounded wait queue, and callers past both get 429 with a
 // Retry-After instead of unbounded queueing (see admission.go). With a
-// cache directory configured (krak serve -cache-dir), partition vectors
-// and rendered response bodies also persist to a content-addressed disk
-// tier that survives restarts and can be shared between replicas.
+// cache directory configured (krak serve -cache-dir), the machine
+// registry persists there and survives restarts; every other cache lives
+// in memory only.
 //
 // Machines are identified by the content fingerprint of their normalized
 // MachineSpec, so file-defined and calibrated machines (custom networks,
@@ -72,10 +72,9 @@ type Config struct {
 	// the CI smoke job serves in.
 	Quick bool
 
-	// CacheDir, when set, roots the content-addressed disk cache under
-	// the artifact store: partition vectors and rendered response bodies
-	// persist there, survive restarts, and may be shared between replicas
-	// pointed at the same directory. "" disables persistence.
+	// CacheDir, when set, is where the machine registry persists: each
+	// registered history is written there and survives restarts on the
+	// same directory. "" keeps the registry in memory only.
 	CacheDir string
 
 	// LightLimit/LightQueue size the light admission class (cached reads:
@@ -134,11 +133,6 @@ type Server struct {
 	// duplicate in-flight requests.
 	responses *engine.Cache[string, []byte]
 
-	// disk is the persistent tier for rendered response bodies (nil
-	// without a cache directory); the artifact store holds its own
-	// instance over the same directory for partition vectors.
-	disk *artifacts.DiskCache
-
 	pool      *engine.Pool
 	metrics   *metrics.Registry
 	admission *admission
@@ -165,18 +159,9 @@ func New(cfg Config) (*Server, error) {
 	if cfg.CacheSize <= 0 {
 		cfg.CacheSize = 1024
 	}
-	sa := krak.NewSharedArtifacts()
-	// Responses and registry histories share the directory but keep
-	// their own DiskCache instances, so each tier's counters are its own.
-	var disk, regDisk *artifacts.DiskCache
+	var regDisk *artifacts.DiskCache
 	if cfg.CacheDir != "" {
 		var err error
-		if sa, err = krak.NewSharedArtifactsAt(cfg.CacheDir); err != nil {
-			return nil, err
-		}
-		if disk, err = artifacts.OpenDiskCache(cfg.CacheDir); err != nil {
-			return nil, err
-		}
 		if regDisk, err = artifacts.OpenDiskCache(cfg.CacheDir); err != nil {
 			return nil, err
 		}
@@ -186,8 +171,7 @@ func New(cfg Config) (*Server, error) {
 		start:     time.Now(),
 		responses: engine.NewCache[string, []byte](cfg.CacheSize),
 		pool:      engine.New(cfg.Parallel),
-		artifacts: sa,
-		disk:      disk,
+		artifacts: krak.NewSharedArtifacts(),
 		metrics:   metrics.NewRegistry(),
 		admission: newAdmission(cfg),
 	}
@@ -268,35 +252,26 @@ func (s *Server) registerMetrics() {
 		"Appended calibrations whose fresh residuals left the stored fit's stderr band.",
 		counter(&s.driftFlagged))
 	reg.AddScalar("krak_partition_computes_total", "counter",
-		"Partition vectors computed from scratch (neither memory nor disk had them).",
+		"Partition vectors computed from scratch (the artifact cache had none).",
 		func() float64 { return float64(s.artifacts.Stats().PartitionComputes) })
-	diskSeries := func(art func(krak.ArtifactStats) int64, tier func(artifacts.DiskStats) int64) map[string]func() float64 {
+	// The registry is the one disk tier; its series keep the tier label.
+	diskSeries := func(field func(artifacts.DiskStats) int64) map[string]func() float64 {
 		return map[string]func() float64{
-			"artifact": func() float64 { return float64(art(s.artifacts.Stats())) },
-			"response": func() float64 { return float64(tier(s.disk.Stats())) },
-			"registry": func() float64 { return float64(tier(s.machineReg.disk.Stats())) },
+			"registry": func() float64 { return float64(field(s.machineReg.disk.Stats())) },
 		}
 	}
 	reg.AddLabeled("krak_disk_cache_hits_total", "counter",
 		"Disk-cache entries that verified and were served, by tier.",
-		diskSeries(
-			func(a krak.ArtifactStats) int64 { return a.DiskHits },
-			func(d artifacts.DiskStats) int64 { return d.Hits }), "tier")
+		diskSeries(func(d artifacts.DiskStats) int64 { return d.Hits }), "tier")
 	reg.AddLabeled("krak_disk_cache_misses_total", "counter",
 		"Disk-cache lookups that missed, by tier.",
-		diskSeries(
-			func(a krak.ArtifactStats) int64 { return a.DiskMisses },
-			func(d artifacts.DiskStats) int64 { return d.Misses }), "tier")
+		diskSeries(func(d artifacts.DiskStats) int64 { return d.Misses }), "tier")
 	reg.AddLabeled("krak_disk_cache_writes_total", "counter",
 		"Disk-cache entries written, by tier.",
-		diskSeries(
-			func(a krak.ArtifactStats) int64 { return a.DiskWrites },
-			func(d artifacts.DiskStats) int64 { return d.Writes }), "tier")
+		diskSeries(func(d artifacts.DiskStats) int64 { return d.Writes }), "tier")
 	reg.AddLabeled("krak_disk_cache_corrupt_total", "counter",
 		"Disk-cache entries discarded as corrupt or version-skewed, by tier.",
-		diskSeries(
-			func(a krak.ArtifactStats) int64 { return a.DiskCorrupt },
-			func(d artifacts.DiskStats) int64 { return d.Corrupt }), "tier")
+		diskSeries(func(d artifacts.DiskStats) int64 { return d.Corrupt }), "tier")
 	if s.cfg.Faults != nil {
 		reg.AddLabeled("krak_fault_injected_total", "counter",
 			"Faults injected by the armed chaos plan, by kind.",
@@ -540,30 +515,14 @@ func (s *Server) handleMachines(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, krak.ListMachines())
 }
 
-// responseKind namespaces rendered response bodies in the disk tier.
-const responseKind = "response"
-
 // cachedBody looks key up in the rendered-response LRU, filling it on a
-// miss; duplicate misses in flight share the one computation. With a
-// cache directory configured, a miss consults the disk tier before
-// computing, and fresh computations are persisted — so a restarted
-// server serves previously rendered responses byte-identically without
-// recomputing them. The LRU reports each request's outcome distinctly:
-// a hit found the entry filled, a coalesced request joined another
-// request's in-flight fill (it waited, it did not compute, and it was
-// not served from the finished cache), and a miss ran the fill itself.
+// miss; duplicate misses in flight share the one computation. The LRU
+// reports each request's outcome distinctly: a hit found the entry
+// filled, a coalesced request joined another request's in-flight fill
+// (it waited, it did not compute, and it was not served from the
+// finished cache), and a miss ran the fill itself.
 func (s *Server) cachedBody(w http.ResponseWriter, key string, fill func() ([]byte, error)) {
-	body, outcome, err := s.responses.Do(key, func() ([]byte, error) {
-		if b, ok := s.disk.Get(responseKind, key); ok {
-			return b, nil
-		}
-		b, err := fill()
-		if err != nil {
-			return nil, err
-		}
-		s.disk.Put(responseKind, key, b)
-		return b, nil
-	})
+	body, outcome, err := s.responses.Do(key, fill)
 	if err != nil {
 		WriteError(w, ErrorStatus(err), err)
 		return

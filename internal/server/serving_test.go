@@ -173,61 +173,6 @@ func TestAdmissionSaturated429(t *testing.T) {
 	}
 }
 
-// TestRestartServesFromDiskWithoutRecompute is the persistence
-// acceptance test: a server over a warm cache directory — a "restart" —
-// serves a previously computed /v1/predict byte-identically without
-// recomputing partitions, verified through the metrics counters.
-func TestRestartServesFromDiskWithoutRecompute(t *testing.T) {
-	dir := t.TempDir()
-	s1 := quickServer(func(c *Config) { c.CacheDir = dir })
-	// The mesh-specific model partitions the deck (the default
-	// general-homo model is partition-free), which is what gives this
-	// test its partition counters.
-	const body = `{"deck":"small","pes":8,"model":"mesh-specific"}`
-	first := post(t, s1, "/v1/predict", body)
-	if first.Code != http.StatusOK {
-		t.Fatalf("cold predict: %d %s", first.Code, first.Body.String())
-	}
-	scrape1 := get(t, s1, "/metrics").Body.String()
-	if got := metricValue(t, scrape1, "krak_partition_computes_total"); got == 0 {
-		t.Fatal("cold server computed no partitions — test premise broken")
-	}
-	if got := metricValue(t, scrape1, `krak_disk_cache_writes_total{tier="response"}`); got == 0 {
-		t.Fatal("cold server persisted no responses")
-	}
-
-	// "Kill" s1 (drop it) and start a fresh server over the same dir:
-	// fresh in-memory caches, warm disk.
-	s2 := quickServer(func(c *Config) { c.CacheDir = dir })
-	second := post(t, s2, "/v1/predict", body)
-	if second.Code != http.StatusOK {
-		t.Fatalf("restart predict: %d %s", second.Code, second.Body.String())
-	}
-	if second.Body.String() != first.Body.String() {
-		t.Error("restarted server's response is not byte-identical")
-	}
-	scrape2 := get(t, s2, "/metrics").Body.String()
-	if got := metricValue(t, scrape2, "krak_partition_computes_total"); got != 0 {
-		t.Errorf("restarted server computed %g partitions, want 0", got)
-	}
-	if got := metricValue(t, scrape2, `krak_disk_cache_hits_total{tier="response"}`); got != 1 {
-		t.Errorf("response disk hits = %g, want 1", got)
-	}
-
-	// The vector tier stands on its own: a sweep (responses never cached)
-	// over the same scenario must pull its partition from disk too.
-	if w := post(t, s2, "/v1/sweep", `{"decks":["small"],"pes":[8],"model":"mesh-specific"}`); w.Code != http.StatusOK {
-		t.Fatalf("restart sweep: %d %s", w.Code, w.Body.String())
-	}
-	scrape3 := get(t, s2, "/metrics").Body.String()
-	if got := metricValue(t, scrape3, "krak_partition_computes_total"); got != 0 {
-		t.Errorf("sweep after restart computed %g partitions, want 0 (vector tier should have served)", got)
-	}
-	if got := metricValue(t, scrape3, `krak_disk_cache_hits_total{tier="artifact"}`); got == 0 {
-		t.Error("sweep after restart never hit the artifact disk tier")
-	}
-}
-
 // TestMachineCapConcurrent is the regression test for the machine-cap
 // TOCTOU: 128 distinct specs racing through machineFor used to each see
 // Len() below the cap before any inserted, overshooting it. The atomic

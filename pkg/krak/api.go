@@ -267,10 +267,10 @@ func (r PredictRequest) Scenario() (*Scenario, error) {
 }
 
 // CanonicalKey is the content-derived identity of the prediction this
-// request asks for: the key the serving tier's response LRU and disk
-// cache store the rendered body under, and the key the gateway hashes
-// onto its replica ring — one definition, so a scenario always routes
-// to the replica whose caches already hold it. The receiver is
+// request asks for: the key the serving tier's response LRU stores the
+// rendered body under, and the key the gateway hashes onto its replica
+// ring — one definition, so a scenario always routes to the replica
+// whose caches already hold it. The receiver is
 // normalized first; callers that resolve the machine spec (server-side
 // defaults, -quick) must do so before keying, as identical requests
 // resolved differently are different content.

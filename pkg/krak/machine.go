@@ -29,44 +29,17 @@ func NewSharedArtifacts() *SharedArtifacts {
 	return &SharedArtifacts{store: artifacts.NewStore()}
 }
 
-// NewSharedArtifactsAt returns a cross-machine artifact cache whose
-// partition vectors persist to a content-addressed cache directory at
-// dir: vectors computed by any process land on disk, survive restarts,
-// and are shared by every replica pointed at the same directory. Corrupt
-// or version-skewed entries are detected (checksum + schema stamp) and
-// silently recomputed.
-func NewSharedArtifactsAt(dir string) (*SharedArtifacts, error) {
-	dc, err := artifacts.OpenDiskCache(dir)
-	if err != nil {
-		return nil, fmt.Errorf("%w: artifact cache dir: %w", ErrBadOption, err)
-	}
-	return &SharedArtifacts{store: artifacts.NewStoreWithDisk(dc)}, nil
-}
-
 // ArtifactStats is a point-in-time snapshot of a SharedArtifacts cache's
-// activity: how many partition vectors were computed from scratch, and —
-// when a cache directory is attached — the disk tier's traffic.
+// activity.
 type ArtifactStats struct {
-	// PartitionComputes counts partitioner runs: vector requests served by
-	// neither the in-memory cache nor the disk tier.
+	// PartitionComputes counts partitioner runs: vector requests the
+	// in-memory cache could not serve.
 	PartitionComputes int64
-	// DiskHits/DiskMisses/DiskWrites/DiskCorrupt count disk-tier lookups
-	// that verified, lookups that missed, entries written, and entries
-	// discarded as corrupt or version-skewed (all zero without a cache
-	// directory).
-	DiskHits, DiskMisses, DiskWrites, DiskCorrupt int64
 }
 
 // Stats snapshots the cache's activity counters.
 func (sa *SharedArtifacts) Stats() ArtifactStats {
-	ds := sa.store.Disk().Stats()
-	return ArtifactStats{
-		PartitionComputes: sa.store.PartitionComputes(),
-		DiskHits:          ds.Hits,
-		DiskMisses:        ds.Misses,
-		DiskWrites:        ds.Writes,
-		DiskCorrupt:       ds.Corrupt,
-	}
+	return ArtifactStats{PartitionComputes: sa.store.PartitionComputes()}
 }
 
 // WithSharedArtifacts attaches a cross-machine artifact cache to the
