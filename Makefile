@@ -73,7 +73,8 @@ vet:
 
 # lint is the full static gate CI runs: formatting, go vet, the in-tree
 # krakcheck suite (determinism, arena hygiene, typed errors, bounded
-# parsers, context flow — see docs/ARCHITECTURE.md "Static analysis"),
+# parsers, context flow, dead exports — see docs/ARCHITECTURE.md
+# "Static analysis"),
 # then pinned staticcheck and govulncheck when the proxy is reachable.
 # The skip branch fires only when the tool cannot be *downloaded*; a
 # finding from a downloaded tool still fails the target.

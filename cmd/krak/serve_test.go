@@ -3,6 +3,8 @@ package main
 import (
 	"fmt"
 	"net"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -32,16 +34,20 @@ func TestLoadFaultPlan(t *testing.T) {
 	}
 
 	good := filepath.Join(dir, "good.plan")
-	if err := os.WriteFile(good, []byte("plan drill\nseed 9\nlatency-rate 0.5\nlatency 1ms 10ms\n"), 0o644); err != nil {
+	if err := os.WriteFile(good, []byte("plan drill\nseed 9\nerror-rate 1\nerror-status 503\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	inj, err := loadFaultPlan(good, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := inj.Plan()
-	if p.Name != "drill" || p.Seed != 9 {
-		t.Fatalf("armed plan = %+v", p)
+	// The armed injector must carry the file's plan: every request fails
+	// with the plan's status and names the plan.
+	h := inj.Middleware(func(w http.ResponseWriter, r *http.Request) { w.WriteHeader(http.StatusOK) })
+	rec := httptest.NewRecorder()
+	h(rec, httptest.NewRequest(http.MethodGet, "/v1/predict", nil))
+	if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), "plan drill") {
+		t.Fatalf("armed injector answered %d %q, want 503 from plan drill", rec.Code, rec.Body.String())
 	}
 }
 

@@ -1,7 +1,7 @@
 // Command krakcheck runs krak's in-tree static-analysis suite — the
 // mechanical form of the repo's determinism, arena-hygiene, typed-error,
-// bounded-parse, and context-propagation invariants — over a set of
-// packages, in the style of an x/tools multichecker.
+// bounded-parse, context-propagation, and dead-export invariants — over a
+// set of packages, in the style of an x/tools multichecker.
 //
 // Usage:
 //
@@ -21,6 +21,10 @@ import (
 	"krak/internal/analysis"
 	"krak/internal/analysis/analyzers"
 )
+
+// modulePattern matches every package of the module, from any directory
+// inside it.
+const modulePattern = "krak/..."
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
@@ -59,19 +63,38 @@ func run(args []string, stdout, stderr *os.File) int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	pkgs, err := analysis.Load(".", patterns...)
+	targets, err := analysis.Load(".", patterns...)
 	if err != nil {
 		fmt.Fprintf(stderr, "krakcheck: %v\n", err)
 		return 2
 	}
-	findings, err := analysis.Run(pkgs, selected)
+	// deadexport asks whether any package of the module uses an export,
+	// so every run analyses the whole module (and whatever the patterns
+	// add to it) and keeps only the findings in the packages the patterns
+	// name: a package's findings do not depend on which others were named.
+	pkgs, err := analysis.Load(".", append([]string{modulePattern}, patterns...)...)
 	if err != nil {
 		fmt.Fprintf(stderr, "krakcheck: %v\n", err)
 		return 2
+	}
+	all, err := analysis.Run(pkgs, selected)
+	if err != nil {
+		fmt.Fprintf(stderr, "krakcheck: %v\n", err)
+		return 2
+	}
+	named := make(map[string]bool, len(targets))
+	for _, p := range targets {
+		named[p.PkgPath] = true
+	}
+	var findings []analysis.Finding
+	for _, f := range all {
+		if named[f.Pkg.PkgPath] {
+			findings = append(findings, f)
+		}
 	}
 	if *verbose {
 		fmt.Fprintf(stdout, "krakcheck: %d packages, %d rules, %d findings\n",
-			len(pkgs), len(selected), len(findings))
+			len(targets), len(selected), len(findings))
 	}
 	if len(findings) == 0 {
 		return 0

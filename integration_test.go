@@ -129,9 +129,15 @@ func TestHydroProfileSupportsCostTableShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, timers, err := hydro.RunSerial(d, 50, hydro.Options{})
+	s, err := hydro.NewState(d, hydro.Options{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	var timers hydro.PhaseSeconds
+	for i := 0; i < 50; i++ {
+		if err := hydro.Step(s, hydro.Serial{}, &timers); err != nil {
+			t.Fatal(err)
+		}
 	}
 	heavy := timers[2] + timers[5]  // phases 3 and 6
 	light := timers[0] + timers[12] // phases 1 and 13

@@ -14,8 +14,9 @@
 // The analyzers under analyzers/ encode the invariants the codebase
 // otherwise enforces only by convention, comment, and golden test:
 // determinism of model output, arena (scratch-buffer) hygiene, typed-error
-// discipline, bounded parsing, and context propagation. `cmd/krakcheck`
-// is the driver; `make lint` runs it over ./... and CI keeps it green.
+// discipline, bounded parsing, context propagation, and no exports that
+// only tests use. `cmd/krakcheck` is the driver; `make lint` runs it over
+// ./... and CI keeps it green.
 //
 // Suppression: a finding can be silenced with a comment on the flagged
 // line or the line above it:
@@ -65,6 +66,11 @@ type Pass struct {
 	// TypesInfo records types, definitions, and uses for every
 	// expression in Files.
 	TypesInfo *types.Info
+
+	// Packages is every package loaded in this run, this one included:
+	// the scope of rules that need whole-program facts, such as which
+	// exports some other package uses.
+	Packages []*Package
 
 	// Report delivers one finding. The framework attaches the analyzer
 	// name and handles //krakcheck:ignore filtering.

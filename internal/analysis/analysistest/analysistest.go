@@ -42,6 +42,8 @@ type expectation struct {
 // applies the analyzer through the same pipeline the krakcheck driver
 // uses (so //krakcheck:ignore filtering is in effect), and compares the
 // surviving findings against the fixture's want annotations.
+//
+//krakcheck:ignore deadexport a test harness, like x/tools' analysistest: its callers are the analyzers' _test.go files by design
 func Run(t *testing.T, dir, pkgPath string, a *analysis.Analyzer) {
 	t.Helper()
 	pkg, err := analysis.LoadDir(dir, pkgPath)

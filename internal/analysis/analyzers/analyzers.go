@@ -22,6 +22,7 @@ func All() []*analysis.Analyzer {
 		WrapErr,
 		BoundedParse,
 		CtxFlow,
+		DeadExport,
 	}
 }
 

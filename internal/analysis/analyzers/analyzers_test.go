@@ -44,6 +44,11 @@ func TestCtxFlow(t *testing.T) {
 	analysistest.Run(t, "../testdata/src/flow", "flow", analyzers.CtxFlow)
 }
 
+func TestDeadExport(t *testing.T) {
+	// An internal/ import path: the rule only scopes internal packages.
+	analysistest.Run(t, "../testdata/src/deadexport", "krak/internal/deadexport", analyzers.DeadExport)
+}
+
 // TestMapRangeApplyFixes runs the suggested sorted-keys rewrite end to
 // end: a flagged key-only map range is rewritten in place, the imports
 // are added, and re-analysis of the rewritten file is clean.

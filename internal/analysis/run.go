@@ -38,6 +38,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 				Pkg:       pkg.Types,
 				PkgPath:   pkg.PkgPath,
 				TypesInfo: pkg.TypesInfo,
+				Packages:  pkgs,
 			}
 			pass.Report = func(d Diagnostic) {
 				d.Rule = a.Name

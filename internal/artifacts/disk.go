@@ -61,14 +61,6 @@ func OpenDiskCache(dir string) (*DiskCache, error) {
 	return &DiskCache{dir: dir}, nil
 }
 
-// Dir reports the cache's root directory ("" for the nil cache).
-func (c *DiskCache) Dir() string {
-	if c == nil {
-		return ""
-	}
-	return c.dir
-}
-
 // path maps (kind, key) to the entry's file: the key is hashed so
 // arbitrary key strings (they embed deck names, fingerprints, separators)
 // become fixed-length file names, with a two-hex-digit fan-out directory

@@ -138,9 +138,6 @@ func TestNilDiskCacheIsNoOp(t *testing.T) {
 	if st := dc.Stats(); st != (DiskStats{}) {
 		t.Fatalf("nil cache stats = %+v", st)
 	}
-	if dc.Dir() != "" {
-		t.Fatal("nil cache has a dir")
-	}
 }
 
 // TestDiskCacheOversizeEntryIsMissAndDropped grows an entry past

@@ -18,11 +18,12 @@
 // over all observations i: a compute-rate multiplier relative to the
 // baseline cost tables, an effective per-message latency, an effective
 // per-byte cost (1/bandwidth), and a fixed per-iteration overhead.
-// Fit reports per-parameter standard errors, the coefficient of
-// determination, and residuals; CrossValidate adds k-fold generalization
-// error. Feature extraction itself lives with the façade (pkg/krak),
-// which owns decks, calibrated cost curves, and network models; this
-// package is the numerical core plus the bounded textual dataset format.
+// Fit reports per-parameter standard errors, the linear form's FormFit
+// adds the coefficient of determination and residuals, and
+// CrossValidateForm the k-fold generalization error. Feature extraction
+// itself lives with the façade (pkg/krak), which owns decks, calibrated
+// cost curves, and network models; this package is the numerical core
+// plus the bounded textual dataset format.
 package calib
 
 import "errors"

@@ -17,14 +17,3 @@ type CVStats struct {
 	// MaxAPE is the worst single held-out relative error.
 	MaxAPE float64 `json:"max_ape"`
 }
-
-// CrossValidate runs seeded, deterministic k-fold cross-validation of the
-// linear timing model over the aligned times and features: observations
-// are shuffled by a deterministic stream of the seed, split into k
-// near-equal folds, and each fold is predicted by a model fitted on the
-// other k-1. Requires 2 <= k <= len(times). It is crossValidateWith
-// specialized to the linear form; every other form goes through
-// SelectModel's scoreboard.
-func CrossValidate(times []float64, feats []Features, k int, seed uint64) (*CVStats, error) {
-	return crossValidateWith(times, feats, k, seed, linearForm{}.Fit)
-}

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"krak/internal/linalg"
-	"krak/internal/stats"
 )
 
 // Features are the baseline-model descriptors of one observation, computed
@@ -76,24 +75,12 @@ func column(term string, f Features) float64 {
 
 // FitResult reports a least-squares calibration: the fitted parameters,
 // their standard errors (zero for terms the fall-back ladder dropped or
-// when the fit leaves no degrees of freedom), the terms actually fitted,
-// and the fit quality over the observations.
+// when the fit leaves no degrees of freedom), and the terms actually
+// fitted. The linear form's FormFit carries the fit's quality.
 type FitResult struct {
 	Params Params
 	StdErr Params
 	Terms  []string
-
-	// R2 is the coefficient of determination of the fit.
-	R2 float64
-
-	// RMSE is the root-mean-square residual in seconds.
-	RMSE float64
-
-	// Residuals[i] is observed minus fitted seconds for observation i.
-	Residuals []float64
-
-	// N is the observation count.
-	N int
 }
 
 // Fit solves the linear timing model by Householder-QR least squares over
@@ -133,36 +120,21 @@ func Fit(times []float64, feats []Features) (*FitResult, error) {
 }
 
 // assemble maps a term-subset solution back onto Params and computes the
-// quality report.
+// per-parameter standard errors.
 func assemble(terms []string, x []float64, a *linalg.Matrix, times []float64, feats []Features) *FitResult {
-	fr := &FitResult{Terms: terms, N: len(times)}
+	fr := &FitResult{Terms: terms}
 	setParam(&fr.Params, terms, x)
-
-	// Residuals, RMSE, R².
-	fr.Residuals = make([]float64, len(times))
-	var ssr float64
-	for i, f := range feats {
-		fr.Residuals[i] = times[i] - fr.Params.Predict(f)
-		ssr += fr.Residuals[i] * fr.Residuals[i]
-	}
-	fr.RMSE = math.Sqrt(ssr / float64(len(times)))
-	mean := stats.Mean(times)
-	var sst float64
-	for _, t := range times {
-		sst += (t - mean) * (t - mean)
-	}
-	switch {
-	case sst > 0:
-		fr.R2 = 1 - ssr/sst
-	case ssr == 0:
-		fr.R2 = 1
-	}
 
 	// Per-parameter standard errors: sqrt(sigma² * (X'X)⁻¹_jj) with
 	// sigma² = SSR/(n-k). Left at zero when there are no spare degrees of
 	// freedom or X'X is numerically singular.
 	n, k := len(times), len(terms)
 	if n > k {
+		var ssr float64
+		for i, f := range feats {
+			r := times[i] - fr.Params.Predict(f)
+			ssr += r * r
+		}
 		sigma2 := ssr / float64(n-k)
 		xtx := linalg.NewMatrix(k, k)
 		for i := 0; i < k; i++ {
@@ -207,22 +179,4 @@ func setParam(p *Params, terms []string, x []float64) {
 			p.FixedSec = x[j]
 		}
 	}
-}
-
-// Synthesize generates observation times from known parameters over the
-// given features, with optional multiplicative noise of relative amplitude
-// noiseFrac drawn from a seeded deterministic stream — the ground-truth
-// generator the property tests (and any "can the fit recover a known
-// machine" experiment) build on.
-func Synthesize(p Params, feats []Features, noiseFrac float64, seed uint64) []float64 {
-	rng := stats.Derive(seed, 0xca11b)
-	out := make([]float64, len(feats))
-	for i, f := range feats {
-		t := p.Predict(f)
-		if noiseFrac != 0 {
-			t *= 1 + noiseFrac*rng.Sym()
-		}
-		out[i] = t
-	}
-	return out
 }

@@ -55,7 +55,7 @@ func TestFitRecoversKnownParamsExact(t *testing.T) {
 		rng := stats.Derive(0xdeadbeef, uint64(draw))
 		want := drawParams(rng)
 		feats := drawFeatures(rng, 40)
-		times := Synthesize(want, feats, 0, uint64(draw))
+		times := synthesize(want.Predict, feats, 0, uint64(draw))
 
 		fr, err := Fit(times, feats)
 		if err != nil {
@@ -80,8 +80,12 @@ func TestFitRecoversKnownParamsExact(t *testing.T) {
 					draw, c.name, c.got, c.want, relErr(c.got, c.want), tol)
 			}
 		}
-		if fr.R2 < 1-1e-9 {
-			t.Errorf("draw %d: R² = %.9f on noiseless data", draw, fr.R2)
+		ff, err := linearForm{}.Fit(times, feats)
+		if err != nil {
+			t.Fatalf("draw %d: %v", draw, err)
+		}
+		if ff.R2 < 1-1e-9 {
+			t.Errorf("draw %d: R² = %.9f on noiseless data", draw, ff.R2)
 		}
 	}
 }
@@ -97,7 +101,7 @@ func TestFitRecoversKnownParamsNoisy(t *testing.T) {
 		rng := stats.Derive(0xabad1dea, uint64(draw))
 		want := drawParams(rng)
 		feats := drawFeatures(rng, 64)
-		times := Synthesize(want, feats, 0.02, uint64(draw))
+		times := synthesize(want.Predict, feats, 0.02, uint64(draw))
 
 		fr, err := Fit(times, feats)
 		if err != nil {
@@ -138,7 +142,11 @@ func TestFitFallbackLadder(t *testing.T) {
 	if len(fr.Terms) == 4 {
 		t.Fatalf("constant messages/bytes columns fitted as full model: %v", fr.Terms)
 	}
-	for _, res := range fr.Residuals {
+	ff, err := linearForm{}.Fit(times, feats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, res := range ff.Residuals {
 		if math.Abs(res) > 1e-9 {
 			t.Errorf("fallback fit should interpolate this collinear data; residual %g", res)
 		}
@@ -177,16 +185,16 @@ func TestFitDegenerate(t *testing.T) {
 	}
 }
 
-// TestCrossValidate checks the k-fold loop: deterministic for a fixed
-// seed, near-zero error on noiseless synthetic data, and input
-// validation on the fold count.
+// TestCrossValidate checks the k-fold loop over the linear form:
+// deterministic for a fixed seed, near-zero error on noiseless synthetic
+// data, and input validation on the fold count.
 func TestCrossValidate(t *testing.T) {
 	rng := stats.Derive(7, 7)
 	want := drawParams(rng)
 	feats := drawFeatures(rng, 30)
-	times := Synthesize(want, feats, 0, 7)
+	times := synthesize(want.Predict, feats, 0, 7)
 
-	cv, err := CrossValidate(times, feats, 5, 42)
+	cv, err := CrossValidateForm(times, feats, 5, 42, linearForm{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,21 +204,21 @@ func TestCrossValidate(t *testing.T) {
 	if cv.RMSE > 1e-9 || cv.MAPE > 1e-9 {
 		t.Errorf("noiseless CV error: rmse %g mape %g", cv.RMSE, cv.MAPE)
 	}
-	again, err := CrossValidate(times, feats, 5, 42)
+	again, err := CrossValidateForm(times, feats, 5, 42, linearForm{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if *cv != *again {
 		t.Errorf("CV is not deterministic: %+v vs %+v", cv, again)
 	}
-	other, err := CrossValidate(times, feats, 5, 43)
+	other, err := CrossValidateForm(times, feats, 5, 43, linearForm{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	_ = other // different seed shuffles differently; only determinism per seed is contractual
 
 	for _, k := range []int{0, 1, 31, -2} {
-		if _, err := CrossValidate(times, feats, k, 1); err == nil {
+		if _, err := CrossValidateForm(times, feats, k, 1, linearForm{}); err == nil {
 			t.Errorf("k=%d accepted", k)
 		}
 	}
@@ -222,9 +230,9 @@ func TestCrossValidateNoisy(t *testing.T) {
 	rng := stats.Derive(11, 3)
 	want := drawParams(rng)
 	feats := drawFeatures(rng, 60)
-	times := Synthesize(want, feats, 0.02, 11)
+	times := synthesize(want.Predict, feats, 0.02, 11)
 
-	cv, err := CrossValidate(times, feats, 4, 9)
+	cv, err := CrossValidateForm(times, feats, 4, 9, linearForm{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,6 +84,11 @@ type FormFit struct {
 	// (see each form's Describe).
 	Coeffs []float64
 
+	// StdErr holds the coefficients' standard errors, aligned with
+	// Coeffs. Only the linear form reports them; nil for every other
+	// form.
+	StdErr []float64
+
 	// Breakpoint is the piecewise form's message-size split in bytes per
 	// message; zero for every other form.
 	Breakpoint float64
@@ -257,11 +262,12 @@ func (linearForm) Fit(times []float64, feats []Features) (*FormFit, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := fr.Params
+	p, se := fr.Params, fr.StdErr
 	ff := &FormFit{
 		Form:   FormLinear,
 		Terms:  []string{termCompute, termMessages, termBytes, termFixed},
 		Coeffs: []float64{p.ComputeScale, p.LatencySec, p.ByteSec, p.FixedSec},
+		StdErr: []float64{se.ComputeScale, se.LatencySec, se.ByteSec, se.FixedSec},
 	}
 	ff.finish(times, feats)
 	return ff, nil
@@ -436,23 +442,6 @@ func breakpointCandidates(sizes []float64) []float64 {
 	out := make([]float64, 0, piecewiseMaxCandidates)
 	for i := 0; i < piecewiseMaxCandidates; i++ {
 		out = append(out, all[i*len(all)/piecewiseMaxCandidates])
-	}
-	return out
-}
-
-// SynthesizeFrom generates observation times from an arbitrary predictor
-// over the given features, with optional seeded multiplicative noise —
-// Synthesize generalized to any model form, the ground-truth generator
-// the selection property tests build on.
-func SynthesizeFrom(predict func(Features) float64, feats []Features, noiseFrac float64, seed uint64) []float64 {
-	rng := stats.Derive(seed, 0xca11b)
-	out := make([]float64, len(feats))
-	for i, f := range feats {
-		t := predict(f)
-		if noiseFrac != 0 {
-			t *= 1 + noiseFrac*rng.Sym()
-		}
-		out[i] = t
 	}
 	return out
 }

@@ -78,7 +78,7 @@ func TestSelectModelRecoversGeneratingForm(t *testing.T) {
 				t.Run(name, func(t *testing.T) {
 					rng := stats.Derive(0x5e1ec7, uint64(folds))
 					feats := formFeatures(rng, n)
-					times := SynthesizeFrom(gen.predict, feats, noise, 0xfeed)
+					times := synthesize(gen.predict, feats, noise, 0xfeed)
 
 					sel, err := SelectModel(times, feats, folds, 0xabc)
 					if err != nil {
@@ -133,7 +133,7 @@ func TestSelectModelRecoversLinearCoefficients(t *testing.T) {
 	want := Params{ComputeScale: 1.7, LatencySec: 2e-5, ByteSec: 2e-9, FixedSec: 1e-3}
 	rng := stats.Derive(0x5e1ec7, 99)
 	feats := formFeatures(rng, 32)
-	times := Synthesize(want, feats, 0, 7)
+	times := synthesize(want.Predict, feats, 0, 7)
 
 	sel, err := SelectModel(times, feats, 4, 0xabc)
 	if err != nil {
@@ -164,7 +164,7 @@ func TestPiecewiseRecoversSegments(t *testing.T) {
 	gen := generators()[3]
 	rng := stats.Derive(0x5e1ec7, 3)
 	feats := formFeatures(rng, 28)
-	times := SynthesizeFrom(gen.predict, feats, 0, 0xfeed)
+	times := synthesize(gen.predict, feats, 0, 0xfeed)
 
 	ff, err := (piecewiseForm{}).Fit(times, feats)
 	if err != nil {
@@ -228,7 +228,7 @@ func TestSelectModelDegradedForms(t *testing.T) {
 	for i := range feats {
 		feats[i] = Features{Compute: (0.5 + rng.Float64()) * 0.1}
 	}
-	times := Synthesize(want, feats, 0, 3)
+	times := synthesize(want.Predict, feats, 0, 3)
 
 	sel, err := SelectModel(times, feats, 3, 0xabc)
 	if err != nil {
@@ -258,16 +258,16 @@ func TestDetectDrift(t *testing.T) {
 	fresh := formFeatures(rng, 12)
 
 	for _, noise := range []float64{0, 0.02} {
-		base, err := (linearForm{}).Fit(Synthesize(machineA, feats, noise, 1), feats)
+		base, err := (linearForm{}).Fit(synthesize(machineA.Predict, feats, noise, 1), feats)
 		if err != nil {
 			t.Fatal(err)
 		}
-		same := DetectDrift(base, Synthesize(machineA, fresh, noise, 2), fresh)
+		same := DetectDrift(base, synthesize(machineA.Predict, fresh, noise, 2), fresh)
 		if same.Flagged {
 			t.Errorf("noise=%g: same-machine append flagged: fresh RMSE %.3g vs band %.3g",
 				noise, same.FreshRMSE, same.Band)
 		}
-		moved := DetectDrift(base, Synthesize(machineB, fresh, noise, 2), fresh)
+		moved := DetectDrift(base, synthesize(machineB.Predict, fresh, noise, 2), fresh)
 		if !moved.Flagged {
 			t.Errorf("noise=%g: changed-machine append not flagged: fresh RMSE %.3g vs band %.3g",
 				noise, moved.FreshRMSE, moved.Band)

@@ -128,8 +128,8 @@ func CrossValidateForm(times []float64, feats []Features, k int, seed uint64, fo
 }
 
 // crossValidateWith is k-fold cross-validation generalized over a fit
-// function: the same seeded Fisher-Yates fold assignment as
-// CrossValidate (which delegates here), applied to any form.
+// function: one seeded Fisher-Yates fold assignment, applied to any
+// form.
 func crossValidateWith(times []float64, feats []Features, k int, seed uint64,
 	fit func([]float64, []Features) (*FormFit, error)) (*CVStats, error) {
 	n := len(times)

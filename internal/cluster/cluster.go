@@ -131,17 +131,6 @@ type Result struct {
 	Events []Event
 }
 
-// TotalCompute returns the per-PE total compute time across phases.
-func (r *Result) TotalCompute() []float64 {
-	out := make([]float64, r.P)
-	for ph := 0; ph < phases.Count; ph++ {
-		for pe, t := range r.ComputeTimes[ph] {
-			out[pe] += t
-		}
-	}
-	return out
-}
-
 // Runner simulates iterations over one partition summary. On its first
 // multi-processor simulation it lays out every point-to-point pattern of
 // the phase table as an exchange plan (see exchangePlan); later runs reuse

@@ -78,7 +78,10 @@ func TestSimulateSingleProcessor(t *testing.T) {
 	if r.CollectiveTime != 0 {
 		t.Fatalf("collective time on 1 PE = %v", r.CollectiveTime)
 	}
-	want := cfg.Costs.IterationTime(sum.CellsByMaterial[0])
+	var want float64
+	for ph := 1; ph <= phases.Count; ph++ {
+		want += cfg.Costs.PhaseTime(ph, sum.CellsByMaterial[0])
+	}
 	if math.Abs(r.IterationTime-want) > 1e-12 {
 		t.Fatalf("iteration = %v, want pure compute %v", r.IterationTime, want)
 	}
@@ -140,9 +143,14 @@ func TestSimulatePhaseAccounting(t *testing.T) {
 	if r.CollectiveTime <= 0 {
 		t.Fatal("no collective time on 8 PEs")
 	}
-	tc := r.TotalCompute()
+	tc := make([]float64, r.P)
+	for ph := range r.ComputeTimes {
+		for pe, v := range r.ComputeTimes[ph] {
+			tc[pe] += v
+		}
+	}
 	if len(tc) != 8 {
-		t.Fatalf("TotalCompute length %d", len(tc))
+		t.Fatalf("total compute for %d PEs", len(tc))
 	}
 	for pe, v := range tc {
 		if v <= 0 {

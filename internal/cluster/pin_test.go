@@ -94,7 +94,7 @@ func digestResult(h hash.Hash, r *Result) {
 
 // pinNets are the interconnects the pinned grid runs over: the three
 // flat presets plus one fat-tree and one torus topology.
-func pinNets() []struct {
+func pinNets(t *testing.T) []struct {
 	name string
 	net  *netmodel.Model
 } {
@@ -105,9 +105,18 @@ func pinNets() []struct {
 		{"qsnet", netmodel.QsNetI()},
 		{"gige", netmodel.GigE()},
 		{"infiniband", netmodel.Infiniband()},
-		{"fat-tree", netmodel.Infiniband().MustTopology(netmodel.FatTree(36, 0.2e-6))},
-		{"torus", netmodel.QsNetI().MustTopology(netmodel.Torus3D(4, 4, 8, 0.05e-6))},
+		{"fat-tree", withTopology(t, netmodel.Infiniband(), netmodel.FatTree(36, 0.2e-6))},
+		{"torus", withTopology(t, netmodel.QsNetI(), netmodel.Torus3D(4, 4, 8, 0.05e-6))},
 	}
+}
+
+func withTopology(t *testing.T, m *netmodel.Model, tp netmodel.Topology) *netmodel.Model {
+	t.Helper()
+	out, err := m.WithTopology(tp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // pinDigest runs iterations 0-2 of each config in turn on one Runner and
@@ -139,7 +148,7 @@ func TestRunnerPinnedDigests(t *testing.T) {
 			if serialize {
 				mode = "serialized"
 			}
-			for _, n := range pinNets() {
+			for _, n := range pinNets(t) {
 				name := fmt.Sprintf("P%d/%s/%s", p, mode, n.name)
 				cfg := Config{Net: n.net, Costs: costs, SerializeSends: serialize}
 				got[name] = pinDigest(t, NewRunner(sum), cfg)

@@ -106,15 +106,6 @@ func (t *TruthTable) PerCellCost(ph int, mat mesh.Material, n int) float64 {
 	return t.SingleMaterialTime(ph, mat, n) / float64(n)
 }
 
-// IterationTime sums all phase times for one subgrid (no communication).
-func (t *TruthTable) IterationTime(counts [mesh.NumMaterials]int) float64 {
-	var s float64
-	for ph := 1; ph <= phases.Count; ph++ {
-		s += t.PhaseTime(ph, counts)
-	}
-	return s
-}
-
 // ES45 returns the default ground-truth table, tuned so that whole
 // iterations of the paper's decks land in the same few-tens-of-milliseconds
 // range as the paper's measurements on 1.25 GHz Alpha EV-68 processors

@@ -34,7 +34,7 @@ func TestPhaseTimeEmptySubgrid(t *testing.T) {
 func TestMaterialDependenceMatchesPhaseTable(t *testing.T) {
 	tt := ES45()
 	for ph := 1; ph <= phases.Count; ph++ {
-		p := phases.MustGet(ph)
+		p := phases.All()[ph-1]
 		c := tt.Phases[ph-1]
 		varies := false
 		for m := 1; m < mesh.NumMaterials; m++ {
@@ -118,7 +118,10 @@ func TestIterationTimeMagnitude(t *testing.T) {
 	counts[mesh.AluminumInner] = 275
 	counts[mesh.Foam] = 325
 	counts[mesh.AluminumOuter] = 374
-	it := tt.IterationTime(counts)
+	var it float64
+	for ph := 1; ph <= phases.Count; ph++ {
+		it += tt.PhaseTime(ph, counts)
+	}
 	if it < 0.030 || it > 0.120 {
 		t.Fatalf("iteration time = %v s, want tens of ms", it)
 	}
@@ -137,7 +140,10 @@ func TestWithoutKnee(t *testing.T) {
 func TestCalibratedPhaseTime(t *testing.T) {
 	var cal Calibrated
 	// Constant 2 us/cell for HE gas in phase 1.
-	curve := linalg.MustPiecewise([]float64{1, 1e6}, []float64{2e-6, 2e-6})
+	curve, err := linalg.NewPiecewise([]float64{1, 1e6}, []float64{2e-6, 2e-6})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := cal.SetCurve(1, mesh.HEGas, curve); err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +168,10 @@ func TestCalibratedPhaseTime(t *testing.T) {
 
 func TestCalibratedNegativeClamped(t *testing.T) {
 	var cal Calibrated
-	curve := linalg.MustPiecewise([]float64{1, 10}, []float64{-1e-6, -1e-6})
+	curve, err := linalg.NewPiecewise([]float64{1, 10}, []float64{-1e-6, -1e-6})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := cal.SetCurve(1, mesh.HEGas, curve); err != nil {
 		t.Fatal(err)
 	}

@@ -65,7 +65,7 @@ func TestAnalyzeGeneralValidation(t *testing.T) {
 		t.Fatal("nil model accepted")
 	}
 	cal := &compute.Calibrated{} // empty curves => zero prediction
-	model := NewGeneral(cal, netmodel.Zero(), Homogeneous)
+	model := NewGeneral(cal, netmodel.MustNew("zero-cost network", []netmodel.Segment{{MinBytes: 0}}), Homogeneous)
 	if _, err := AnalyzeGeneral(model, 100, 1); err == nil {
 		t.Fatal("degenerate base accepted")
 	}
@@ -77,14 +77,11 @@ func TestScaleNet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := half.Latency(8), net.Latency(8)/2; got != want {
-		t.Fatalf("scaled latency = %v, want %v", got, want)
-	}
-	// Per-byte unchanged.
-	big := 1 << 20
-	origBW := net.MsgTime(big) - net.Latency(big)
-	halfBW := half.MsgTime(big) - half.Latency(big)
-	if origBW != halfBW {
-		t.Fatalf("per-byte changed: %v vs %v", origBW, halfBW)
+	// Latency halves, per-byte unchanged, in every segment.
+	hs, ns := half.Segments(), net.Segments()
+	for i := range ns {
+		if hs[i].Latency != ns[i].Latency/2 || hs[i].PerByte != ns[i].PerByte {
+			t.Fatalf("segment %d scaled to %+v from %+v", i, hs[i], ns[i])
+		}
 	}
 }

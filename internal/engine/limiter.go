@@ -95,20 +95,3 @@ func (l *Limiter) Waiting() int {
 	}
 	return len(l.waiting)
 }
-
-// Limit reports the concurrent-holder bound (0 for the nil, unlimited
-// limiter).
-func (l *Limiter) Limit() int {
-	if l == nil {
-		return 0
-	}
-	return cap(l.slots)
-}
-
-// QueueDepth reports the wait-queue bound (0 for the nil limiter).
-func (l *Limiter) QueueDepth() int {
-	if l == nil {
-		return 0
-	}
-	return cap(l.waiting)
-}

@@ -99,15 +99,15 @@ func TestLimiterNilIsUnlimited(t *testing.T) {
 		}
 	}
 	l.Release()
-	if l.InFlight() != 0 || l.Waiting() != 0 || l.Limit() != 0 || l.QueueDepth() != 0 {
+	if l.InFlight() != 0 || l.Waiting() != 0 {
 		t.Fatal("nil limiter reports occupancy")
 	}
 }
 
 func TestLimiterClamps(t *testing.T) {
 	l := NewLimiter(0, -3)
-	if l.Limit() != 1 || l.QueueDepth() != 0 {
-		t.Fatalf("limit=%d queue=%d, want 1/0", l.Limit(), l.QueueDepth())
+	if cap(l.slots) != 1 || cap(l.waiting) != 0 {
+		t.Fatalf("limit=%d queue=%d, want 1/0", cap(l.slots), cap(l.waiting))
 	}
 }
 

@@ -96,6 +96,8 @@ func NewEnv() *Env {
 }
 
 // NewQuickEnv returns a scaled-down environment for benchmarks and tests.
+//
+//krakcheck:ignore deadexport bench/krakbench calls it, a separate module that krakcheck does not load
 func NewQuickEnv() *Env {
 	e := NewEnv()
 	e.Quick = true

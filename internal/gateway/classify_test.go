@@ -51,7 +51,9 @@ func TestClassify(t *testing.T) {
 		{"sweep", http.MethodPost, "/v1/sweep", []byte(`{}`), "/v1/sweep|", true},
 		{"compare", http.MethodPost, "/v1/compare", []byte(`{}`), "/v1/compare|", true},
 		{"calibrate", http.MethodPost, "/v1/calibrate", []byte(`{}`), "/v1/calibrate|", true},
-		{"append", http.MethodPost, "/v1/calibrate/append", []byte(`{}`), "/v1/calibrate/append|", false},
+		{"append", http.MethodPost, "/v1/calibrate/append", []byte(`{"fingerprint":"f00dcafe"}`), "machines|f00dcafe", false},
+		{"append no fingerprint", http.MethodPost, "/v1/calibrate/append", []byte(`{}`), "/v1/calibrate/append|", false},
+		{"append bad json", http.MethodPost, "/v1/calibrate/append", []byte("{"), "/v1/calibrate/append|", false},
 		{"machine register", http.MethodPut, "/v1/machines/beef", nil, "machines|beef", false},
 		{"unknown POST", http.MethodPost, "/v1/else", nil, "/v1/else|", false},
 	}

@@ -439,3 +439,60 @@ func TestGatewayUnknownPathsShareOneLabel(t *testing.T) {
 		t.Fatalf("scrape lacks %s:\n%s", want, rec.Body.String())
 	}
 }
+
+// TestGatewayAppendsReachHistoryOwner is the regression test for append
+// routing: a machine's history lives on the replica that owns
+// machines|<fingerprint>, so every append must land there. Keyed by a
+// body digest, two of three appends used to reach a replica that
+// answered 404 "unknown machine fingerprint".
+func TestGatewayAppendsReachHistoryOwner(t *testing.T) {
+	var urls []string
+	for i := 0; i < 3; i++ {
+		ts, _ := chaosReplica(t, nil)
+		urls = append(urls, ts.URL)
+	}
+	cfg := testConfig(urls...)
+	cfg.Quick = true
+	g, err := New(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const dataset = "obs small 2 0.052\nobs small 4 0.031\nobs small 8 0.021\nobs small 16 0.015\n"
+	calBody, _ := json.Marshal(krak.CalibrateRequest{Dataset: dataset})
+	rec := post(t, g, "/v1/calibrate", calBody)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("calibrate: %d %s", rec.Code, rec.Body)
+	}
+	var cr krak.CalibrationResult
+	if err := json.Unmarshal(rec.Body.Bytes(), &cr); err != nil {
+		t.Fatal(err)
+	}
+	fp := cr.FittedFingerprint
+	regBody, _ := json.Marshal(krak.RegisterMachineRequest{Result: &cr, Dataset: dataset})
+	if rec := post(t, g, "/v1/machines/"+fp, regBody); rec.Code != http.StatusOK {
+		t.Fatalf("register: %d %s", rec.Code, rec.Body)
+	}
+
+	const appends = 10
+	for i := 0; i < appends; i++ {
+		fresh := fmt.Sprintf("obs small %d %g\n", 3+i, 0.04/float64(1+i))
+		body, _ := json.Marshal(krak.AppendRequest{Fingerprint: fp, Dataset: fresh})
+		if rec := post(t, g, "/v1/calibrate/append", body); rec.Code != http.StatusOK {
+			t.Errorf("append %d: %d %s", i, rec.Code, rec.Body)
+		}
+	}
+
+	rec = httptest.NewRecorder()
+	g.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/machines/"+fp, nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("history: %d %s", rec.Code, rec.Body)
+	}
+	var hist krak.MachineHistory
+	if err := json.Unmarshal(rec.Body.Bytes(), &hist); err != nil {
+		t.Fatal(err)
+	}
+	if len(hist.Versions) != 1+appends {
+		t.Fatalf("history holds %d versions, want %d", len(hist.Versions), 1+appends)
+	}
+}

@@ -314,9 +314,6 @@ type Diagnostics struct {
 	MinVolume      float64
 }
 
-// TotalEnergy returns internal plus kinetic energy.
-func (d Diagnostics) TotalEnergy() float64 { return d.InternalEnergy + d.KineticEnergy }
-
 // Diag computes this (sub)grid's diagnostics. Kinetic energy uses the
 // subgrid's locally owned nodal mass share so parallel partial diagnostics
 // sum to the serial value.

@@ -177,7 +177,7 @@ type parallelExchanger struct {
 	// reuse the moment Isend returns.
 	sendBuf []float64
 	recvBuf []float64
-	// batch reuses send-request storage across exchanges.
+	// batch posts each exchange's sends and reports the first failure.
 	batch mpisim.Batch
 }
 

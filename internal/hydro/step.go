@@ -5,7 +5,6 @@ import (
 	"math"
 	"time"
 
-	"krak/internal/mesh"
 	"krak/internal/phases"
 )
 
@@ -629,20 +628,4 @@ func phase15DT(s *State) float64 {
 		}
 	}
 	return dt
-}
-
-// RunSerial advances steps timesteps on a single processor and returns the
-// final state plus accumulated per-phase wall-clock times.
-func RunSerial(d *mesh.Deck, steps int, opt Options) (*State, PhaseSeconds, error) {
-	var timers PhaseSeconds
-	s, err := NewState(d, opt)
-	if err != nil {
-		return nil, timers, err
-	}
-	for i := 0; i < steps; i++ {
-		if err := Step(s, Serial{}, &timers); err != nil {
-			return nil, timers, err
-		}
-	}
-	return s, timers, nil
 }

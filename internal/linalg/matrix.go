@@ -9,7 +9,6 @@
 package linalg
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -28,31 +27,6 @@ func NewMatrix(rows, cols int) *Matrix {
 		panic(fmt.Sprintf("linalg: invalid matrix shape %dx%d", rows, cols))
 	}
 	return &Matrix{rows: rows, cols: cols, data: make([]float64, rows*cols)}
-}
-
-// NewMatrixFrom builds a matrix from a slice of rows. All rows must have the
-// same length.
-func NewMatrixFrom(rows [][]float64) (*Matrix, error) {
-	if len(rows) == 0 || len(rows[0]) == 0 {
-		return nil, errors.New("linalg: empty matrix literal")
-	}
-	m := NewMatrix(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.cols {
-			return nil, fmt.Errorf("linalg: ragged matrix literal: row %d has %d entries, want %d", i, len(r), m.cols)
-		}
-		copy(m.data[i*m.cols:(i+1)*m.cols], r)
-	}
-	return m, nil
-}
-
-// Identity returns the n-by-n identity matrix.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
 }
 
 // Rows returns the number of rows.
@@ -92,89 +66,6 @@ func (m *Matrix) Clone() *Matrix {
 	return c
 }
 
-// Row returns a copy of row i.
-func (m *Matrix) Row(i int) []float64 {
-	if i < 0 || i >= m.rows {
-		panic(fmt.Sprintf("linalg: row %d out of range", i))
-	}
-	out := make([]float64, m.cols)
-	copy(out, m.data[i*m.cols:(i+1)*m.cols])
-	return out
-}
-
-// Col returns a copy of column j.
-func (m *Matrix) Col(j int) []float64 {
-	if j < 0 || j >= m.cols {
-		panic(fmt.Sprintf("linalg: col %d out of range", j))
-	}
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		out[i] = m.data[i*m.cols+j]
-	}
-	return out
-}
-
-// Mul returns the matrix product m*other.
-func (m *Matrix) Mul(other *Matrix) (*Matrix, error) {
-	if m.cols != other.rows {
-		return nil, fmt.Errorf("linalg: dimension mismatch %dx%d * %dx%d", m.rows, m.cols, other.rows, other.cols)
-	}
-	out := NewMatrix(m.rows, other.cols)
-	for i := 0; i < m.rows; i++ {
-		for k := 0; k < m.cols; k++ {
-			a := m.data[i*m.cols+k]
-			if a == 0 {
-				continue
-			}
-			rowOut := out.data[i*out.cols : (i+1)*out.cols]
-			rowOther := other.data[k*other.cols : (k+1)*other.cols]
-			for j := range rowOther {
-				rowOut[j] += a * rowOther[j]
-			}
-		}
-	}
-	return out, nil
-}
-
-// MulVec returns the matrix-vector product m*x.
-func (m *Matrix) MulVec(x []float64) ([]float64, error) {
-	if m.cols != len(x) {
-		return nil, fmt.Errorf("linalg: dimension mismatch %dx%d * vec(%d)", m.rows, m.cols, len(x))
-	}
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		var s float64
-		for j, v := range row {
-			s += v * x[j]
-		}
-		out[i] = s
-	}
-	return out, nil
-}
-
-// Transpose returns a new matrix that is the transpose of m.
-func (m *Matrix) Transpose() *Matrix {
-	t := NewMatrix(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			t.data[j*t.cols+i] = m.data[i*m.cols+j]
-		}
-	}
-	return t
-}
-
-// MaxAbs returns the largest absolute element value.
-func (m *Matrix) MaxAbs() float64 {
-	var mx float64
-	for _, v := range m.data {
-		if a := math.Abs(v); a > mx {
-			mx = a
-		}
-	}
-	return mx
-}
-
 // String renders the matrix for debugging.
 func (m *Matrix) String() string {
 	var b strings.Builder
@@ -188,18 +79,6 @@ func (m *Matrix) String() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// Dot returns the inner product of two equal-length vectors.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("linalg: Dot length mismatch %d vs %d", len(a), len(b)))
-	}
-	var s float64
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
 }
 
 // Norm2 returns the Euclidean norm of v.

@@ -54,9 +54,6 @@ func FitLinear(xs, ys []float64) (LinearFit, error) {
 	return LinearFit{A: a, B: b, R2: r2}, nil
 }
 
-// Eval returns the fitted value at x.
-func (f LinearFit) Eval(x float64) float64 { return f.A + f.B*x }
-
 // Piecewise is a continuous piecewise-linear function defined by breakpoints
 // sorted by X. Evaluation outside the breakpoint range extrapolates using the
 // first or last segment (matching how the paper's model interpolates between
@@ -92,16 +89,6 @@ func NewPiecewise(xs, ys []float64) (*Piecewise, error) {
 		}
 	}
 	return &Piecewise{xs: sx, ys: sy}, nil
-}
-
-// MustPiecewise is like NewPiecewise but panics on error; intended for
-// statically known tables.
-func MustPiecewise(xs, ys []float64) *Piecewise {
-	p, err := NewPiecewise(xs, ys)
-	if err != nil {
-		panic(err)
-	}
-	return p
 }
 
 // Eval evaluates the piecewise-linear function at x.
@@ -155,15 +142,3 @@ func (p *Piecewise) EvalLog(x float64) float64 {
 	t := (lx - l0) / (l1 - l0)
 	return p.ys[i-1] + t*(p.ys[i]-p.ys[i-1])
 }
-
-// Knots returns copies of the breakpoint coordinates.
-func (p *Piecewise) Knots() (xs, ys []float64) {
-	xs = make([]float64, len(p.xs))
-	ys = make([]float64, len(p.ys))
-	copy(xs, p.xs)
-	copy(ys, p.ys)
-	return xs, ys
-}
-
-// Len returns the number of breakpoints.
-func (p *Piecewise) Len() int { return len(p.xs) }

@@ -12,9 +12,8 @@ var ErrSingular = errors.New("linalg: matrix is singular to working precision")
 
 // LU holds an LU factorization with partial pivoting: P*A = L*U.
 type LU struct {
-	lu   *Matrix
-	piv  []int
-	sign int
+	lu  *Matrix
+	piv []int
 }
 
 // FactorLU computes the LU factorization of the square matrix a with partial
@@ -29,7 +28,6 @@ func FactorLU(a *Matrix) (*LU, error) {
 	for i := range piv {
 		piv[i] = i
 	}
-	sign := 1
 	for k := 0; k < n; k++ {
 		// Find the pivot row.
 		p := k
@@ -50,7 +48,6 @@ func FactorLU(a *Matrix) (*LU, error) {
 				lu.Set(k, j, tmp)
 			}
 			piv[p], piv[k] = piv[k], piv[p]
-			sign = -sign
 		}
 		// Eliminate below the pivot.
 		pivVal := lu.At(k, k)
@@ -65,7 +62,7 @@ func FactorLU(a *Matrix) (*LU, error) {
 			}
 		}
 	}
-	return &LU{lu: lu, piv: piv, sign: sign}, nil
+	return &LU{lu: lu, piv: piv}, nil
 }
 
 // Solve solves A*x = b for x using the factorization.
@@ -100,15 +97,6 @@ func (f *LU) Solve(b []float64) ([]float64, error) {
 		x[i] = (x[i] - s) / d
 	}
 	return x, nil
-}
-
-// Det returns the determinant of the factored matrix.
-func (f *LU) Det() float64 {
-	d := float64(f.sign)
-	for i := 0; i < f.lu.Rows(); i++ {
-		d *= f.lu.At(i, i)
-	}
-	return d
 }
 
 // SolveLU is a convenience wrapper that factors a and solves a*x = b.
@@ -234,20 +222,4 @@ func LeastSquares(a *Matrix, b []float64) ([]float64, error) {
 		return nil, err
 	}
 	return f.Solve(b)
-}
-
-// Residual returns b - A*x, useful for checking least-squares quality.
-func Residual(a *Matrix, x, b []float64) ([]float64, error) {
-	ax, err := a.MulVec(x)
-	if err != nil {
-		return nil, err
-	}
-	if len(b) != len(ax) {
-		return nil, fmt.Errorf("linalg: rhs length %d does not match %d", len(b), len(ax))
-	}
-	r := make([]float64, len(b))
-	for i := range r {
-		r[i] = b[i] - ax[i]
-	}
-	return r, nil
 }

@@ -101,12 +101,6 @@ func (s StandardSize) Dims() (w, h int) {
 	return 0, 0
 }
 
-// Cells returns the total cell count of the standard size.
-func (s StandardSize) Cells() int {
-	w, h := s.Dims()
-	return w * h
-}
-
 // BuildStandardDeck builds one of the paper's decks.
 func BuildStandardDeck(s StandardSize) (*Deck, error) {
 	w, h := s.Dims()
@@ -184,51 +178,4 @@ func BuildUniformDeck(w, h int, mat Material) (*Deck, error) {
 		DetonatorX: 0,
 		DetonatorY: 0.45 * ly,
 	}, nil
-}
-
-// BuildTwoMaterialDeck builds the contrived two-region calibration deck from
-// §3.1: high-explosive gas on the left half (so a detonation can occur,
-// isolated to one process) and the probe material on the right half.
-func BuildTwoMaterialDeck(w, h int, probe Material) (*Deck, error) {
-	if w%2 != 0 {
-		return nil, fmt.Errorf("mesh: two-material deck needs even width, got %d", w)
-	}
-	lx := 1.0
-	ly := float64(h) / float64(w)
-	m, err := BuildStructured(w, h, lx, ly, func(cx, cy int) Material {
-		if cx < w/2 {
-			return HEGas
-		}
-		return probe
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Deck{
-		Name:       fmt.Sprintf("two-material-%v-%dx%d", probe, w, h),
-		Mesh:       m,
-		DetonatorX: 0,
-		DetonatorY: 0.45 * ly,
-	}, nil
-}
-
-// GridFor returns grid dimensions with a 2:1 aspect ratio (matching the
-// paper's decks) whose product is at least cells, preferring exact factor
-// splits when cells is of the form 2*k².
-func GridFor(cells int) (w, h int) {
-	if cells <= 0 {
-		return 1, 1
-	}
-	h = int(math.Sqrt(float64(cells) / 2))
-	if h < 1 {
-		h = 1
-	}
-	for h > 1 && cells%h != 0 {
-		h--
-	}
-	w = cells / h
-	if w*h < cells {
-		w++
-	}
-	return w, h
 }

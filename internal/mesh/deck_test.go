@@ -7,17 +7,17 @@ import (
 
 func TestStandardSizesMatchPaper(t *testing.T) {
 	// §2.1: small 3,200; medium 204,800; large 819,200 cells.
-	if got := Small.Cells(); got != 3200 {
-		t.Fatalf("Small = %d, want 3200", got)
+	if w, h := Small.Dims(); w*h != 3200 {
+		t.Fatalf("Small = %dx%d, want 3200 cells", w, h)
 	}
-	if got := Medium.Cells(); got != 204800 {
-		t.Fatalf("Medium = %d, want 204800", got)
+	if w, h := Medium.Dims(); w*h != 204800 {
+		t.Fatalf("Medium = %dx%d, want 204800 cells", w, h)
 	}
-	if got := Large.Cells(); got != 819200 {
-		t.Fatalf("Large = %d, want 819200", got)
+	if w, h := Large.Dims(); w*h != 819200 {
+		t.Fatalf("Large = %dx%d, want 819200 cells", w, h)
 	}
-	if got := Figure2.Cells(); got != 65536 {
-		t.Fatalf("Figure2 = %d, want 65536", got)
+	if w, h := Figure2.Dims(); w*h != 65536 {
+		t.Fatalf("Figure2 = %dx%d, want 65536 cells", w, h)
 	}
 	if Small.String() != "Small" || StandardSize(99).String() == "" {
 		t.Fatal("StandardSize.String broken")
@@ -134,28 +134,6 @@ func TestMaterialFractionsEmptyMesh(t *testing.T) {
 	for _, f := range fr {
 		if f != 0 {
 			t.Fatal("empty mesh should have zero fractions")
-		}
-	}
-}
-
-func TestGridFor(t *testing.T) {
-	cases := []struct{ cells, wantW, wantH int }{
-		{3200, 80, 40},
-		{204800, 640, 320},
-		{819200, 1280, 640},
-		{0, 1, 1},
-	}
-	for _, c := range cases {
-		w, h := GridFor(c.cells)
-		if w != c.wantW || h != c.wantH {
-			t.Errorf("GridFor(%d) = %dx%d, want %dx%d", c.cells, w, h, c.wantW, c.wantH)
-		}
-	}
-	// Arbitrary sizes must cover at least the requested cell count.
-	for _, n := range []int{7, 100, 65536, 12345} {
-		w, h := GridFor(n)
-		if w*h < n {
-			t.Errorf("GridFor(%d) = %dx%d covers only %d cells", n, w, h, w*h)
 		}
 	}
 }

@@ -128,9 +128,6 @@ func (m *Mesh) NumCells() int { return len(m.CellNodes) }
 // NumNodes returns the number of nodes.
 func (m *Mesh) NumNodes() int { return len(m.NodeX) }
 
-// NumFaces returns the number of faces.
-func (m *Mesh) NumFaces() int { return len(m.Faces) }
-
 // CellCenter returns the centroid of cell c.
 func (m *Mesh) CellCenter(c int) (x, y float64) {
 	n := m.CellNodes[c]
@@ -139,36 +136,6 @@ func (m *Mesh) CellCenter(c int) (x, y float64) {
 		y += m.NodeY[id]
 	}
 	return x / 4, y / 4
-}
-
-// CellArea returns the signed area of cell c via the shoelace formula;
-// positive for counter-clockwise node ordering.
-func (m *Mesh) CellArea(c int) float64 {
-	n := m.CellNodes[c]
-	var a float64
-	for i := 0; i < 4; i++ {
-		j := (i + 1) % 4
-		a += m.NodeX[n[i]]*m.NodeY[n[j]] - m.NodeX[n[j]]*m.NodeY[n[i]]
-	}
-	return a / 2
-}
-
-// Neighbors returns the cell ids adjacent to cell c across interior faces.
-// The result is freshly allocated.
-func (m *Mesh) Neighbors(c int) []int32 {
-	var out []int32
-	for _, fi := range m.CellFaces[c] {
-		f := m.Faces[fi]
-		if !f.Interior() {
-			continue
-		}
-		if f.C0 == int32(c) {
-			out = append(out, f.C1)
-		} else {
-			out = append(out, f.C0)
-		}
-	}
-	return out
 }
 
 // NodeCells returns the cells incident to each node, building the incidence
@@ -209,47 +176,6 @@ func (m *Mesh) MaterialFractions() [NumMaterials]float64 {
 		out[i] = float64(c) / n
 	}
 	return out
-}
-
-// Validate checks structural invariants: CCW positive areas, face-cell
-// consistency, and complete cell-face incidence. It is used by tests and by
-// the deck builders' own self-checks.
-func (m *Mesh) Validate() error {
-	if len(m.CellMaterial) != m.NumCells() || len(m.CellFaces) != m.NumCells() {
-		return fmt.Errorf("mesh: inconsistent cell arrays: %d cells, %d materials, %d face lists",
-			m.NumCells(), len(m.CellMaterial), len(m.CellFaces))
-	}
-	if len(m.NodeX) != len(m.NodeY) {
-		return fmt.Errorf("mesh: node coordinate arrays differ: %d vs %d", len(m.NodeX), len(m.NodeY))
-	}
-	for c := range m.CellNodes {
-		if a := m.CellArea(c); a <= 0 {
-			return fmt.Errorf("mesh: cell %d has non-positive area %g (nodes not CCW?)", c, a)
-		}
-	}
-	for fi, f := range m.Faces {
-		if f.N0 < 0 || int(f.N0) >= m.NumNodes() || f.N1 < 0 || int(f.N1) >= m.NumNodes() {
-			return fmt.Errorf("mesh: face %d references invalid nodes", fi)
-		}
-		if f.C0 < 0 || int(f.C0) >= m.NumCells() {
-			return fmt.Errorf("mesh: face %d references invalid cell C0", fi)
-		}
-		if f.C1 >= int32(m.NumCells()) {
-			return fmt.Errorf("mesh: face %d references invalid cell C1", fi)
-		}
-	}
-	for c, faces := range m.CellFaces {
-		for _, fi := range faces {
-			if fi < 0 || int(fi) >= m.NumFaces() {
-				return fmt.Errorf("mesh: cell %d lists invalid face %d", c, fi)
-			}
-			f := m.Faces[fi]
-			if f.C0 != int32(c) && f.C1 != int32(c) {
-				return fmt.Errorf("mesh: cell %d lists face %d that does not touch it", c, fi)
-			}
-		}
-	}
-	return nil
 }
 
 // BuildStructured constructs a w×h structured quad mesh over the rectangle

@@ -70,31 +70,6 @@ func TestCellGeometry(t *testing.T) {
 	}
 }
 
-func TestNeighborsInteriorAndCorner(t *testing.T) {
-	m := mustStructured(t, 3, 3)
-	// Center cell 4 has 4 neighbors; corner cell 0 has 2.
-	if n := m.Neighbors(4); len(n) != 4 {
-		t.Fatalf("center neighbors = %v", n)
-	}
-	if n := m.Neighbors(0); len(n) != 2 {
-		t.Fatalf("corner neighbors = %v", n)
-	}
-	// Adjacency is symmetric.
-	for c := 0; c < m.NumCells(); c++ {
-		for _, nb := range m.Neighbors(c) {
-			found := false
-			for _, back := range m.Neighbors(int(nb)) {
-				if int(back) == c {
-					found = true
-				}
-			}
-			if !found {
-				t.Fatalf("asymmetric adjacency %d -> %d", c, nb)
-			}
-		}
-	}
-}
-
 func TestNodeCellsIncidence(t *testing.T) {
 	m := mustStructured(t, 2, 2)
 	nc := m.NodeCells()

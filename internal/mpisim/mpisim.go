@@ -113,9 +113,6 @@ func (w *World) Comm(rank int) (*Comm, error) {
 // Rank returns this endpoint's rank.
 func (c *Comm) Rank() int { return c.rank }
 
-// Size returns the world size.
-func (c *Comm) Size() int { return c.world.size }
-
 // Send delivers data to dst with a tag. Sends never block (asynchronous
 // semantics: the payload is copied into the destination mailbox).
 func (c *Comm) Send(dst, tag int, data []float64) error {
@@ -129,41 +126,6 @@ func (c *Comm) Send(dst, tag int, data []float64) error {
 	copy(cp, data)
 	c.world.boxes[dst].put(packet{src: c.rank, tag: tag, data: cp})
 	return nil
-}
-
-// Request tracks an asynchronous send. Sends in this runtime buffer
-// eagerly, so completion is immediate; the type exists so application code
-// can follow the paper's structure — "asynchronous sends to each neighbor
-// are posted, followed by operations to ensure the send operations have
-// completed, and finally, blocking receives are posted".
-type Request struct {
-	err  error
-	done bool
-}
-
-// Wait blocks until the operation completes and returns its error.
-func (r *Request) Wait() error {
-	r.done = true
-	return r.err
-}
-
-// Done reports whether Wait has been called.
-func (r *Request) Done() bool { return r.done }
-
-// Isend posts an asynchronous send and returns a request to wait on.
-func (c *Comm) Isend(dst, tag int, data []float64) *Request {
-	return &Request{err: c.Send(dst, tag, data)}
-}
-
-// Waitall waits on every request and returns the first error.
-func Waitall(reqs []*Request) error {
-	var first error
-	for _, r := range reqs {
-		if err := r.Wait(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
 }
 
 // Recv blocks until a message with the given source and tag arrives. The
@@ -200,27 +162,27 @@ func (c *Comm) RecvInto(src, tag int, dst []float64) ([]float64, error) {
 	return dst, nil
 }
 
-// Batch accumulates asynchronous sends without the per-request allocation
-// Isend costs: requests live by value in a reusable slice. Waitall drains
-// the batch and resets it for the next exchange.
-type Batch struct{ reqs []Request }
+// Batch posts asynchronous sends. Sends in this runtime buffer eagerly, so
+// each completes as it is posted; the batch exists so application code can
+// follow the paper's structure — "asynchronous sends to each neighbor are
+// posted, followed by operations to ensure the send operations have
+// completed, and finally, blocking receives are posted". Waitall reports
+// the first failed send and resets the batch for the next exchange.
+type Batch struct{ err error }
 
 // Isend posts an asynchronous send into the batch.
 func (b *Batch) Isend(c *Comm, dst, tag int, data []float64) {
-	b.reqs = append(b.reqs, Request{err: c.Send(dst, tag, data)})
+	if err := c.Send(dst, tag, data); err != nil && b.err == nil {
+		b.err = err
+	}
 }
 
-// Waitall waits on every batched request, returns the first error, and
+// Waitall completes every posted send, returns the first error, and
 // resets the batch.
 func (b *Batch) Waitall() error {
-	var first error
-	for i := range b.reqs {
-		if err := b.reqs[i].Wait(); err != nil && first == nil {
-			first = err
-		}
-	}
-	b.reqs = b.reqs[:0]
-	return first
+	err := b.err
+	b.err = nil
+	return err
 }
 
 // Internal collective tags live far above user space.
@@ -253,39 +215,6 @@ func opMax(dst, src []float64) {
 			dst[i] = src[i]
 		}
 	}
-}
-
-// allreduce runs a binomial-tree reduce to rank 0 followed by a broadcast.
-// epoch distinguishes concurrent collectives issued by well-synchronized
-// callers (each collective call site must be reached by every rank in the
-// same order, as in MPI).
-func (c *Comm) allreduce(vals []float64, op reduceOp, epoch int) ([]float64, error) {
-	size := c.world.size
-	acc := make([]float64, len(vals))
-	copy(acc, vals)
-	// Reduce: at each round, ranks with the round bit set send to their
-	// partner and exit; others receive and combine.
-	for bit := 1; bit < size; bit <<= 1 {
-		if c.rank&bit != 0 {
-			dst := c.rank &^ bit
-			if err := c.Send(dst, tagReduce+epoch, acc); err != nil {
-				return nil, err
-			}
-			break
-		}
-		src := c.rank | bit
-		if src < size {
-			got, err := c.Recv(src, tagReduce+epoch)
-			if err != nil {
-				return nil, err
-			}
-			if len(got) != len(acc) {
-				return nil, fmt.Errorf("mpisim: allreduce length mismatch %d vs %d", len(got), len(acc))
-			}
-			op(acc, got)
-		}
-	}
-	return c.bcastFrom0(acc, epoch)
 }
 
 // bcastFrom0 broadcasts rank 0's value down the binomial tree.
@@ -322,11 +251,12 @@ func (c *Comm) bcastFrom0(vals []float64, epoch int) ([]float64, error) {
 	return vals, nil
 }
 
-// allreduceScalar is the alloc-free single-value variant of allreduce: the
-// accumulator and receive buffer live on the Comm, and the scalar result
-// needs no escaping slice. It is wire-compatible with the slice variant
-// (same tags, same tree), so mixing them across ranks would even work; the
-// hydro exchanger uses it for the ~15 scalar reductions every timestep.
+// allreduceScalar runs a binomial-tree reduce of one value to rank 0
+// followed by a broadcast. epoch distinguishes concurrent collectives
+// issued by well-synchronized callers (each collective call site must be
+// reached by every rank in the same order, as in MPI). The accumulator and
+// receive buffer live on the Comm, so the ~15 scalar reductions the hydro
+// exchanger makes every timestep allocate nothing.
 func (c *Comm) allreduceScalar(v float64, op reduceOp, epoch int) (float64, error) {
 	size := c.world.size
 	c.acc1[0] = v
@@ -381,36 +311,21 @@ func (c *Comm) allreduceScalar(v float64, op reduceOp, epoch int) (float64, erro
 	return acc[0], nil
 }
 
-// AllreduceSumScalar is the alloc-free scalar form of AllreduceSum.
+// AllreduceSumScalar returns the sum of v across ranks. The epoch must be
+// unique per collective call site within a phase (any small non-negative
+// integer reused consistently by all ranks).
 func (c *Comm) AllreduceSumScalar(v float64, epoch int) (float64, error) {
 	return c.allreduceScalar(v, opSum, 3*epoch)
 }
 
-// AllreduceMinScalar is the alloc-free scalar form of AllreduceMin.
+// AllreduceMinScalar returns the minimum of v across ranks.
 func (c *Comm) AllreduceMinScalar(v float64, epoch int) (float64, error) {
 	return c.allreduceScalar(v, opMin, 3*epoch+1)
 }
 
-// AllreduceMaxScalar is the alloc-free scalar form of AllreduceMax.
+// AllreduceMaxScalar returns the maximum of v across ranks.
 func (c *Comm) AllreduceMaxScalar(v float64, epoch int) (float64, error) {
 	return c.allreduceScalar(v, opMax, 3*epoch+2)
-}
-
-// AllreduceSum returns the elementwise sum across ranks. The epoch must be
-// unique per collective call site within a phase (any small non-negative
-// integer reused consistently by all ranks).
-func (c *Comm) AllreduceSum(vals []float64, epoch int) ([]float64, error) {
-	return c.allreduce(vals, opSum, 3*epoch)
-}
-
-// AllreduceMin returns the elementwise minimum across ranks.
-func (c *Comm) AllreduceMin(vals []float64, epoch int) ([]float64, error) {
-	return c.allreduce(vals, opMin, 3*epoch+1)
-}
-
-// AllreduceMax returns the elementwise maximum across ranks.
-func (c *Comm) AllreduceMax(vals []float64, epoch int) ([]float64, error) {
-	return c.allreduce(vals, opMax, 3*epoch+2)
 }
 
 // Bcast broadcasts root's data to every rank (binomial tree rooted at 0;
@@ -462,12 +377,6 @@ func (c *Comm) Gather(root int, data []float64, epoch int) ([][]float64, error) 
 		out[r] = got
 	}
 	return out, nil
-}
-
-// Barrier synchronizes all ranks.
-func (c *Comm) Barrier(epoch int) error {
-	_, err := c.AllreduceSum([]float64{0}, 1<<20+epoch)
-	return err
 }
 
 // Run spawns size ranks, each executing body, and waits for completion.

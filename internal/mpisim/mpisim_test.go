@@ -1,7 +1,6 @@
 package mpisim
 
 import (
-	"math"
 	"sync"
 	"testing"
 )
@@ -21,8 +20,8 @@ func TestWorldValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Rank() != 1 || c.Size() != 2 {
-		t.Fatalf("rank/size = %d/%d", c.Rank(), c.Size())
+	if c.Rank() != 1 || c.world.size != 2 {
+		t.Fatalf("rank/size = %d/%d", c.Rank(), c.world.size)
 	}
 }
 
@@ -120,12 +119,12 @@ func TestAllreduceSum(t *testing.T) {
 		var mu sync.Mutex
 		results := map[int]float64{}
 		err := Run(size, func(c *Comm) error {
-			out, err := c.AllreduceSum([]float64{float64(c.Rank() + 1)}, 0)
+			out, err := c.AllreduceSumScalar(float64(c.Rank()+1), 0)
 			if err != nil {
 				return err
 			}
 			mu.Lock()
-			results[c.Rank()] = out[0]
+			results[c.Rank()] = out
 			mu.Unlock()
 			return nil
 		})
@@ -144,19 +143,19 @@ func TestAllreduceSum(t *testing.T) {
 func TestAllreduceMinMax(t *testing.T) {
 	const size = 6
 	err := Run(size, func(c *Comm) error {
-		mn, err := c.AllreduceMin([]float64{float64(c.Rank())}, 1)
+		mn, err := c.AllreduceMinScalar(float64(c.Rank()), 1)
 		if err != nil {
 			return err
 		}
-		mx, err := c.AllreduceMax([]float64{float64(c.Rank())}, 2)
+		mx, err := c.AllreduceMaxScalar(float64(c.Rank()), 2)
 		if err != nil {
 			return err
 		}
-		if mn[0] != 0 {
-			t.Errorf("min = %v", mn[0])
+		if mn != 0 {
+			t.Errorf("min = %v", mn)
 		}
-		if mx[0] != size-1 {
-			t.Errorf("max = %v", mx[0])
+		if mx != size-1 {
+			t.Errorf("max = %v", mx)
 		}
 		return nil
 	})
@@ -221,15 +220,12 @@ func TestBarrierAndSequences(t *testing.T) {
 	const size = 4
 	err := Run(size, func(c *Comm) error {
 		for i := 0; i < 10; i++ {
-			out, err := c.AllreduceSum([]float64{1}, 0)
+			out, err := c.AllreduceSumScalar(1, 0)
 			if err != nil {
 				return err
 			}
-			if out[0] != size {
-				t.Errorf("iteration %d: sum = %v", i, out[0])
-			}
-			if err := c.Barrier(0); err != nil {
-				return err
+			if out != size {
+				t.Errorf("iteration %d: sum = %v", i, out)
 			}
 		}
 		return nil
@@ -249,24 +245,5 @@ func TestRunPropagatesPanic(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("panic not propagated")
-	}
-}
-
-func TestAllreduceVectorPayload(t *testing.T) {
-	const size = 3
-	err := Run(size, func(c *Comm) error {
-		out, err := c.AllreduceSum([]float64{1, 2, 3}, 0)
-		if err != nil {
-			return err
-		}
-		for i, v := range out {
-			if math.Abs(v-float64(size*(i+1))) > 1e-12 {
-				t.Errorf("element %d = %v", i, v)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }

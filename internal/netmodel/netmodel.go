@@ -97,17 +97,6 @@ func (m *Model) MsgTime(bytes int) float64 {
 	return s.Latency + float64(bytes)*s.PerByte
 }
 
-// Latency returns L(S) alone, in seconds.
-func (m *Model) Latency(bytes int) float64 { return m.segmentFor(bytes).Latency }
-
-// Bandwidth returns the effective bandwidth S/Tmsg(S) in bytes/second.
-func (m *Model) Bandwidth(bytes int) float64 {
-	if bytes <= 0 {
-		return 0
-	}
-	return float64(bytes) / m.MsgTime(bytes)
-}
-
 // TreeDepth returns ceil(log2(p)), the number of binary-tree levels used by
 // the collective models; 0 for p <= 1.
 func TreeDepth(p int) int {
@@ -180,10 +169,4 @@ func Infiniband() *Model {
 		{MinBytes: 0, Latency: 1.3e-6, PerByte: 1 / (700 * mb)},
 		{MinBytes: 2048, Latency: 2.0e-6, PerByte: 1 / (900 * mb)},
 	})
-}
-
-// Zero returns a model in which communication is free. Useful for isolating
-// computation in tests and ablations.
-func Zero() *Model {
-	return MustNew("zero-cost network", []Segment{{MinBytes: 0}})
 }

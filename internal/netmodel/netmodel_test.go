@@ -51,14 +51,12 @@ func TestMsgTimeEquation4(t *testing.T) {
 
 func TestLatencyAndBandwidth(t *testing.T) {
 	m := QsNetI()
-	if m.Latency(8) <= 0 {
+	if m.MsgTime(0) <= 0 {
 		t.Fatal("latency must be positive")
 	}
-	if m.Bandwidth(0) != 0 {
-		t.Fatal("bandwidth of empty message should be 0")
-	}
-	// Effective bandwidth should approach, but not exceed, the asymptotic rate.
-	bw := m.Bandwidth(10 << 20)
+	// Effective bandwidth S/Tmsg(S) should approach, but not exceed, the
+	// asymptotic rate.
+	bw := float64(10<<20) / m.MsgTime(10<<20)
 	if bw < 250e6 || bw > 320e6 {
 		t.Fatalf("10 MiB effective bandwidth = %.0f B/s, want ~305 MB/s", bw)
 	}
@@ -101,7 +99,7 @@ func TestPresetsAreOrdered(t *testing.T) {
 		t.Fatalf("unexpected latency ordering: ib=%v qs=%v ge=%v",
 			ib.MsgTime(8), qs.MsgTime(8), ge.MsgTime(8))
 	}
-	if Zero().MsgTime(1<<20) != 0 {
+	if MustNew("zero-cost network", []Segment{{MinBytes: 0}}).MsgTime(1<<20) != 0 {
 		t.Fatal("zero model should be free")
 	}
 }
@@ -110,7 +108,7 @@ func TestSegmentsCopy(t *testing.T) {
 	m := QsNetI()
 	segs := m.Segments()
 	segs[0].Latency = 999
-	if m.Latency(0) == 999 {
+	if m.MsgTime(0) == 999 {
 		t.Fatal("Segments returned internal storage")
 	}
 	if m.Name() == "" {

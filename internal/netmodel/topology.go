@@ -251,19 +251,6 @@ func (m *Model) WithTopology(t Topology) (*Model, error) {
 	return out, nil
 }
 
-// MustTopology is WithTopology but panics on error; for statically known
-// presets.
-func (m *Model) MustTopology(t Topology) *Model {
-	out, err := m.WithTopology(t)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
-// Topology returns the model's topology (the zero value is flat).
-func (m *Model) Topology() Topology { return m.topo }
-
 // stageTime is the cost of one collective tree stage at scale p: the
 // point-to-point message time plus the topology's distance and
 // bisection-contention terms. With a flat topology it equals MsgTime.

@@ -60,7 +60,7 @@ func TestTopologyReducesToFlatAtSmallP(t *testing.T) {
 		{Torus3D(0, 0, 0, 1e-6), 2}, // 2x1x1 box: avg distance still <= 1 hop
 	}
 	for _, c := range cases {
-		m := QsNetI().MustTopology(c.topo)
+		m := withTopology(t, QsNetI(), c.topo)
 		for p := 1; p <= c.maxP; p++ {
 			for _, bytes := range []int{0, 64, 4096, 1 << 20} {
 				if got, want := m.Bcast(p, bytes), flat.Bcast(p, bytes); got != want {
@@ -82,7 +82,7 @@ func TestTopologyReducesToFlatAtSmallP(t *testing.T) {
 // the regression guard for the paper's goldens.
 func TestTopologyFlatModelUnchanged(t *testing.T) {
 	base := QsNetI()
-	flat := QsNetI().MustTopology(Topology{Kind: TopoFlat})
+	flat := withTopology(t, QsNetI(), Topology{Kind: TopoFlat})
 	for _, p := range []int{1, 2, 7, 64, 1024} {
 		for _, b := range []int{0, 100, 65536} {
 			if base.Bcast(p, b) != flat.Bcast(p, b) ||
@@ -124,7 +124,7 @@ func TestTopologyCollectivesMonotone(t *testing.T) {
 	sizes := []int{0, 1, 63, 64, 512, 4095, 4096, 65536, 1 << 20}
 	for _, net := range nets {
 		for _, tp := range testTopologies() {
-			m := net.MustTopology(tp)
+			m := withTopology(t, net, tp)
 			for _, bytes := range sizes {
 				prev := -1.0
 				for _, p := range ps {
@@ -156,7 +156,7 @@ func TestTopologyCollectivesMonotone(t *testing.T) {
 // exactly twice a broadcast and never less than one.
 func TestTopologyAllreduceLowerBounds(t *testing.T) {
 	for _, tp := range testTopologies() {
-		m := Infiniband().MustTopology(tp)
+		m := withTopology(t, Infiniband(), tp)
 		for _, p := range []int{1, 2, 5, 64, 1000} {
 			for _, bytes := range []int{0, 8, 9000, 1 << 18} {
 				b, a, g := m.Bcast(p, bytes), m.Allreduce(p, bytes), m.Gather(p, bytes)
@@ -196,7 +196,7 @@ func TestTopologyRandomSegmentsNeverNegative(t *testing.T) {
 			t.Fatalf("trial %d: random table rejected: %v", trial, err)
 		}
 		topo := testTopologies()[int(rng.Next()%uint64(len(testTopologies())))]
-		m := net.MustTopology(topo)
+		m := withTopology(t, net, topo)
 		for _, p := range []int{1, 2, int(rng.Next()%1024) + 1, 4096} {
 			for _, bytes := range []int{-5, 0, int(rng.Next() % (1 << 22)), 1 << 26} {
 				for name, v := range map[string]float64{
@@ -219,8 +219,8 @@ func TestTopologyRandomSegmentsNeverNegative(t *testing.T) {
 // full-bisection fat-tree adds only latency (byte-cost unchanged).
 func TestTopologyDistanceAndContentionBite(t *testing.T) {
 	flat := Infiniband()
-	ft := Infiniband().MustTopology(FatTree(36, 0.2e-6))
-	torus := Infiniband().MustTopology(Torus3D(0, 0, 0, 0.2e-6))
+	ft := withTopology(t, Infiniband(), FatTree(36, 0.2e-6))
+	torus := withTopology(t, Infiniband(), Torus3D(0, 0, 0, 0.2e-6))
 	const p, bytes = 1024, 1 << 20
 	if !(ft.Bcast(p, bytes) > flat.Bcast(p, bytes)) {
 		t.Errorf("fat-tree at p=%d should pay hop latency over flat", p)
@@ -234,4 +234,15 @@ func TestTopologyDistanceAndContentionBite(t *testing.T) {
 	if math.Abs(dFlat-dFT) > 1e-12 {
 		t.Errorf("fat-tree per-byte slope %g drifted from flat %g", dFT, dFlat)
 	}
+}
+
+// withTopology is WithTopology for the statically valid topologies these
+// tests build.
+func withTopology(t *testing.T, m *Model, tp Topology) *Model {
+	t.Helper()
+	out, err := m.WithTopology(tp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }

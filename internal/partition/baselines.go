@@ -185,12 +185,3 @@ func QualityOf(name string, g *Graph, part []int, k int) Quality {
 		Imbalance: Imbalance(g, part, k),
 	}
 }
-
-// Evaluate runs a partitioner and reports its quality.
-func Evaluate(p Partitioner, g *Graph, k int) (Quality, []int, error) {
-	part, err := p.Partition(g, k)
-	if err != nil {
-		return Quality{}, nil, err
-	}
-	return QualityOf(p.Name(), g, part, k), part, nil
-}

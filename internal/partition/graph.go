@@ -33,9 +33,6 @@ type Graph struct {
 // NumVertices returns the vertex count.
 func (g *Graph) NumVertices() int { return len(g.Xadj) - 1 }
 
-// Degree returns the degree of vertex v.
-func (g *Graph) Degree(v int) int { return int(g.Xadj[v+1] - g.Xadj[v]) }
-
 // TotalVWgt returns the sum of all vertex weights.
 func (g *Graph) TotalVWgt() int64 {
 	var s int64
@@ -43,53 +40,6 @@ func (g *Graph) TotalVWgt() int64 {
 		s += int64(w)
 	}
 	return s
-}
-
-// Validate checks CSR invariants: monotone Xadj, in-range neighbors, no
-// self-loops, symmetric adjacency with matching weights.
-func (g *Graph) Validate() error {
-	n := g.NumVertices()
-	if n < 0 {
-		return fmt.Errorf("partition: empty Xadj")
-	}
-	if len(g.VWgt) != n {
-		return fmt.Errorf("partition: VWgt length %d != vertex count %d", len(g.VWgt), n)
-	}
-	if g.Xadj[0] != 0 || int(g.Xadj[n]) != len(g.Adjncy) {
-		return fmt.Errorf("partition: bad Xadj bounds")
-	}
-	if len(g.AdjWgt) != len(g.Adjncy) {
-		return fmt.Errorf("partition: AdjWgt length mismatch")
-	}
-	type edge struct{ u, v int32 }
-	weights := make(map[edge]int32, len(g.Adjncy))
-	for v := 0; v < n; v++ {
-		if g.Xadj[v] > g.Xadj[v+1] {
-			return fmt.Errorf("partition: Xadj not monotone at %d", v)
-		}
-		for i := g.Xadj[v]; i < g.Xadj[v+1]; i++ {
-			u := g.Adjncy[i]
-			if u < 0 || int(u) >= n {
-				return fmt.Errorf("partition: vertex %d has out-of-range neighbor %d", v, u)
-			}
-			if int(u) == v {
-				return fmt.Errorf("partition: self-loop at %d", v)
-			}
-			weights[edge{int32(v), u}] = g.AdjWgt[i]
-		}
-	}
-	// Check symmetry by walking the adjacency arrays in vertex order, not
-	// by ranging over the map: the first asymmetric edge reported must be
-	// the same on every run so error messages are reproducible.
-	for v := 0; v < n; v++ {
-		for i := g.Xadj[v]; i < g.Xadj[v+1]; i++ {
-			u := g.Adjncy[i]
-			if weights[edge{u, int32(v)}] != g.AdjWgt[i] {
-				return fmt.Errorf("partition: asymmetric edge (%d,%d)", v, u)
-			}
-		}
-	}
-	return nil
 }
 
 // FromMesh builds the dual graph of a mesh: one vertex per cell (unit

@@ -49,11 +49,11 @@ func TestFromMeshDualGraph(t *testing.T) {
 	if len(g.Adjncy) != 24 {
 		t.Fatalf("adjacency entries = %d, want 24", len(g.Adjncy))
 	}
-	if g.Degree(4) != 4 {
-		t.Fatalf("center degree = %d", g.Degree(4))
+	if d := g.Xadj[5] - g.Xadj[4]; d != 4 {
+		t.Fatalf("center degree = %d", d)
 	}
-	if g.Degree(0) != 2 {
-		t.Fatalf("corner degree = %d", g.Degree(0))
+	if d := g.Xadj[1] - g.Xadj[0]; d != 2 {
+		t.Fatalf("corner degree = %d", d)
 	}
 	if g.TotalVWgt() != 9 {
 		t.Fatalf("total vertex weight = %d", g.TotalVWgt())
@@ -266,10 +266,12 @@ func TestRandomBalanced(t *testing.T) {
 
 func TestEvaluate(t *testing.T) {
 	g := buildGraph(t, 16, 8)
-	q, part, err := Evaluate(NewMultilevel(2), g, 4)
+	p := NewMultilevel(2)
+	part, err := p.Partition(g, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
+	q := QualityOf(p.Name(), g, part, 4)
 	if q.Algorithm != "multilevel-kway" || q.K != 4 {
 		t.Fatalf("quality = %+v", q)
 	}

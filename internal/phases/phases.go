@@ -10,11 +10,7 @@
 // and differ only in how they account for its cost.
 package phases
 
-import (
-	"fmt"
-
-	"krak/internal/mesh"
-)
+import "krak/internal/mesh"
 
 // Count is the number of phases in a Krak iteration (Table 1).
 const Count = 15
@@ -28,10 +24,6 @@ const BytesPerFaceWord = 12
 // MessagesPerExchangeStep is the number of messages exchanged with each
 // neighbor per material step (and in the final step) of a boundary exchange.
 const MessagesPerExchangeStep = 6
-
-// GhostUpdateMessagesPerNeighbor is the number of messages per neighbor in a
-// ghost-node-update phase: one for local and one for remote ghost nodes.
-const GhostUpdateMessagesPerNeighbor = 2
 
 // Phase describes one phase of the iteration.
 type Phase struct {
@@ -128,23 +120,6 @@ func Table1() []Phase {
 // of Table1; anything that wants to modify phases must copy.
 func All() []Phase { return table[:] }
 
-// Get returns the phase with the given 1-based number.
-func Get(number int) (Phase, error) {
-	if number < 1 || number > Count {
-		return Phase{}, fmt.Errorf("phases: phase number %d out of range 1..%d", number, Count)
-	}
-	return table[number-1], nil
-}
-
-// MustGet is Get for statically known phase numbers.
-func MustGet(number int) Phase {
-	p, err := Get(number)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // CollectiveTotals aggregates the per-iteration collective schedule, i.e.
 // reconstructs Table 4 from Table 1.
 type CollectiveTotals struct {
@@ -228,16 +203,11 @@ func AppendBoundaryExchangeMessages(msgs []Message, b *mesh.PairBoundary) []Mess
 	return msgs
 }
 
-// GhostUpdateMessages enumerates the messages one processor pe exchanges
-// with a single neighbor in a ghost-node-update phase (§4.2): one message
-// for the locally owned ghost nodes and one for the remote ones, at
-// bytesPerNode each.
-func GhostUpdateMessages(b *mesh.PairBoundary, pe, bytesPerNode int) []Message {
-	return AppendGhostUpdateMessages(nil, b, pe, bytesPerNode)
-}
-
-// AppendGhostUpdateMessages appends the ghost-update messages to msgs and
-// returns the extended slice (see AppendBoundaryExchangeMessages).
+// AppendGhostUpdateMessages appends to msgs the messages one processor pe
+// exchanges with a single neighbor in a ghost-node-update phase (§4.2):
+// one message for the locally owned ghost nodes and one for the remote
+// ones, at bytesPerNode each. It returns the extended slice (see
+// AppendBoundaryExchangeMessages).
 func AppendGhostUpdateMessages(msgs []Message, b *mesh.PairBoundary, pe, bytesPerNode int) []Message {
 	return append(msgs,
 		Message{Bytes: bytesPerNode * b.Owned(pe), Step: -1},

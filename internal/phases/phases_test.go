@@ -29,34 +29,34 @@ func TestTable1MatchesPaper(t *testing.T) {
 	// Table 1's sync-point column.
 	wantSync := []int{2, 1, 3, 1, 1, 3, 1, 1, 1, 1, 2, 1, 1, 1, 2}
 	for i, want := range wantSync {
-		if got := MustGet(i + 1).SyncPoints; got != want {
+		if got := table[i].SyncPoints; got != want {
 			t.Errorf("phase %d sync points = %d, want %d", i+1, got, want)
 		}
 	}
 	// Communication actions per Table 1.
-	if !MustGet(2).BoundaryExchange {
+	if !table[1].BoundaryExchange {
 		t.Error("phase 2 must do the boundary exchange")
 	}
-	if MustGet(4).GhostUpdateBytes != 8 {
+	if table[3].GhostUpdateBytes != 8 {
 		t.Error("phase 4 must update ghosts at 8 bytes/node")
 	}
 	for _, ph := range []int{5, 7} {
-		if MustGet(ph).GhostUpdateBytes != 16 {
+		if table[ph-1].GhostUpdateBytes != 16 {
 			t.Errorf("phase %d must update ghosts at 16 bytes/node", ph)
 		}
 	}
 	for _, ph := range []int{1, 2, 15} {
-		p := MustGet(ph)
+		p := table[ph-1]
 		if len(p.BcastBytes) != 2 || p.BcastBytes[0] != 4 || p.BcastBytes[1] != 8 {
 			t.Errorf("phase %d broadcasts = %v, want [4 8]", ph, p.BcastBytes)
 		}
 	}
 	for _, ph := range []int{3, 6, 8, 9, 10, 11, 12, 13, 14} {
-		if MustGet(ph).HasPointToPoint() {
+		if table[ph-1].HasPointToPoint() {
 			t.Errorf("phase %d is computation only but has point-to-point comm", ph)
 		}
 	}
-	if !MustGet(14).MaterialDependent {
+	if !table[13].MaterialDependent {
 		t.Error("phase 14 must be material dependent (Figure 2)")
 	}
 }
@@ -81,21 +81,6 @@ func TestTable4MatchesPaper(t *testing.T) {
 	if syncs != 22 {
 		t.Errorf("total sync points = %d, want 22", syncs)
 	}
-}
-
-func TestGetBounds(t *testing.T) {
-	if _, err := Get(0); err == nil {
-		t.Fatal("phase 0 accepted")
-	}
-	if _, err := Get(16); err == nil {
-		t.Fatal("phase 16 accepted")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustGet(99) did not panic")
-		}
-	}()
-	MustGet(99)
 }
 
 // table3Boundary reconstructs the Figure 4 / Table 3 example: a boundary of
@@ -173,15 +158,15 @@ func TestBoundaryExchangeEmptyBoundary(t *testing.T) {
 
 func TestGhostUpdateMessages(t *testing.T) {
 	b := table3Boundary()
-	msgs := GhostUpdateMessages(b, 0, 8)
-	if len(msgs) != GhostUpdateMessagesPerNeighbor {
+	msgs := AppendGhostUpdateMessages(nil, b, 0, 8)
+	if len(msgs) != 2 {
 		t.Fatalf("ghost update messages = %d, want 2", len(msgs))
 	}
 	if msgs[0].Bytes != 8*6 || msgs[1].Bytes != 8*5 {
 		t.Fatalf("ghost update sizes = %d,%d want 48,40", msgs[0].Bytes, msgs[1].Bytes)
 	}
 	// From the other side, local and remote swap.
-	msgs = GhostUpdateMessages(b, 1, 16)
+	msgs = AppendGhostUpdateMessages(nil, b, 1, 16)
 	if msgs[0].Bytes != 16*5 || msgs[1].Bytes != 16*6 {
 		t.Fatalf("ghost update sizes = %d,%d want 80,96", msgs[0].Bytes, msgs[1].Bytes)
 	}

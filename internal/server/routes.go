@@ -51,8 +51,9 @@ var routes = []Route{
 	{"POST", "/v1/sweep", classHeavy, true, digestKey, (*Server).handleSweep},
 	{"POST", "/v1/compare", classHeavy, true, digestKey, (*Server).handleCompare},
 	{"POST", "/v1/calibrate", classHeavy, true, digestKey, (*Server).handleCalibrate},
-	// Appends mutate the registry: one attempt only.
-	{"POST", "/v1/calibrate/append", classHeavy, false, digestKey, (*Server).handleCalibrateAppend},
+	// Appends mutate the registry: one attempt only, on the replica that
+	// owns the history they extend.
+	{"POST", "/v1/calibrate/append", classHeavy, false, appendKey, (*Server).handleCalibrateAppend},
 	{"GET", "/v1/machines", classLight, true, pathKey, (*Server).handleMachines},
 	// Registry reads and writes anchor to the fingerprint, so a machine's
 	// history lives on one replica.
@@ -114,6 +115,19 @@ func pathKey(r *http.Request, _ []byte, _ bool) string {
 func fingerprintKey(r *http.Request, _ []byte, _ bool) string {
 	p := r.URL.Path
 	return "machines|" + p[strings.LastIndexByte(p, '/')+1:]
+}
+
+// appendKey keys an append by the fingerprint its body names, exactly as
+// fingerprintKey keys that machine's registry requests. A body that does
+// not decode or names no fingerprint falls back to its digest.
+func appendKey(r *http.Request, body []byte, quick bool) string {
+	var req struct {
+		Fingerprint string `json:"fingerprint"`
+	}
+	if json.Unmarshal(body, &req) == nil && req.Fingerprint != "" {
+		return "machines|" + req.Fingerprint
+	}
+	return digestKey(r, body, quick)
 }
 
 // digestKey keys a request that is a pure function of its body by a

@@ -7,7 +7,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
@@ -50,56 +49,6 @@ func Min(xs []float64) float64 {
 	return m
 }
 
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
-// StdDev returns the sample standard deviation of xs (n-1 denominator), or 0
-// when fewer than two samples are provided.
-func StdDev(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n-1))
-}
-
-// Percentile returns the p-th percentile (0..100) of xs using linear
-// interpolation between closest ranks. It returns 0 for an empty slice.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo] + frac*(sorted[hi]-sorted[lo])
-}
-
 // RelErr returns (predicted-measured)/measured. By the paper's convention in
 // Tables 5 and 6, a positive error means under-prediction is negative — the
 // paper reports Error = (Meas - Pred) / Meas. We follow the paper.
@@ -117,16 +66,6 @@ func RelErr(measured, predicted float64) float64 {
 // validation tables ("-8.0%", "2.9%").
 func FormatPct(frac float64) string {
 	return fmt.Sprintf("%.1f%%", frac*100)
-}
-
-// Imbalance returns max/mean for a slice of non-negative load values; 1.0 is
-// perfectly balanced. Returns 0 for empty or all-zero input.
-func Imbalance(loads []float64) float64 {
-	m := Mean(loads)
-	if m == 0 {
-		return 0
-	}
-	return Max(loads) / m
 }
 
 // SplitMix64 is a tiny deterministic PRNG (the splitmix64 generator). It is

@@ -17,52 +17,11 @@ func TestMeanMaxMinSum(t *testing.T) {
 	if got := Min(xs); got != 1 {
 		t.Fatalf("Min = %v, want 1", got)
 	}
-	if got := Sum(xs); got != 14 {
-		t.Fatalf("Sum = %v, want 14", got)
-	}
 }
 
 func TestEmptySlices(t *testing.T) {
-	if Mean(nil) != 0 || Max(nil) != 0 || Min(nil) != 0 || Sum(nil) != 0 {
+	if Mean(nil) != 0 || Max(nil) != 0 || Min(nil) != 0 {
 		t.Fatal("empty-slice stats should be 0")
-	}
-	if StdDev(nil) != 0 || StdDev([]float64{1}) != 0 {
-		t.Fatal("StdDev of <2 samples should be 0")
-	}
-	if Percentile(nil, 50) != 0 {
-		t.Fatal("Percentile of empty should be 0")
-	}
-	if Imbalance(nil) != 0 || Imbalance([]float64{0, 0}) != 0 {
-		t.Fatal("Imbalance of empty/zero should be 0")
-	}
-}
-
-func TestStdDevKnown(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	got := StdDev(xs)
-	want := math.Sqrt(32.0 / 7.0) // sample stdev
-	if math.Abs(got-want) > 1e-12 {
-		t.Fatalf("StdDev = %v, want %v", got, want)
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{15, 20, 35, 40, 50}
-	if got := Percentile(xs, 0); got != 15 {
-		t.Fatalf("P0 = %v", got)
-	}
-	if got := Percentile(xs, 100); got != 50 {
-		t.Fatalf("P100 = %v", got)
-	}
-	if got := Percentile(xs, 50); got != 35 {
-		t.Fatalf("P50 = %v", got)
-	}
-	if got := Percentile(xs, 25); got != 20 {
-		t.Fatalf("P25 = %v", got)
-	}
-	// Does not mutate input.
-	if xs[0] != 15 || xs[4] != 50 {
-		t.Fatal("Percentile mutated input")
 	}
 }
 
@@ -80,15 +39,6 @@ func TestRelErrPaperConvention(t *testing.T) {
 	}
 	if !math.IsInf(RelErr(0, 1), 1) {
 		t.Fatal("RelErr(0,1) should be +Inf")
-	}
-}
-
-func TestImbalance(t *testing.T) {
-	if got := Imbalance([]float64{1, 1, 1, 1}); got != 1 {
-		t.Fatalf("balanced Imbalance = %v, want 1", got)
-	}
-	if got := Imbalance([]float64{2, 1, 1}); math.Abs(got-1.5) > 1e-12 {
-		t.Fatalf("Imbalance = %v, want 1.5", got)
 	}
 }
 

@@ -598,15 +598,18 @@ func (s *Session) calibrate(ctx context.Context, ds *Dataset, opt CalibrateOptio
 		}
 	}
 
-	// The side linear fit backs Params/StdErr — the machine-file
-	// interpretation — whatever form won. Its fallback ladder makes it
-	// nearly always available; when even that degenerates while a richer
-	// form fitted, the parameters are simply left zero.
+	// The linear fit backs Params/StdErr — the machine-file
+	// interpretation — whatever form won: the winner itself when linear,
+	// else a side linear fit of the same data. Its fallback ladder makes
+	// it nearly always available; when even that degenerates while a
+	// richer form fitted, the parameters are simply left zero.
+	lin := best
+	if best.Form != calib.FormLinear {
+		lin, _ = fitForm(times, feats, calib.FormLinear)
+	}
 	var linP, linSE FitParams
-	if lfr, lerr := calib.Fit(times, feats); lerr == nil {
-		linP, linSE = fitParams(lfr.Params), fitParams(lfr.StdErr)
-	} else if best.Form == calib.FormLinear {
-		return nil, nil, fmt.Errorf("%w: %v", ErrCalibration, lerr)
+	if lin != nil {
+		linP, linSE = fitParams(lin.Coeffs), fitParams(lin.StdErr)
 	}
 
 	cr := &CalibrationResult{
@@ -650,12 +653,14 @@ func (s *Session) calibrate(ctx context.Context, ds *Dataset, opt CalibrateOptio
 	return cr, best, nil
 }
 
-func fitParams(p calib.Params) FitParams {
+// fitParams maps the linear form's coefficient order (compute, messages,
+// bytes, fixed) onto FitParams.
+func fitParams(c []float64) FitParams {
 	return FitParams{
-		ComputeScale:   p.ComputeScale,
-		LatencySeconds: p.LatencySec,
-		SecondsPerByte: p.ByteSec,
-		FixedSeconds:   p.FixedSec,
+		ComputeScale:   c[0],
+		LatencySeconds: c[1],
+		SecondsPerByte: c[2],
+		FixedSeconds:   c[3],
 	}
 }
 
@@ -679,18 +684,14 @@ func fittedSegment(minBytes int, latSec, byteSec float64) SegmentSpec {
 }
 
 // fittedSpec converts the winning fit into a usable machine. The linear
-// form (and the linear-equivalent parameters standing in for loglog and
-// interact winners) maps onto a single-segment network; the piecewise
-// form becomes a two-segment network splitting at the fitted
+// parameters (the linear winner's own, or the side fit's standing in for
+// loglog and interact winners) map onto a single-segment network; the
+// piecewise form becomes a two-segment network splitting at the fitted
 // breakpoint, which is exactly what the machine-file segment syntax
 // expresses. Everything is clamped into the machine-file ranges.
 func (s *Session) fittedSpec(best *calib.FormFit, lin FitParams) MachineSpec {
 	scale := lin.ComputeScale
 	segments := []SegmentSpec{fittedSegment(0, lin.LatencySeconds, lin.SecondsPerByte)}
-	if lp, ok := best.LinearParams(); ok {
-		scale = lp.ComputeScale
-		segments = []SegmentSpec{fittedSegment(0, lp.LatencySec, lp.ByteSec)}
-	}
 	if best.Form == calib.FormPiecewise && len(best.Coeffs) == 6 && int(best.Breakpoint) > 0 {
 		scale = best.Coeffs[0]
 		segments = []SegmentSpec{

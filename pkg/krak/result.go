@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"krak/internal/experiments"
 	"krak/internal/textplot"
 )
 
@@ -235,18 +236,9 @@ func (r *Result) Render() string {
 			fmt.Fprintf(&b, "Result(kind=%s, no experiment report)\n", r.Kind)
 			break
 		}
-		fmt.Fprintf(&b, "== %s: %s ==\n\n", e.ID, e.Title)
-		if len(e.Header) > 0 {
-			b.WriteString(textplot.Table(e.Header, e.Rows))
-			b.WriteByte('\n')
-		}
-		if e.Text != "" {
-			b.WriteString(e.Text)
-			b.WriteByte('\n')
-		}
-		if e.Notes != "" {
-			fmt.Fprintf(&b, "Notes: %s\n", e.Notes)
-		}
+		// The experiment goldens pin this renderer's bytes.
+		er := experiments.Result(*e)
+		b.WriteString(er.Render())
 
 	default:
 		fmt.Fprintf(&b, "Result(kind=%s)\n", r.Kind)

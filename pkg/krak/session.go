@@ -337,17 +337,8 @@ func (s *Session) Partition() (*Result, error) {
 // experimentResult wraps an internal experiment result as a KindExperiment
 // Result.
 func experimentResult(r *experiments.Result) *Result {
-	return &Result{
-		Kind: KindExperiment,
-		Experiment: &ExperimentReport{
-			ID:     r.ID,
-			Title:  r.Title,
-			Header: r.Header,
-			Rows:   r.Rows,
-			Text:   r.Text,
-			Notes:  r.Notes,
-		},
-	}
+	e := ExperimentReport(*r)
+	return &Result{Kind: KindExperiment, Experiment: &e}
 }
 
 // Experiment regenerates one paper table or figure by registry id (see
