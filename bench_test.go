@@ -21,6 +21,7 @@ import (
 	"runtime"
 	"testing"
 
+	"krak/internal/artifacts"
 	"krak/internal/cluster"
 	"krak/internal/compute"
 	"krak/internal/core"
@@ -160,6 +161,22 @@ func benchDeckSummary(b *testing.B, p int) *mesh.PartitionSummary {
 		b.Fatal(err)
 	}
 	return sum
+}
+
+// BenchmarkQuickDecks builds the four quick standard decks every replica
+// serves from, through a fresh artifact store each op. B/op is the
+// per-deck mesh data a replica carries, so per-cell fields that creep
+// back show up in bench-diff.
+func BenchmarkQuickDecks(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		store := artifacts.NewStore()
+		for _, sz := range []mesh.StandardSize{mesh.Small, mesh.Medium, mesh.Large, mesh.Figure2} {
+			if _, err := store.StandardDeck(sz, true); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 }
 
 func BenchmarkPartitionMultilevel128(b *testing.B) {

@@ -20,36 +20,24 @@ import (
 // the canonical request keys, with health probing, bounded retries,
 // per-replica circuit breakers, and ring failover, answering 503 with a
 // Retry-After when every replica for a key is down. Replicas come from
-// repeated/comma-separated -replica flags or a -config file.
+// repeated/comma-separated -replica flags.
 func runGateway(args []string) error {
 	fs := flag.NewFlagSet("krak gateway", flag.ExitOnError)
 	addr := fs.String("addr", ":8090", "listen address")
 	var replicaFlags stringList
 	fs.Var(&replicaFlags, "replica", "replica base URL (repeatable, or comma-separated)")
-	configPath := fs.String("config", "", "gateway config file (see docs/ARCHITECTURE.md, Resilience)")
 	quick := fs.Bool("quick", false, "replicas run -quick (keeps canonical routing and cache keys consistent)")
-	retries := fs.Int("retries", -1, "extra attempts per idempotent request (-1 = config/default)")
-	probeInterval := fs.Duration("probe-interval", 0, "health-check cadence per replica (0 = config/default)")
-	breakerThreshold := fs.Int("breaker-threshold", 0, "consecutive failures that open a replica's breaker (0 = config/default)")
-	breakerCooldown := fs.Duration("breaker-cooldown", 0, "open time before a half-open probe (0 = config/default)")
+	retries := fs.Int("retries", -1, "extra attempts per idempotent request (-1 = default)")
+	probeInterval := fs.Duration("probe-interval", 0, "health-check cadence per replica (0 = default)")
+	breakerThreshold := fs.Int("breaker-threshold", 0, "consecutive failures that open a replica's breaker (0 = default)")
+	breakerCooldown := fs.Duration("breaker-cooldown", 0, "open time before a half-open probe (0 = default)")
 	faultPlan := fs.String("fault-plan", "", "client-side fault-injection plan for chaos drills (requires -allow-faults)")
 	allowFaults := fs.Bool("allow-faults", false, "acknowledge that -fault-plan deliberately breaks responses")
 	fs.Parse(args)
 
 	cfg := gateway.DefaultConfig()
-	if *configPath != "" {
-		src, err := os.ReadFile(*configPath)
-		if err != nil {
-			return err
-		}
-		if cfg, err = gateway.ParseGatewayConfig(src); err != nil {
-			return err
-		}
-	}
-	cfg.Replicas = append(cfg.Replicas, replicaFlags...)
-	if *quick {
-		cfg.Quick = true
-	}
+	cfg.Replicas = replicaFlags
+	cfg.Quick = *quick
 	if *retries >= 0 {
 		cfg.Retries = *retries
 	}

@@ -39,9 +39,8 @@ func TestRunGatewayErrors(t *testing.T) {
 		args []string
 		want string
 	}{
-		{"missing config", []string{"-config", filepath.Join(dir, "nope.conf")}, "no such file"},
-		{"bad config", []string{"-config", bad}, ""},
 		{"no replicas", nil, "replica"},
+		{"one backend twice", []string{"-replica", "http://127.0.0.1:1,http://127.0.0.1:1/"}, "duplicate replica"},
 		{"unarmed fault plan", []string{"-replica", "http://127.0.0.1:1", "-fault-plan", bad}, "allow-faults"},
 	}
 	for _, tc := range cases {
@@ -56,9 +55,9 @@ func TestRunGatewayErrors(t *testing.T) {
 	}
 }
 
-// TestRunGatewayListenConflict drives the full startup path — config
-// file merge, flag overrides, fault-plan arming, gateway construction —
-// into a deterministic ListenAndServe failure on an occupied port.
+// TestRunGatewayListenConflict drives the full startup path — flag
+// overrides, fault-plan arming, gateway construction — into a
+// deterministic ListenAndServe failure on an occupied port.
 func TestRunGatewayListenConflict(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -67,18 +66,13 @@ func TestRunGatewayListenConflict(t *testing.T) {
 	defer ln.Close()
 
 	dir := t.TempDir()
-	conf := filepath.Join(dir, "gateway.conf")
-	if err := os.WriteFile(conf, []byte("replica http://127.0.0.1:1\nretries 1\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
 	plan := filepath.Join(dir, "chaos.plan")
 	if err := os.WriteFile(plan, []byte("plan cli-test\nseed 7\nerror-rate 0.1\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	err = runGateway([]string{
 		"-addr", ln.Addr().String(),
-		"-config", conf,
-		"-replica", "http://127.0.0.1:2,http://127.0.0.1:3",
+		"-replica", "http://127.0.0.1:1,http://127.0.0.1:2,http://127.0.0.1:3",
 		"-quick",
 		"-retries", "2",
 		"-probe-interval", "30s",

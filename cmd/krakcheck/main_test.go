@@ -41,8 +41,8 @@ func TestDeadExportIndependentOfPatterns(t *testing.T) {
 		t.Fatalf("krakcheck on the deadexport fixture = %d, want 1:\n%s", code, out)
 	}
 	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("got %d findings, want the fixture's 4:\n%s", len(lines), out)
+	if len(lines) != 6 {
+		t.Fatalf("got %d findings, want the fixture's 6:\n%s", len(lines), out)
 	}
 	for _, l := range lines {
 		if !strings.Contains(l, filepath.Join("testdata", "src", "deadexport")) {

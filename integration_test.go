@@ -221,7 +221,7 @@ func TestPhaseTableDrivesBothSides(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := cluster.Config{Net: netmodel.QsNetI(), Costs: compute.ES45().WithoutNoise(), Exact: true}
+	cfg := cluster.Config{Net: netmodel.QsNetI(), Costs: compute.ES45().WithoutNoise()}
 	r, err := cluster.Simulate(sum, cfg)
 	if err != nil {
 		t.Fatal(err)

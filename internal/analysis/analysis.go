@@ -51,11 +51,6 @@ type Analyzer struct {
 
 // Pass carries one analyzer's view of one type-checked package.
 type Pass struct {
-	Analyzer *Analyzer
-
-	// Fset is the file set all Syntax positions resolve against.
-	Fset *token.FileSet
-
 	// Files holds the parsed non-test sources of the package.
 	Files []*ast.File
 
@@ -91,8 +86,7 @@ type Diagnostic struct {
 
 // SuggestedFix is a set of edits that resolve the diagnostic.
 type SuggestedFix struct {
-	Message string
-	Edits   []TextEdit
+	Edits []TextEdit
 
 	// AddImports lists import paths the edited file must import for the
 	// rewritten code to compile; the fix applier inserts any that are

@@ -112,7 +112,6 @@ func sortedKeysFix(pass *analysis.Pass, rs *ast.RangeStmt) (analysis.SuggestedFi
 	}
 	newText := "_, " + key.Name + " := range slices.Sorted(maps.Keys(" + types.ExprString(rs.X) + "))"
 	return analysis.SuggestedFix{
-		Message:    "iterate keys in sorted order",
 		Edits:      []analysis.TextEdit{{Pos: rs.Key.Pos(), End: rs.X.End(), NewText: newText}},
 		AddImports: []string{"maps", "slices"},
 	}, true

@@ -20,7 +20,6 @@ import (
 // Package is one loaded, parsed, type-checked package ready for analysis.
 type Package struct {
 	PkgPath string
-	Dir     string
 	GoFiles []string
 
 	Fset      *token.FileSet
@@ -103,7 +102,6 @@ func isTestFile(name string) bool {
 func typecheck(fset *token.FileSet, imp types.Importer, pkgPath, dir string, fileNames []string) (*Package, error) {
 	pkg := &Package{
 		PkgPath: pkgPath,
-		Dir:     dir,
 		Fset:    fset,
 	}
 	for _, name := range fileNames {

@@ -32,8 +32,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 		}
 		for _, a := range analyzers {
 			pass := &Pass{
-				Analyzer:  a,
-				Fset:      pkg.Fset,
 				Files:     pkg.Syntax,
 				Pkg:       pkg.Types,
 				PkgPath:   pkg.PkgPath,

@@ -3,7 +3,10 @@
 // declaration in this file uses it.
 package deadexport
 
-import "errors"
+import (
+	"encoding/json"
+	"errors"
+)
 
 func Unused() {} // want "exported func Unused is used by no non-test code"
 
@@ -36,7 +39,30 @@ func (gadget) Exported() {}
 //krakcheck:ignore deadexport called from a module the check does not load
 func Kept() {}
 
+// Gauge is named by run, which writes Level and reads Scale.
+type Gauge struct {
+	Level int     // want "exported field Gauge.Level is read by no non-test code"
+	Scale float64 // want "exported field Gauge.Scale is set by no non-test code"
+
+	// A struct tag says another module reads or sets the field.
+	Label string `json:"label"`
+
+	//krakcheck:ignore deadexport a test oracle for run's bookkeeping
+	Steps []int
+}
+
+// Wire goes to json.Unmarshal, which sets and reads its fields unnamed.
+type Wire struct{ Count int }
+
+// Key is a map key: the map compares, so reads, every field.
+type Key struct{ A, B int }
+
 func run() float64 {
 	var s shaper = &Widget{err: Used()}
-	return s.Area()
+	g := &Gauge{}
+	g.Level++
+	var w Wire
+	_ = json.Unmarshal([]byte(`{"Count":1}`), &w)
+	seen := map[Key]bool{}
+	return s.Area() * g.Scale * float64(len(seen))
 }

@@ -80,7 +80,8 @@ func column(term string, f Features) float64 {
 type FitResult struct {
 	Params Params
 	StdErr Params
-	Terms  []string
+	//krakcheck:ignore deadexport the tests' oracle for which rung of the fall-back ladder fitted
+	Terms []string
 }
 
 // Fit solves the linear timing model by Householder-QR least squares over

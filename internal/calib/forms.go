@@ -99,11 +99,6 @@ type FormFit struct {
 	// RMSE is the root-mean-square residual in seconds.
 	RMSE float64
 
-	// Sigma is the degrees-of-freedom-corrected residual standard error
-	// sqrt(SSR/(n-k)) in seconds. Zero when the fit leaves no spare
-	// degrees of freedom.
-	Sigma float64
-
 	// SigmaRel is the dof-corrected RMS of *relative* residuals
 	// (residual over observed seconds) — the scale-free stderr band
 	// drift detection compares fresh residuals against. Observation
@@ -195,11 +190,8 @@ func (ff *FormFit) finish(times []float64, feats []Features) {
 	case ssr == 0:
 		ff.R2 = 1
 	}
-	if n > k {
-		ff.Sigma = math.Sqrt(ssr / float64(n-k))
-		if relScored > k {
-			ff.SigmaRel = math.Sqrt(ssrRel / float64(relScored-k))
-		}
+	if relScored > k {
+		ff.SigmaRel = math.Sqrt(ssrRel / float64(relScored-k))
 	}
 }
 
@@ -274,7 +266,7 @@ func (linearForm) Fit(times []float64, feats []Features) (*FormFit, error) {
 }
 
 // loglogForm is the power-law model fitted in the log domain; quality
-// numbers (R², RMSE, Sigma) are computed back in the seconds domain so
+// numbers (R², RMSE, SigmaRel) are computed back in the seconds domain so
 // the scoreboard compares forms on one scale.
 type loglogForm struct{}
 

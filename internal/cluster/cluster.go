@@ -18,7 +18,6 @@
 package cluster
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 
@@ -36,12 +35,6 @@ type Config struct {
 	// Costs is the ground-truth computation table. Required.
 	Costs *compute.TruthTable
 
-	// SendOverhead and RecvOverhead are the CPU costs of posting one
-	// asynchronous send and of draining one blocking receive. They default
-	// to 0.6 us / 0.8 us (MPI library costs on the ES45 era hardware) when
-	// zero. Set Exact to use zeros.
-	SendOverhead, RecvOverhead float64
-
 	// SerializeSends disables message overlap: each message's full wire
 	// time is charged to the sender before the next message is posted.
 	// This mirrors the accounting of the model's Equation (5), which "does
@@ -54,61 +47,18 @@ type Config struct {
 	// measured). Simulations with the same configuration and iteration are
 	// bit-identical.
 	Iteration int
-
-	// Exact uses zero send/receive overheads rather than the defaults.
-	Exact bool
-
-	// Trace records a per-processor event timeline into Result.Events.
-	Trace bool
 }
 
-// EventKind labels a traced simulator event.
-type EventKind string
-
-// The traced event kinds.
+// sendOverhead and recvOverhead are the CPU costs of posting one
+// asynchronous send and of draining one blocking receive: MPI library
+// costs on the ES45 era hardware.
 const (
-	EventCompute    EventKind = "compute"
-	EventSend       EventKind = "send"
-	EventRecv       EventKind = "recv"
-	EventCollective EventKind = "collective"
+	sendOverhead = 0.6e-6
+	recvOverhead = 0.8e-6
 )
-
-// Event is one interval on a processor's timeline, with times relative to
-// the start of its phase.
-type Event struct {
-	PE    int
-	Phase int // 1-based
-	Kind  EventKind
-	Peer  int // neighbor for send/recv, -1 otherwise
-	Bytes int // payload for send/recv
-	Start float64
-	End   float64
-}
-
-func (c *Config) sendOverhead() float64 {
-	if c.Exact {
-		return 0
-	}
-	if c.SendOverhead == 0 {
-		return 0.6e-6
-	}
-	return c.SendOverhead
-}
-
-func (c *Config) recvOverhead() float64 {
-	if c.Exact {
-		return 0
-	}
-	if c.RecvOverhead == 0 {
-		return 0.8e-6
-	}
-	return c.RecvOverhead
-}
 
 // Result reports one simulated iteration.
 type Result struct {
-	P int
-
 	// IterationTime is the wall-clock time of the full iteration (s).
 	IterationTime float64
 
@@ -126,9 +76,6 @@ type Result struct {
 
 	// CollectiveTime is the total time spent in collectives.
 	CollectiveTime float64
-
-	// Events holds the traced timeline when Config.Trace is set.
-	Events []Event
 }
 
 // Runner simulates iterations over one partition summary. On its first
@@ -153,7 +100,6 @@ type Runner struct {
 
 	postDone []float64 // per PE: time its last send was posted
 	arrivals []float64 // per slot: a message's arrival time at its receiver
-	order    []int32   // traced drains: one receiver's slots in drain order
 }
 
 // exchangePlan is the message layout of one point-to-point pattern over
@@ -166,8 +112,7 @@ type Runner struct {
 // sendOff[pe+1]).
 //
 // Each message lands in an arrival slot. Receiver pe owns slots
-// [recvOff[pe], recvOff[pe+1]), filled in posting order, so a slot's
-// index within its receiver orders it by (sender, send index).
+// [recvOff[pe], recvOff[pe+1]), filled in posting order.
 //
 // krakcheck:arena
 type exchangePlan struct {
@@ -175,13 +120,11 @@ type exchangePlan struct {
 
 	sendOff []int
 	slot    []int32   // per message: its arrival slot
-	to      []int32   // per message: its receiver
 	wire    []float64 // per message: its wire time on net
 	net     *netmodel.Model
 
 	recvOff []int
-	from    []int32 // per slot: the sender
-	bytes   []int   // per slot: the payload
+	bytes   []int // per slot: the payload
 }
 
 // NewRunner returns a reusable simulator for the given partition summary.
@@ -224,14 +167,8 @@ func (r *Runner) Simulate(cfg Config) (*Result, error) {
 	if sum == nil || sum.P <= 0 {
 		return nil, fmt.Errorf("cluster: empty partition summary")
 	}
-	oSend := cfg.sendOverhead()
-	oRecv := cfg.recvOverhead()
-	// The receive drain relies on a non-decreasing CPU clock (see drain).
-	if !(oSend >= 0) || !(oRecv >= 0) {
-		return nil, fmt.Errorf("cluster: send/receive overheads must be non-negative, got %g/%g", oSend, oRecv)
-	}
 	p := sum.P
-	res := &Result{P: p}
+	res := &Result{}
 	FillComputeTimes(&res.ComputeTimes, sum, cfg.Costs, cfg.Iteration)
 	if p > 1 {
 		r.preparePlans(cfg.Net)
@@ -246,18 +183,11 @@ func (r *Runner) Simulate(cfg Config) (*Result, error) {
 				maxComp = t
 			}
 		}
-		if cfg.Trace {
-			for pe, t := range comp {
-				res.Events = append(res.Events, Event{
-					PE: pe, Phase: ph.Number, Kind: EventCompute, Peer: -1, End: t,
-				})
-			}
-		}
 
 		// 2. Point-to-point communication, if any.
 		var phaseEnd float64
 		if ph.HasPointToPoint() && p > 1 {
-			phaseEnd = r.simulateP2P(&r.plans[r.planOf[phIdx]], ph.Number, comp, cfg, oSend, oRecv, res)
+			phaseEnd = r.simulateP2P(&r.plans[r.planOf[phIdx]], comp, cfg.SerializeSends)
 		} else {
 			phaseEnd = maxComp
 		}
@@ -275,12 +205,6 @@ func (r *Runner) Simulate(cfg Config) (*Result, error) {
 			coll += cfg.Net.Allreduce(p, b)
 		}
 		res.CollectiveTime += coll
-		if cfg.Trace && coll > 0 {
-			res.Events = append(res.Events, Event{
-				PE: -1, Phase: ph.Number, Kind: EventCollective, Peer: -1,
-				Start: phaseEnd, End: phaseEnd + coll,
-			})
-		}
 
 		total := phaseEnd + coll
 		res.PhaseTimes[phIdx] = total
@@ -321,7 +245,7 @@ func (r *Runner) preparePlans(net *netmodel.Model) {
 			}
 			if k == r.nPlans {
 				r.plans[k].build(sum, bounds, ghost)
-				slots = max(slots, len(r.plans[k].from))
+				slots = max(slots, len(r.plans[k].bytes))
 				r.nPlans++
 			}
 			r.planOf[i] = k
@@ -371,9 +295,7 @@ func (pl *exchangePlan) build(sum *mesh.PartitionSummary, bounds []*mesh.PairBou
 
 	n := pl.sendOff[p]
 	pl.slot = make([]int32, n)
-	pl.to = make([]int32, n)
 	pl.wire = make([]float64, n)
-	pl.from = make([]int32, n)
 	pl.bytes = make([]int, n)
 	next := make([]int, p) // per receiver: its next free slot
 	copy(next, pl.recvOff)
@@ -387,8 +309,6 @@ func (pl *exchangePlan) build(sum *mesh.PartitionSummary, bounds []*mesh.PairBou
 				s := next[nb]
 				next[nb]++
 				pl.slot[m] = int32(s)
-				pl.to[m] = int32(nb)
-				pl.from[s] = int32(pe)
 				pl.bytes[s] = msg.Bytes
 				m++
 			}
@@ -400,28 +320,21 @@ func (pl *exchangePlan) build(sum *mesh.PartitionSummary, bounds []*mesh.PairBou
 // and returns the time at which the slowest processor has finished
 // computing, sending, and receiving. Phase-relative time: computation
 // starts at 0.
-func (r *Runner) simulateP2P(pl *exchangePlan, phase int, comp []float64, cfg Config, oSend, oRecv float64, res *Result) float64 {
+func (r *Runner) simulateP2P(pl *exchangePlan, comp []float64, serialize bool) float64 {
 	p := r.sum.P
 	arr := r.arrivals
 	for pe := 0; pe < p; pe++ {
 		t := comp[pe]
 		for m := pl.sendOff[pe]; m < pl.sendOff[pe+1]; m++ {
-			start := t
-			if cfg.SerializeSends {
+			if serialize {
 				// The whole wire time is charged before the next send.
-				t += oSend + pl.wire[m]
+				t += sendOverhead + pl.wire[m]
 				arr[pl.slot[m]] = t
 			} else {
 				// Asynchronous: the sender pays only the posting overhead;
 				// the transfer proceeds in the background.
-				t += oSend
+				t += sendOverhead
 				arr[pl.slot[m]] = t + pl.wire[m]
-			}
-			if cfg.Trace {
-				res.Events = append(res.Events, Event{
-					PE: pe, Phase: phase, Kind: EventSend, Peer: int(pl.to[m]),
-					Bytes: pl.bytes[pl.slot[m]], Start: start, End: t,
-				})
 			}
 		}
 		r.postDone[pe] = t
@@ -430,66 +343,31 @@ func (r *Runner) simulateP2P(pl *exchangePlan, phase int, comp []float64, cfg Co
 	// Receives: blocking, drained in arrival order after sends are posted.
 	end := 0.0
 	for pe := 0; pe < p; pe++ {
-		lo, hi := pl.recvOff[pe], pl.recvOff[pe+1]
-		var cpu float64
-		if cfg.Trace {
-			cpu = r.drainTraced(pl, pe, phase, lo, hi, oRecv, res)
-		} else {
-			cpu = drain(arr[lo:hi], r.postDone[pe], oRecv)
-		}
-		end = max(end, cpu)
+		end = max(end, drain(arr[pl.recvOff[pe]:pl.recvOff[pe+1]], r.postDone[pe]))
 	}
 	return end
 }
 
 // drain returns a receiver's CPU clock after it drains arrivals in
 // arrival order, starting from cpu, the time its last send was posted:
-// each receive waits for its message, then costs oRecv. Arrivals no later
-// than that post sort first and, the clock never decreasing (oRecv >= 0),
-// each adds exactly one oRecv, so they fold without sorting; only the
-// later ones are sorted. Only the times enter the fold, so the order of
-// equal times cannot matter. Reorders arrivals.
-func drain(arrivals []float64, cpu, oRecv float64) float64 {
+// each receive waits for its message, then costs recvOverhead. Arrivals
+// no later than that post sort first and, the clock never decreasing,
+// each adds exactly one recvOverhead, so they fold without sorting; only
+// the later ones are sorted. Only the times enter the fold, so the order
+// of equal times cannot matter. Reorders arrivals.
+func drain(arrivals []float64, cpu float64) float64 {
 	posted := cpu
 	late := arrivals[:0]
 	for _, a := range arrivals {
 		if a <= posted {
-			cpu += oRecv
+			cpu += recvOverhead
 		} else {
 			late = append(late, a)
 		}
 	}
 	slices.Sort(late)
 	for _, a := range late {
-		cpu = max(cpu, a) + oRecv
-	}
-	return cpu
-}
-
-// drainTraced is drain for receiver pe's slots [lo, hi), recording each
-// receive. Ties in arrival time drain by slot, i.e. by (sender, send
-// index), so the timeline is reproducible event for event.
-func (r *Runner) drainTraced(pl *exchangePlan, pe, phase, lo, hi int, oRecv float64, res *Result) float64 {
-	arr := r.arrivals
-	order := r.order[:0]
-	for s := lo; s < hi; s++ {
-		order = append(order, int32(s))
-	}
-	r.order = order
-	slices.SortFunc(order, func(a, b int32) int {
-		if c := cmp.Compare(arr[a], arr[b]); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	})
-	cpu := r.postDone[pe]
-	for _, s := range order {
-		start := cpu
-		cpu = max(cpu, arr[s]) + oRecv
-		res.Events = append(res.Events, Event{
-			PE: pe, Phase: phase, Kind: EventRecv, Peer: int(pl.from[s]),
-			Bytes: pl.bytes[s], Start: start, End: cpu,
-		})
+		cpu = max(cpu, a) + recvOverhead
 	}
 	return cpu
 }

@@ -43,22 +43,6 @@ func TestSimulateValidation(t *testing.T) {
 	}
 }
 
-// The receive drain folds early arrivals without sorting, which is exact
-// only while the CPU clock never runs backwards: negative or NaN
-// overheads are rejected.
-func TestSimulateRejectsBadOverheads(t *testing.T) {
-	sum := summarize(t, 16, 8, 4)
-	for _, o := range []struct{ send, recv float64 }{
-		{-1e-6, 0}, {0, -1e-6}, {math.NaN(), 0}, {0, math.NaN()},
-	} {
-		cfg := baseConfig()
-		cfg.SendOverhead, cfg.RecvOverhead = o.send, o.recv
-		if _, err := Simulate(sum, cfg); err == nil {
-			t.Errorf("overheads %g/%g accepted", o.send, o.recv)
-		}
-	}
-}
-
 func TestSimulateSingleProcessor(t *testing.T) {
 	d, err := mesh.BuildLayeredDeck(16, 8)
 	if err != nil {
@@ -143,7 +127,7 @@ func TestSimulatePhaseAccounting(t *testing.T) {
 	if r.CollectiveTime <= 0 {
 		t.Fatal("no collective time on 8 PEs")
 	}
-	tc := make([]float64, r.P)
+	tc := make([]float64, sum.P)
 	for ph := range r.ComputeTimes {
 		for pe, v := range r.ComputeTimes[ph] {
 			tc[pe] += v
@@ -162,7 +146,6 @@ func TestSimulatePhaseAccounting(t *testing.T) {
 func TestCommOnlyInCommPhases(t *testing.T) {
 	sum := summarize(t, 32, 16, 4)
 	cfg := baseConfig()
-	cfg.Exact = true
 	r, err := Simulate(sum, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -282,5 +265,59 @@ func TestFasterNetworkFasterIteration(t *testing.T) {
 	}
 	if b.IterationTime >= a.IterationTime {
 		t.Fatalf("InfiniBand (%v) not faster than GigE (%v)", b.IterationTime, a.IterationTime)
+	}
+}
+
+// Each point-to-point plan delivers every message exactly once: every
+// arrival slot is filled by one message, and each PE sends and receives
+// exactly the bytes the phases package enumerates for its boundaries, so
+// the bytes sent equal the bytes received.
+func TestExchangePlansPairSendsWithReceives(t *testing.T) {
+	sum := summarize(t, 64, 32, 16)
+	r := NewRunner(sum)
+	r.preparePlans(netmodel.QsNetI())
+	if r.nPlans != 3 {
+		t.Fatalf("built %d plans, want the boundary exchange and two ghost updates", r.nPlans)
+	}
+	for k := 0; k < r.nPlans; k++ {
+		pl := &r.plans[k]
+		wantSent := make([]int, sum.P)
+		wantRecv := make([]int, sum.P)
+		for pe, nbs := range sum.NeighborsOf {
+			for _, nb := range nbs {
+				var msgs []phases.Message
+				if pl.ghostBytes == 0 {
+					msgs = phases.AppendBoundaryExchangeMessages(nil, sum.Boundary(pe, nb))
+				} else {
+					msgs = phases.AppendGhostUpdateMessages(nil, sum.Boundary(pe, nb), pe, pl.ghostBytes)
+				}
+				for _, m := range msgs {
+					wantSent[pe] += m.Bytes
+					wantRecv[nb] += m.Bytes
+				}
+			}
+		}
+		filled := make([]int, len(pl.bytes))
+		for _, s := range pl.slot {
+			filled[s]++
+		}
+		for s, n := range filled {
+			if n != 1 {
+				t.Fatalf("plan %d (ghost %d B): slot %d filled %d times", k, pl.ghostBytes, s, n)
+			}
+		}
+		for pe := 0; pe < sum.P; pe++ {
+			sent, recv := 0, 0
+			for m := pl.sendOff[pe]; m < pl.sendOff[pe+1]; m++ {
+				sent += pl.bytes[pl.slot[m]]
+			}
+			for s := pl.recvOff[pe]; s < pl.recvOff[pe+1]; s++ {
+				recv += pl.bytes[s]
+			}
+			if sent != wantSent[pe] || recv != wantRecv[pe] {
+				t.Errorf("plan %d (ghost %d B), PE %d: sent %d B, received %d B; want %d and %d",
+					k, pl.ghostBytes, pe, sent, recv, wantSent[pe], wantRecv[pe])
+			}
+		}
 	}
 }

@@ -40,9 +40,6 @@ import (
 
 // Prediction is a modeled iteration time with its per-phase breakdown.
 type Prediction struct {
-	// P is the processor count the prediction is for.
-	P int
-
 	// Total is the predicted iteration time in seconds: the sum of the
 	// phase totals.
 	Total float64

@@ -165,7 +165,7 @@ func TestMeshSpecificPrediction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pred.Total <= 0 || pred.P != 16 {
+	if pred.Total <= 0 {
 		t.Fatalf("prediction = %+v", pred)
 	}
 	// Total equals the sum of phase totals.

@@ -38,9 +38,12 @@ func (m MaterialMode) String() string {
 // General is the paper's "general" model (§3.2): instead of examining each
 // subgrid produced by the partitioner, the input is classified as
 // heterogeneous or homogeneous, every processor holds Cells/PEs cells in a
-// square subgrid with NeighborCount neighbors, each shared boundary has
+// square subgrid with four neighbors, each shared boundary has
 // sqrt(Cells/PEs) faces divided equally among the materials in use, and
 // each boundary carries one more ghost node than faces, half locally owned.
+// Heterogeneous subgrids hold Table 2's global material ratio, and the
+// boundary exchange is the plain Equation (5) (no combining, no ghost
+// surcharge), as printed in the paper.
 type General struct {
 	// Costs holds the calibrated per-cell cost curves. Required.
 	Costs *compute.Calibrated
@@ -50,20 +53,11 @@ type General struct {
 
 	// Mode is the material assumption.
 	Mode MaterialMode
-
-	// Ratios is the global material ratio used in heterogeneous mode;
-	// defaults to Table 2's values when all-zero.
-	Ratios [mesh.NumMaterials]float64
-
-	// NeighborCount is the assumed neighbors per processor (default 4,
-	// the square-subgrid value).
-	NeighborCount int
-
-	// Exchange selects the §4.1 message-size refinements; the general
-	// model defaults to the plain Equation (5) (no combining, no ghost
-	// surcharge), as printed in the paper.
-	Exchange BoundaryExchangeOptions
 }
+
+// generalNeighbors is the general model's neighbors per processor: the
+// square-subgrid value.
+const generalNeighbors = 4
 
 // NewGeneral builds a general model in the given mode with paper-default
 // geometry.
@@ -71,32 +65,11 @@ func NewGeneral(costs *compute.Calibrated, net *netmodel.Model, mode MaterialMod
 	return &General{Costs: costs, Net: net, Mode: mode}
 }
 
-func (g *General) neighbors() int {
-	if g.NeighborCount <= 0 {
-		return 4
-	}
-	return g.NeighborCount
-}
-
-func (g *General) ratios() [mesh.NumMaterials]float64 {
-	zero := true
-	for _, r := range g.Ratios {
-		if r != 0 {
-			zero = false
-			break
-		}
-	}
-	if zero {
-		return mesh.Table2Heterogeneous
-	}
-	return g.Ratios
-}
-
 // subgridCounts returns the assumed per-processor material counts for a
 // subgrid of n cells in heterogeneous mode.
 func (g *General) subgridCounts(n int) [mesh.NumMaterials]int {
 	var counts [mesh.NumMaterials]int
-	r := g.ratios()
+	r := mesh.Table2Heterogeneous
 	assigned := 0
 	for m := 0; m < mesh.NumMaterials-1; m++ {
 		counts[m] = int(math.Round(r[m] * float64(n)))
@@ -160,7 +133,7 @@ func (g *General) Predict(totalCells, p int) (*Prediction, error) {
 	if n < 1 {
 		n = 1
 	}
-	pred := &Prediction{P: p}
+	pred := &Prediction{}
 
 	for i, ph := range phases.Table1() {
 		// Computation.
@@ -193,20 +166,20 @@ func (g *General) Predict(totalCells, p int) (*Prediction, error) {
 					var worst float64
 					for m := 0; m < mesh.NumMaterials; m++ {
 						b := g.syntheticBoundary(n, mesh.Material(m))
-						if t := BoundaryExchangeTime(g.Net, b, g.Exchange); t > worst {
+						if t := BoundaryExchangeTime(g.Net, b, BoundaryExchangeOptions{}); t > worst {
 							worst = t
 						}
 					}
 					per = worst
 				} else {
 					b := g.syntheticBoundary(n, mesh.HEGas)
-					per = BoundaryExchangeTime(g.Net, b, g.Exchange)
+					per = BoundaryExchangeTime(g.Net, b, BoundaryExchangeOptions{})
 				}
 			} else {
 				b := g.syntheticBoundary(n, mesh.HEGas)
 				per = GhostUpdateTime(g.Net, b, 0, ph.GhostUpdateBytes)
 			}
-			pred.PhaseP2P[i] = float64(g.neighbors()) * per
+			pred.PhaseP2P[i] = generalNeighbors * per
 		}
 
 		pred.PhaseCollective[i] = collectiveTime(g.Net, ph, p)

@@ -50,7 +50,7 @@ func (m *MeshSpecific) Predict(sum *mesh.PartitionSummary) (*Prediction, error) 
 	if sum == nil || sum.P <= 0 {
 		return nil, fmt.Errorf("core: empty partition summary")
 	}
-	pred := &Prediction{P: sum.P}
+	pred := &Prediction{}
 	for i, ph := range phases.Table1() {
 		// Equation (3): phase computation is the max over processors of
 		// the per-processor sum of per-cell costs.

@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -103,23 +102,25 @@ func New(cfg Config, faults *faultinject.Injector) (*Gateway, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
+	replicas := make([]string, len(cfg.Replicas))
+	for i, u := range cfg.Replicas {
+		replicas[i] = normalizeReplica(u)
 	}
+	cfg.Replicas = replicas
 	g := &Gateway{
 		cfg:    cfg,
 		faults: faults,
 		client: &http.Client{
 			Transport: faults.RoundTripper(http.DefaultTransport.(*http.Transport).Clone()),
 		},
-		ring:           newRing(cfg.Replicas, cfg.VirtualNodes),
+		ring:           newRing(cfg.Replicas, virtualNodes),
 		metrics:        metrics.NewRegistry(),
 		start:          time.Now(),
-		rng:            stats.NewSplitMix64(cfg.Seed),
+		rng:            stats.NewSplitMix64(jitterSeed),
 		proxiedByIndex: make([]atomic.Int64, len(cfg.Replicas)),
 	}
 	for _, u := range cfg.Replicas {
-		rep := &replica{url: strings.TrimRight(u, "/"), breaker: newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown)}
+		rep := &replica{url: u, breaker: newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown)}
 		// Replicas start healthy: the first probe corrects within one
 		// interval, and optimism just means one failed attempt that the
 		// retry/failover path absorbs anyway.

@@ -108,6 +108,36 @@ func TestGatewayRoutesConsistently(t *testing.T) {
 	}
 }
 
+// One backend spelled with and without a trailing slash is one replica:
+// New refuses the pair rather than giving the backend two ring shares
+// and two breakers, and gateways that spell their replicas differently
+// route every key to the same backend.
+func TestGatewayOneReplicaPerBackend(t *testing.T) {
+	_, err := New(testConfig("http://127.0.0.1:8081", "http://127.0.0.1:8081/"), nil)
+	if err == nil || !strings.Contains(err.Error(), `duplicate replica "http://127.0.0.1:8081/"`) {
+		t.Fatalf("New with one backend spelled twice: %v", err)
+	}
+	urls := testReplicas(4)
+	slashed := make([]string, len(urls))
+	for i, u := range urls {
+		slashed[i] = u + "/"
+	}
+	a, err := New(testConfig(urls...), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := New(testConfig(slashed...), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		key := fmt.Sprintf("predict|small|%d|general-homo|fp", i)
+		if ua, ub := a.replicas[a.ring.owner(key)].url, b.replicas[b.ring.owner(key)].url; ua != ub {
+			t.Fatalf("key %q routes to %s or %s depending on the spelling", key, ua, ub)
+		}
+	}
+}
+
 func TestGatewayFailsOverAndRetries(t *testing.T) {
 	var stubs []*stubReplica
 	var urls []string

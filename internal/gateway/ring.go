@@ -8,7 +8,7 @@ import (
 )
 
 // ring is a consistent-hash ring over replica indices. Each replica
-// owns VirtualNodes points on a uint64 circle, placed by hashing its
+// owns virtualNodes points on a uint64 circle, placed by hashing its
 // URL — so the assignment of keys to replicas depends only on the
 // replica set, not on list order, and adding or removing one replica
 // moves only the keys it owned. Keys are the serving tier's canonical

@@ -26,8 +26,10 @@ type Subgrid struct {
 	// connectivity carried by CellNodes only) plus the global detonator.
 	Deck *mesh.Deck
 	// GlobalCells maps local cell id to global cell id.
+	//krakcheck:ignore deadexport the tests' oracle for the local-to-global cell mapping
 	GlobalCells []int32
 	// GlobalNodes maps local node id to global node id.
+	//krakcheck:ignore deadexport the tests' oracle for the local-to-global node mapping
 	GlobalNodes []int32
 	// Neighbors lists adjacent ranks in ascending order.
 	Neighbors []NeighborLink

@@ -10,7 +10,6 @@ import (
 // LinearFit holds the result of a simple linear regression y = A + B*x.
 type LinearFit struct {
 	A, B float64 // intercept and slope
-	R2   float64 // coefficient of determination
 }
 
 // FitLinear performs an ordinary least-squares fit of y = A + B*x.
@@ -29,29 +28,17 @@ func FitLinear(xs, ys []float64) (LinearFit, error) {
 		sy += ys[i]
 	}
 	mx, my := sx/n, sy/n
-	var sxx, sxy, syy float64
+	var sxx, sxy float64
 	for i := range xs {
 		dx := xs[i] - mx
-		dy := ys[i] - my
 		sxx += dx * dx
-		sxy += dx * dy
-		syy += dy * dy
+		sxy += dx * (ys[i] - my)
 	}
 	if sxx == 0 {
 		return LinearFit{}, errors.New("linalg: FitLinear requires distinct x values")
 	}
 	b := sxy / sxx
-	a := my - b*mx
-	r2 := 1.0
-	if syy > 0 {
-		var ssRes float64
-		for i := range xs {
-			e := ys[i] - (a + b*xs[i])
-			ssRes += e * e
-		}
-		r2 = 1 - ssRes/syy
-	}
-	return LinearFit{A: a, B: b, R2: r2}, nil
+	return LinearFit{A: my - b*mx, B: b}, nil
 }
 
 // Piecewise is a continuous piecewise-linear function defined by breakpoints

@@ -31,11 +31,11 @@ func BuildTwoMaterialDeck(w, h int, probe Material) (*Deck, error) {
 }
 
 // Validate checks structural invariants: CCW positive areas, face-cell
-// consistency, and complete cell-face incidence.
+// consistency, and four faces per cell.
 func (m *Mesh) Validate() error {
-	if len(m.CellMaterial) != m.NumCells() || len(m.CellFaces) != m.NumCells() {
-		return fmt.Errorf("mesh: inconsistent cell arrays: %d cells, %d materials, %d face lists",
-			m.NumCells(), len(m.CellMaterial), len(m.CellFaces))
+	if len(m.CellMaterial) != m.NumCells() {
+		return fmt.Errorf("mesh: inconsistent cell arrays: %d cells, %d materials",
+			m.NumCells(), len(m.CellMaterial))
 	}
 	if len(m.NodeX) != len(m.NodeY) {
 		return fmt.Errorf("mesh: node coordinate arrays differ: %d vs %d", len(m.NodeX), len(m.NodeY))
@@ -45,26 +45,22 @@ func (m *Mesh) Validate() error {
 			return fmt.Errorf("mesh: cell %d has non-positive area %g (nodes not CCW?)", c, a)
 		}
 	}
+	faces := make([]int, m.NumCells())
 	for fi, f := range m.Faces {
-		if f.N0 < 0 || int(f.N0) >= m.NumNodes() || f.N1 < 0 || int(f.N1) >= m.NumNodes() {
-			return fmt.Errorf("mesh: face %d references invalid nodes", fi)
-		}
 		if f.C0 < 0 || int(f.C0) >= m.NumCells() {
 			return fmt.Errorf("mesh: face %d references invalid cell C0", fi)
 		}
 		if f.C1 >= int32(m.NumCells()) {
 			return fmt.Errorf("mesh: face %d references invalid cell C1", fi)
 		}
+		faces[f.C0]++
+		if f.C1 >= 0 {
+			faces[f.C1]++
+		}
 	}
-	for c, faces := range m.CellFaces {
-		for _, fi := range faces {
-			if fi < 0 || int(fi) >= m.NumFaces() {
-				return fmt.Errorf("mesh: cell %d lists invalid face %d", c, fi)
-			}
-			f := m.Faces[fi]
-			if f.C0 != int32(c) && f.C1 != int32(c) {
-				return fmt.Errorf("mesh: cell %d lists face %d that does not touch it", c, fi)
-			}
+	for c, n := range faces {
+		if n != 4 {
+			return fmt.Errorf("mesh: cell %d has %d faces, want 4", c, n)
 		}
 	}
 	return nil

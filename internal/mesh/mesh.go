@@ -88,7 +88,6 @@ func (g ExchangeGroup) String() string {
 
 // Face is an edge of the mesh shared by one or two cells.
 type Face struct {
-	N0, N1 int32 // node ids
 	C0, C1 int32 // adjacent cell ids; C1 == -1 on the domain boundary
 }
 
@@ -112,9 +111,8 @@ type Mesh struct {
 	// CellMaterial assigns exactly one material to each cell.
 	CellMaterial []Material
 
-	// Faces lists every face once; CellFaces indexes into it per cell.
-	Faces     []Face
-	CellFaces [][4]int32
+	// Faces lists every face once.
+	Faces []Face
 
 	// nodeCells is the node -> incident cells map, built lazily under
 	// nodeOnce so concurrent readers of a shared (cached) mesh are safe.
@@ -215,24 +213,19 @@ func BuildStructured(w, h int, lx, ly float64, mat func(cx, cy int) Material) (*
 
 	// Faces: vertical faces at x-index i in [0..w], horizontal at y-index j
 	// in [0..h]. Each is emitted once with its adjacent cells.
-	m.CellFaces = make([][4]int32, w*h)
 	m.Faces = make([]Face, 0, (w+1)*h+w*(h+1))
-	fill := make([]int, w*h) // next free slot per cell
+	fill := make([]int, w*h) // faces per cell
 	addFace := func(f Face) {
-		fi := int32(len(m.Faces))
 		m.Faces = append(m.Faces, f)
-		c0 := f.C0
-		m.CellFaces[c0][fill[c0]] = fi
-		fill[c0]++
+		fill[f.C0]++
 		if f.C1 >= 0 {
-			m.CellFaces[f.C1][fill[f.C1]] = fi
 			fill[f.C1]++
 		}
 	}
 	// Vertical faces (between horizontally adjacent cells, plus domain sides).
 	for j := 0; j < h; j++ {
 		for i := 0; i <= w; i++ {
-			f := Face{N0: node(i, j), N1: node(i, j+1)}
+			var f Face
 			switch {
 			case i == 0:
 				f.C0, f.C1 = cell(0, j), -1
@@ -247,7 +240,7 @@ func BuildStructured(w, h int, lx, ly float64, mat func(cx, cy int) Material) (*
 	// Horizontal faces.
 	for j := 0; j <= h; j++ {
 		for i := 0; i < w; i++ {
-			f := Face{N0: node(i, j), N1: node(i+1, j)}
+			var f Face
 			switch {
 			case j == 0:
 				f.C0, f.C1 = cell(i, 0), -1

@@ -90,40 +90,28 @@ func rcbSplit(g *Graph, idx []int32, k, base int, part []int) {
 	rcbSplit(g, idx[split:], kR, base+kL, part)
 }
 
-// Strips partitions by sorting vertices along one axis and cutting into k
+// Strips partitions by sorting vertices along x and cutting into k
 // equal-weight slabs. The paper's decks partitioned this way produce long
 // skinny subdomains with large boundaries — the "bad partitioner" baseline.
-type Strips struct {
-	// Vertical selects slabs stacked along y instead of x.
-	Vertical bool
-}
+type Strips struct{}
 
 // Name implements Partitioner.
-func (s Strips) Name() string {
-	if s.Vertical {
-		return "strips-y"
-	}
-	return "strips-x"
-}
+func (Strips) Name() string { return "strips-x" }
 
 // Partition implements Partitioner. The graph must carry coordinates.
-func (s Strips) Partition(g *Graph, k int) ([]int, error) {
+func (Strips) Partition(g *Graph, k int) ([]int, error) {
 	if err := validateArgs(g, k); err != nil {
 		return nil, err
 	}
 	if len(g.CoordX) != g.NumVertices() || len(g.CoordY) != g.NumVertices() {
 		return nil, fmt.Errorf("partition: strips requires vertex coordinates")
 	}
-	coord := g.CoordX
-	if s.Vertical {
-		coord = g.CoordY
-	}
 	n := g.NumVertices()
 	idx := make([]int32, n)
 	for i := range idx {
 		idx[i] = int32(i)
 	}
-	sort.SliceStable(idx, func(a, b int) bool { return coord[idx[a]] < coord[idx[b]] })
+	sort.SliceStable(idx, func(a, b int) bool { return g.CoordX[idx[a]] < g.CoordX[idx[b]] })
 	part := make([]int, n)
 	var total int64
 	for _, w := range g.VWgt {
@@ -169,7 +157,6 @@ func (r Random) Partition(g *Graph, k int) ([]int, error) {
 // Quality summarizes a partition for reports and ablations.
 type Quality struct {
 	Algorithm string
-	K         int
 	EdgeCut   int64
 	Imbalance float64
 }
@@ -180,7 +167,6 @@ type Quality struct {
 func QualityOf(name string, g *Graph, part []int, k int) Quality {
 	return Quality{
 		Algorithm: name,
-		K:         k,
 		EdgeCut:   Cut(g, part),
 		Imbalance: Imbalance(g, part, k),
 	}

@@ -10,29 +10,25 @@ import (
 // partitioning was the main lightweight alternative to multilevel graph
 // methods in the paper's era: near-perfect balance, good locality, no graph
 // needed — but typically ~20-40% worse edge cuts than METIS.
-type SFC struct {
-	// Order is the Hilbert curve refinement depth (default 16 bits/axis).
-	Order int
-}
+type SFC struct{}
+
+// hilbertOrder is the Hilbert curve's refinement depth in bits per axis.
+const hilbertOrder = 16
 
 // Name implements Partitioner.
 func (SFC) Name() string { return "hilbert-sfc" }
 
 // Partition implements Partitioner. The graph must carry coordinates.
-func (s SFC) Partition(g *Graph, k int) ([]int, error) {
+func (SFC) Partition(g *Graph, k int) ([]int, error) {
 	if err := validateArgs(g, k); err != nil {
 		return nil, err
 	}
 	if len(g.CoordX) != g.NumVertices() || len(g.CoordY) != g.NumVertices() {
 		return nil, fmt.Errorf("partition: sfc requires vertex coordinates")
 	}
-	order := s.Order
-	if order <= 0 || order > 30 {
-		order = 16
-	}
 	n := g.NumVertices()
 
-	// Normalize coordinates onto the [0, 2^order) integer lattice.
+	// Normalize coordinates onto the [0, 2^hilbertOrder) integer lattice.
 	minX, maxX := g.CoordX[0], g.CoordX[0]
 	minY, maxY := g.CoordY[0], g.CoordY[0]
 	for v := 1; v < n; v++ {
@@ -49,7 +45,7 @@ func (s SFC) Partition(g *Graph, k int) ([]int, error) {
 			maxY = g.CoordY[v]
 		}
 	}
-	side := uint32(1) << order
+	side := uint32(1) << hilbertOrder
 	scale := func(v, lo, hi float64) uint32 {
 		if hi <= lo {
 			return 0
@@ -72,7 +68,7 @@ func (s SFC) Partition(g *Graph, k int) ([]int, error) {
 	for v := 0; v < n; v++ {
 		hx := scale(g.CoordX[v], minX, maxX)
 		hy := scale(g.CoordY[v], minY, maxY)
-		keys[v] = keyed{v: int32(v), key: hilbertD(order, hx, hy)}
+		keys[v] = keyed{v: int32(v), key: hilbertD(hilbertOrder, hx, hy)}
 	}
 	sort.Slice(keys, func(a, b int) bool {
 		if keys[a].key != keys[b].key {

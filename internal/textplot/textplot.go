@@ -17,16 +17,21 @@ type Series struct {
 	Xs, Ys []float64
 }
 
-// Chart is a scatter/line chart with optional log axes.
+// Chart is a scatter/line chart with optional log axes, drawn on a plot
+// area of chartWidth x chartHeight characters.
 type Chart struct {
 	Title      string
 	XLabel     string
 	YLabel     string
-	Width      int // plot area width in characters (default 64)
-	Height     int // plot area height in characters (default 20)
 	LogX, LogY bool
 	serieses   []Series
 }
+
+// The plot area's size in characters.
+const (
+	chartWidth  = 64
+	chartHeight = 20
+)
 
 // AddSeries appends a series; markers default to letters a, b, c...
 func (c *Chart) AddSeries(s Series) {
@@ -34,17 +39,6 @@ func (c *Chart) AddSeries(s Series) {
 		s.Marker = "xo*+#@%&"[len(c.serieses)%8]
 	}
 	c.serieses = append(c.serieses, s)
-}
-
-func (c *Chart) dims() (w, h int) {
-	w, h = c.Width, c.Height
-	if w <= 0 {
-		w = 64
-	}
-	if h <= 0 {
-		h = 20
-	}
-	return w, h
 }
 
 func (c *Chart) transform(x, y float64) (fx, fy float64, ok bool) {
@@ -67,7 +61,7 @@ func (c *Chart) transform(x, y float64) (fx, fy float64, ok bool) {
 // collapse to the center. Rendering never fails; an empty chart yields a
 // frame with no markers.
 func (c *Chart) Render() string {
-	w, h := c.dims()
+	w, h := chartWidth, chartHeight
 	// Determine the data range in (possibly log-transformed) space.
 	minX, maxX := math.Inf(1), math.Inf(-1)
 	minY, maxY := math.Inf(1), math.Inf(-1)

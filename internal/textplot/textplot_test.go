@@ -22,7 +22,7 @@ func TestChartRenderBasics(t *testing.T) {
 }
 
 func TestChartLogAxesSkipNonPositive(t *testing.T) {
-	c := Chart{LogX: true, LogY: true, Width: 20, Height: 5}
+	c := Chart{LogX: true, LogY: true}
 	c.AddSeries(Series{Name: "s", Marker: '*', Xs: []float64{0, 10, 100}, Ys: []float64{-1, 10, 100}})
 	out := c.Render()
 	// The x<=0 / y<=0 points must be silently skipped, leaving one valid area.
