@@ -14,7 +14,9 @@
 // Partition identity is (deck content, partitioner name, seed, parts):
 // the partitioner's Name() must pin the algorithm and the caller must
 // pass the same seed the partitioner was built with, which is what keys
-// cached results to the machine configuration that produced them.
+// cached results to the machine configuration that produced them. The
+// Store lives in memory; DiskCache (disk.go) is the on-disk store the
+// server's machine registry keeps its history versions in.
 package artifacts
 
 import (

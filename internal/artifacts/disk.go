@@ -3,37 +3,32 @@ package artifacts
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
+	"syscall"
 )
 
-// DiskCache is a content-addressed directory of self-verifying entries
-// that survives restarts. Its one caller is the server's machine
-// registry, which persists each fingerprint's rendered history under the
-// "registry" kind, so a server restarted on the same directory serves it
-// again. Writes are atomic rename-into-place, so a reader — or a second
-// process over the same directory — never observes a torn entry.
+// DiskCache is a directory of immutable, self-verifying entries that
+// survives restarts and may be shared by any number of processes. Its
+// one caller is the server's machine registry, which keeps each version
+// of a history as an entry.
 //
-// Every entry is addressed by (kind, key): kind namespaces the entry
-// family and key is the caller's identity string. Entries are
-// self-verifying — a schema stamp and a payload checksum in the header —
-// and anything that fails verification (truncated write, bit rot, a
-// format change between versions) reads as a miss; Get deletes such
-// entries so the next Put rewrites them fresh.
-//
-// A nil *DiskCache is a valid no-op store: Get always misses, Put does
-// nothing. Callers thread the cache unconditionally and the nil case
-// disables persistence.
+// Entry (kind, key) is the file <dir>/<kind>/<key>.art: kind is one or
+// more '/'-separated names and key is one name, each passing validName,
+// so no entry lies outside dir. Put writes a temp file in the kind's
+// .tmp directory and links it into place, so an entry appears whole or
+// not at all and is never replaced: a taken name is an error matching
+// fs.ErrExist. Entries carry a schema stamp and a payload checksum; one
+// that fails verification (truncated, bit rot, a format change between
+// versions) reads as a miss, is counted, and is deleted.
 type DiskCache struct {
-	dir string
-
-	hits    atomic.Int64
-	misses  atomic.Int64
-	writes  atomic.Int64
+	dir     string
 	corrupt atomic.Int64
 }
 
@@ -42,15 +37,18 @@ type DiskCache struct {
 // different stamp read as misses, which is how version skew between
 // processes sharing a directory degrades (to a miss, never to
 // corruption).
-const diskSchema = "krakart/v1"
+const diskSchema = "krakart/v2"
 
 // maxDiskEntryBytes bounds how large an entry Get will load: registry
 // histories are far under this; anything larger is treated as corrupt
 // rather than trusted.
 const maxDiskEntryBytes = 1 << 28 // 256 MiB
 
-// OpenDiskCache opens (creating if needed) the content-addressed cache
-// rooted at dir.
+// ErrBadName is returned for a kind or key that validName refuses.
+var ErrBadName = errors.New("artifacts: invalid entry name")
+
+// OpenDiskCache opens (creating if needed) the entry directory rooted at
+// dir.
 func OpenDiskCache(dir string) (*DiskCache, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("artifacts: empty disk cache directory")
@@ -61,40 +59,44 @@ func OpenDiskCache(dir string) (*DiskCache, error) {
 	return &DiskCache{dir: dir}, nil
 }
 
-// path maps (kind, key) to the entry's file: the key is hashed so
-// arbitrary key strings (they embed deck names, fingerprints, separators)
-// become fixed-length file names, with a two-hex-digit fan-out directory
-// to keep listings manageable.
-func (c *DiskCache) path(kind, key string) string {
-	sum := sha256.Sum256([]byte(key))
-	name := hex.EncodeToString(sum[:])
-	return filepath.Join(c.dir, kind, name[:2], name+".art")
+// validName is the path-safe name rule for kind segments and keys: 1 to
+// 128 bytes of ASCII letters, digits and "._-|", with no leading dot. So
+// no name is a separator, "." or "..", or a hidden staging name.
+func validName(s string) bool {
+	const chars = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789._-|"
+	return s != "" && len(s) <= 128 && s[0] != '.' && strings.Trim(s, chars) == ""
 }
 
-// entryHeader renders the verification header: schema stamp and kind on
-// the first line, the full key on the second (collision guard and a
-// debugging aid), the payload checksum on the third.
-func entryHeader(kind, key string, payload []byte) []byte {
-	sum := sha256.Sum256(payload)
-	return fmt.Appendf(nil, "%s %s\n%s\n%s\n", diskSchema, kind, key, hex.EncodeToString(sum[:]))
+// path maps (kind, key) to the entry's file, or kind alone to its
+// directory, refusing any name validName does.
+func (c *DiskCache) path(kind string, key ...string) (string, error) {
+	names := append(strings.Split(kind, "/"), key...)
+	for _, n := range names {
+		if !validName(n) {
+			return "", fmt.Errorf("%w: %q in %q", ErrBadName, n, strings.Join(names, "/"))
+		}
+	}
+	p := filepath.Join(append([]string{c.dir}, names...)...)
+	if len(key) > 0 {
+		p += ".art"
+	}
+	return p, nil
 }
 
-// Get returns the payload stored for (kind, key). Any verification
-// failure — missing file, wrong schema stamp, key mismatch, checksum
-// mismatch, oversized entry — is a miss; invalid files are removed so the
-// next Put rewrites them.
+// Get returns the payload stored for (kind, key). An invalid name, a
+// missing file, or any verification failure — wrong schema stamp or
+// kind, checksum mismatch, oversized entry — is a miss; entries that
+// fail verification are removed.
 func (c *DiskCache) Get(kind, key string) ([]byte, bool) {
-	if c == nil {
+	p, err := c.path(kind, key)
+	if err != nil {
 		return nil, false
 	}
-	p := c.path(kind, key)
-	// One descriptor for the size check and the read: a sibling replica
-	// renaming a fresh entry into place between a Stat of the path and a
-	// read of it would bound one file and load another. The read takes
-	// exactly the checked size, so it is bounded by construction.
+	// One descriptor for the size check and the read: the read takes
+	// exactly the checked size, so it is bounded by construction, and an
+	// entry deleted after the open still reads whole.
 	f, err := os.Open(p)
 	if err != nil {
-		c.misses.Add(1)
 		return nil, false
 	}
 	defer f.Close()
@@ -105,110 +107,82 @@ func (c *DiskCache) Get(kind, key string) ([]byte, bool) {
 		_, err = io.ReadFull(f, data)
 	}
 	if err != nil {
-		c.misses.Add(1)
 		return nil, false
 	}
 	// An oversized entry leaves data empty and is dropped like any other
-	// corrupt one.
-	payload, ok := verifyEntry(kind, key, data)
-	if !ok {
-		c.drop(p)
-		c.misses.Add(1)
-		return nil, false
-	}
-	c.hits.Add(1)
-	return payload, true
-}
-
-// verifyEntry checks an entry's header against the expected (kind, key)
-// and the payload against its checksum, returning the payload on success.
-func verifyEntry(kind, key string, data []byte) ([]byte, bool) {
-	rest, ok := cutLine(data, diskSchema+" "+kind)
-	if !ok {
-		return nil, false
-	}
-	rest, ok = cutLine(rest, key)
-	if !ok {
-		return nil, false
-	}
-	nl := bytes.IndexByte(rest, '\n')
-	if nl < 0 {
-		return nil, false
-	}
-	wantSum, payload := string(rest[:nl]), rest[nl+1:]
-	sum := sha256.Sum256(payload)
-	if hex.EncodeToString(sum[:]) != wantSum {
+	// corrupt one; a failed removal leaves it reading as a miss.
+	rest, stamped := bytes.CutPrefix(data, []byte(diskSchema+" "+kind+"\n"))
+	sum, payload, _ := bytes.Cut(rest, []byte("\n"))
+	if !stamped || string(sum) != fmt.Sprintf("%x", sha256.Sum256(payload)) {
+		c.corrupt.Add(1)
+		os.Remove(p)
 		return nil, false
 	}
 	return payload, true
 }
 
-// cutLine strips a "want\n" prefix from data, reporting whether it was
-// there.
-func cutLine(data []byte, want string) ([]byte, bool) {
-	if len(data) < len(want)+1 || string(data[:len(want)]) != want || data[len(want)] != '\n' {
-		return nil, false
-	}
-	return data[len(want)+1:], true
-}
-
-// drop removes an invalid entry, counting it; removal errors are ignored
-// (the entry keeps reading as corrupt, which is still just a miss).
-func (c *DiskCache) drop(p string) {
-	c.corrupt.Add(1)
-	os.Remove(p)
-}
-
-// Put stores payload under (kind, key). The write is atomic: a temp file
-// in the entry's directory renamed into place, so concurrent readers and
-// other processes never see a partial entry. A write that fails leaves
-// any previous entry in place and returns the error; on the nil cache Put
-// does nothing.
+// Put creates the entry (kind, key) holding payload, under a header of
+// the schema stamp and kind, then the payload's checksum. If the name
+// is taken, by this process or another, it returns an error matching
+// fs.ErrExist and the existing entry stays as it was.
 func (c *DiskCache) Put(kind, key string, payload []byte) error {
-	if c == nil {
-		return nil
-	}
-	p := c.path(kind, key)
-	dir := filepath.Dir(p)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("artifacts: writing %s entry: %w", kind, err)
-	}
-	tmp, err := os.CreateTemp(dir, ".tmp-*")
+	p, err := c.path(kind, key)
 	if err != nil {
-		return fmt.Errorf("artifacts: writing %s entry: %w", kind, err)
+		return err
 	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	_, err = tmp.Write(entryHeader(kind, key, payload))
-	if err == nil {
-		_, err = tmp.Write(payload)
+	stage := filepath.Join(filepath.Dir(p), ".tmp")
+	if err := os.MkdirAll(stage, 0o755); err != nil {
+		return fmt.Errorf("artifacts: writing %s entry %s: %w", kind, key, err)
 	}
+	tmp, err := os.CreateTemp(stage, "put-*")
+	if err != nil {
+		return fmt.Errorf("artifacts: writing %s entry %s: %w", kind, key, err)
+	}
+	defer os.Remove(tmp.Name()) // once linked, the entry is a second name for the file
+	_, err = fmt.Fprintf(tmp, "%s %s\n%x\n%s", diskSchema, kind, sha256.Sum256(payload), payload)
 	if cerr := tmp.Close(); err == nil {
 		err = cerr
 	}
 	if err == nil {
-		err = os.Rename(tmp.Name(), p)
+		err = os.Link(tmp.Name(), p)
 	}
 	if err != nil {
-		return fmt.Errorf("artifacts: writing %s entry: %w", kind, err)
+		return fmt.Errorf("artifacts: writing %s entry %s: %w", kind, key, err)
 	}
-	c.writes.Add(1)
 	return nil
 }
 
-// DiskStats is a point-in-time snapshot of a DiskCache's counters.
-type DiskStats struct {
-	Hits, Misses, Writes, Corrupt int64
+// List returns the names directly under kind, in byte order: the keys
+// of its entries and the names of its sub-kinds. A kind nothing was
+// stored under, or whose path runs through a regular file, has none.
+func (c *DiskCache) List(kind string) ([]string, error) {
+	dir, err := c.path(kind)
+	if err != nil {
+		return nil, err
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil && !errors.Is(err, fs.ErrNotExist) && !errors.Is(err, syscall.ENOTDIR) {
+		return nil, fmt.Errorf("artifacts: listing %s: %w", kind, err)
+	}
+	var names []string
+	for _, e := range ents {
+		if name := strings.TrimSuffix(e.Name(), ".art"); validName(name) {
+			names = append(names, name)
+		}
+	}
+	return names, nil
 }
 
-// Stats snapshots the cache's counters (zeros for the nil cache).
-func (c *DiskCache) Stats() DiskStats {
-	if c == nil {
-		return DiskStats{}
+// Remove deletes the entry (kind, key) if it can. It is best effort: an
+// entry that stays behind is one List still returns, nothing more.
+func (c *DiskCache) Remove(kind, key string) {
+	if p, err := c.path(kind, key); err == nil {
+		os.Remove(p)
 	}
-	return DiskStats{
-		Hits:    c.hits.Load(),
-		Misses:  c.misses.Load(),
-		Writes:  c.writes.Load(),
-		Corrupt: c.corrupt.Load(),
-	}
+}
+
+// Corrupt reports how many entries Get has discarded as corrupt,
+// oversized or version-skewed.
+func (c *DiskCache) Corrupt() int64 {
+	return c.corrupt.Load()
 }

@@ -1,13 +1,28 @@
 package artifacts
 
 import (
+	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 )
 
+// present reports whether a file exists at p.
+func present(t *testing.T, p string) bool {
+	t.Helper()
+	_, err := os.Stat(p)
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		t.Fatal(err)
+	}
+	return err == nil
+}
+
 func TestDiskCacheRoundTrip(t *testing.T) {
-	dc, err := OpenDiskCache(t.TempDir())
+	dir := t.TempDir()
+	dc, err := OpenDiskCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -15,7 +30,9 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 		t.Fatal("hit on empty cache")
 	}
 	payload := []byte("hello artifact")
-	dc.Put("vector", "k", payload)
+	if err := dc.Put("vector", "k", payload); err != nil {
+		t.Fatal(err)
+	}
 	got, ok := dc.Get("vector", "k")
 	if !ok || string(got) != string(payload) {
 		t.Fatalf("Get = %q/%v, want %q", got, ok, payload)
@@ -24,27 +41,111 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 	if _, ok := dc.Get("response", "k"); ok {
 		t.Fatal("kinds share a namespace")
 	}
-	st := dc.Stats()
-	if st.Hits != 1 || st.Misses != 2 || st.Writes != 1 || st.Corrupt != 0 {
-		t.Fatalf("stats = %+v, want 1 hit / 2 misses / 1 write / 0 corrupt", st)
+	// The entry is the one file named by (kind, key); nothing was written
+	// for the kind that only missed.
+	if !present(t, filepath.Join(dir, "vector", "k.art")) {
+		t.Fatal("entry not at <dir>/vector/k.art")
+	}
+	if present(t, filepath.Join(dir, "response")) {
+		t.Fatal("a miss created the response kind")
+	}
+	if dc.Corrupt() != 0 {
+		t.Fatalf("corrupt = %d, want 0", dc.Corrupt())
 	}
 }
 
-// entryFile locates the single on-disk entry under the cache dir so tests
-// can corrupt or rewrite it.
-func entryFile(t *testing.T, dir string) string {
-	t.Helper()
-	var found string
-	err := filepath.WalkDir(dir, func(p string, d os.DirEntry, err error) error {
-		if err == nil && !d.IsDir() {
-			found = p
+// TestDiskCachePutNeverReplaces pins immutability: a second Put of a
+// taken name fails with an error matching fs.ErrExist and the first
+// payload stays.
+func TestDiskCachePutNeverReplaces(t *testing.T) {
+	dc, err := OpenDiskCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dc.Put("registry/fp", "1", []byte("first")); err != nil {
+		t.Fatal(err)
+	}
+	if err := dc.Put("registry/fp", "1", []byte("second")); !errors.Is(err, fs.ErrExist) {
+		t.Fatalf("second Put = %v, want an fs.ErrExist error", err)
+	}
+	if got, ok := dc.Get("registry/fp", "1"); !ok || string(got) != "first" {
+		t.Fatalf("Get = %q/%v, want the first payload", got, ok)
+	}
+}
+
+// TestDiskCacheList pins the one listing method: entry keys and sub-kind
+// names, without the staging directory.
+func TestDiskCacheList(t *testing.T) {
+	dir := t.TempDir()
+	dc, err := OpenDiskCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if names, err := dc.List("registry"); err != nil || names != nil {
+		t.Fatalf("List of an empty kind = %v, %v", names, err)
+	}
+	for _, e := range []struct{ kind, key string }{{"registry/a", "1"}, {"registry/a", "2"}, {"registry/b", "1"}} {
+		if err := dc.Put(e.kind, e.key, []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for kind, want := range map[string][]string{"registry": {"a", "b"}, "registry/a": {"1", "2"}} {
+		if got, err := dc.List(kind); err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("List(%q) = %v, %v; want %v", kind, got, err, want)
+		}
+	}
+	dc.Remove("registry/a", "1")
+	if got, _ := dc.List("registry/a"); !reflect.DeepEqual(got, []string{"2"}) {
+		t.Errorf("List after Remove = %v, want [2]", got)
+	}
+}
+
+// TestDiskCacheNamesArePathSafe feeds kinds and keys that would leave the
+// directory or hide in it: each is refused by Put and List with
+// ErrBadName, misses on Get, and no file appears anywhere.
+func TestDiskCacheNamesArePathSafe(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "cache")
+	dc, err := OpenDiskCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := strings.Repeat("f", 129)
+	badKinds := []string{"", "..", "../x", "a/../b", "a/..", "/a", "a/", "a//b", ".hidden", "a/.b", "a\\b", long}
+	badKeys := []string{"", ".", "..", "../1", "a/b", "/1", "1/", ".1", "a b", long}
+	for _, kind := range badKinds {
+		if err := dc.Put(kind, "1", []byte("x")); !errors.Is(err, ErrBadName) {
+			t.Errorf("Put kind %q = %v, want ErrBadName", kind, err)
+		}
+		if _, err := dc.List(kind); !errors.Is(err, ErrBadName) {
+			t.Errorf("List kind %q = %v, want ErrBadName", kind, err)
+		}
+		if _, ok := dc.Get(kind, "1"); ok {
+			t.Errorf("Get kind %q hit", kind)
+		}
+	}
+	for _, key := range badKeys {
+		if err := dc.Put("registry", key, []byte("x")); !errors.Is(err, ErrBadName) {
+			t.Errorf("Put key %q = %v, want ErrBadName", key, err)
+		}
+		if _, ok := dc.Get("registry", key); ok {
+			t.Errorf("Get key %q hit", key)
+		}
+	}
+	var files []string
+	filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+		if err == nil && p != root && p != dir {
+			files = append(files, p)
 		}
 		return err
 	})
-	if err != nil || found == "" {
-		t.Fatalf("no entry file under %s (err=%v)", dir, err)
+	if len(files) != 0 {
+		t.Fatalf("refused names created %v", files)
 	}
-	return found
+	// The replay keys krakbench stores are well-formed names.
+	if err := dc.Put("response", "replay|0", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestDiskCacheCorruptEntryIsMissAndDropped flips payload bytes and checks
@@ -57,7 +158,7 @@ func TestDiskCacheCorruptEntryIsMissAndDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	dc.Put("vector", "k", []byte("payload bytes"))
-	p := entryFile(t, dir)
+	p := filepath.Join(dir, "vector", "k.art")
 	data, err := os.ReadFile(p)
 	if err != nil {
 		t.Fatal(err)
@@ -69,13 +170,15 @@ func TestDiskCacheCorruptEntryIsMissAndDropped(t *testing.T) {
 	if _, ok := dc.Get("vector", "k"); ok {
 		t.Fatal("corrupt entry verified")
 	}
-	if _, err := os.Stat(p); !os.IsNotExist(err) {
-		t.Fatalf("corrupt entry not removed: %v", err)
+	if present(t, p) {
+		t.Fatal("corrupt entry not removed")
 	}
-	if st := dc.Stats(); st.Corrupt != 1 {
-		t.Fatalf("corrupt count = %d, want 1", st.Corrupt)
+	if dc.Corrupt() != 1 {
+		t.Fatalf("corrupt count = %d, want 1", dc.Corrupt())
 	}
-	dc.Put("vector", "k", []byte("payload bytes"))
+	if err := dc.Put("vector", "k", []byte("payload bytes")); err != nil {
+		t.Fatal(err)
+	}
 	if _, ok := dc.Get("vector", "k"); !ok {
 		t.Fatal("rewritten entry missed")
 	}
@@ -90,16 +193,16 @@ func TestDiskCacheVersionSkewIsMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	dc.Put("vector", "k", []byte("old payload"))
-	p := entryFile(t, dir)
-	skewed := append([]byte("krakart/v999 vector\nk\n"), []byte("deadbeef\nnew payload")...)
+	p := filepath.Join(dir, "vector", "k.art")
+	skewed := append([]byte("krakart/v999 vector\n"), []byte("deadbeef\nnew payload")...)
 	if err := os.WriteFile(p, skewed, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := dc.Get("vector", "k"); ok {
 		t.Fatal("version-skewed entry verified")
 	}
-	if st := dc.Stats(); st.Corrupt != 1 {
-		t.Fatalf("corrupt count = %d, want 1", st.Corrupt)
+	if present(t, p) || dc.Corrupt() != 1 {
+		t.Fatalf("skewed entry present=%v, corrupt count = %d; want dropped and 1", present(t, p), dc.Corrupt())
 	}
 }
 
@@ -112,31 +215,23 @@ func TestDiskCacheSharedBetweenInstances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.Put("response", "GET /v1/predict", []byte(`{"ok":true}`))
+	a.Put("response", "replay|1", []byte(`{"ok":true}`))
 	b, err := OpenDiskCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := b.Get("response", "GET /v1/predict")
+	got, ok := b.Get("response", "replay|1")
 	if !ok || string(got) != `{"ok":true}` {
 		t.Fatalf("second instance Get = %q/%v", got, ok)
+	}
+	if err := b.Put("response", "replay|1", []byte("other")); !errors.Is(err, fs.ErrExist) {
+		t.Fatalf("second instance replaced a taken entry: %v", err)
 	}
 }
 
 func TestOpenDiskCacheRejectsEmptyDir(t *testing.T) {
 	if _, err := OpenDiskCache(""); err == nil {
 		t.Fatal("empty dir accepted")
-	}
-}
-
-func TestNilDiskCacheIsNoOp(t *testing.T) {
-	var dc *DiskCache
-	dc.Put("vector", "k", []byte("x"))
-	if _, ok := dc.Get("vector", "k"); ok {
-		t.Fatal("nil cache hit")
-	}
-	if st := dc.Stats(); st != (DiskStats{}) {
-		t.Fatalf("nil cache stats = %+v", st)
 	}
 }
 
@@ -150,17 +245,17 @@ func TestDiskCacheOversizeEntryIsMissAndDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	dc.Put("vector", "k", []byte("payload bytes"))
-	p := entryFile(t, dir)
+	p := filepath.Join(dir, "vector", "k.art")
 	if err := os.Truncate(p, maxDiskEntryBytes+1); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := dc.Get("vector", "k"); ok {
 		t.Fatal("oversized entry served")
 	}
-	if _, err := os.Stat(p); !os.IsNotExist(err) {
-		t.Fatalf("oversized entry not removed: %v", err)
+	if present(t, p) {
+		t.Fatal("oversized entry not removed")
 	}
-	if st := dc.Stats(); st.Corrupt != 1 {
-		t.Fatalf("corrupt count = %d, want 1", st.Corrupt)
+	if dc.Corrupt() != 1 {
+		t.Fatalf("corrupt count = %d, want 1", dc.Corrupt())
 	}
 }

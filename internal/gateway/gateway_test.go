@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"krak/internal/server"
 	"krak/pkg/krak"
 )
 
@@ -524,5 +525,94 @@ func TestGatewayAppendsReachHistoryOwner(t *testing.T) {
 	}
 	if len(hist.Versions) != 1+appends {
 		t.Fatalf("history holds %d versions, want %d", len(hist.Versions), 1+appends)
+	}
+}
+
+// TestGatewayFailoverServesSharedHistory pins failover for the machine
+// registry: three replicas share one cache directory, a machine is
+// registered and appended to through the gateway, and the replica that
+// owns machines|<fingerprint> is closed. A read through the gateway
+// must fail over to a sibling that serves the same bytes; with a
+// registry per replica the sibling answered 404 "unknown machine
+// fingerprint".
+func TestGatewayFailoverServesSharedHistory(t *testing.T) {
+	dir := t.TempDir()
+	var (
+		urls     []string
+		replicas []*httptest.Server
+	)
+	for i := 0; i < 3; i++ {
+		h, err := server.New(server.Config{Quick: true, CacheDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { h.Close() })
+		ts := httptest.NewServer(h)
+		t.Cleanup(ts.Close)
+		urls = append(urls, ts.URL)
+		replicas = append(replicas, ts)
+	}
+	cfg := testConfig(urls...)
+	cfg.Quick = true
+	g, err := New(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const dataset = "obs small 2 0.052\nobs small 4 0.031\nobs small 8 0.021\nobs small 16 0.015\n"
+	calBody, _ := json.Marshal(krak.CalibrateRequest{Dataset: dataset})
+	rec := post(t, g, "/v1/calibrate", calBody)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("calibrate: %d %s", rec.Code, rec.Body)
+	}
+	var cr krak.CalibrationResult
+	if err := json.Unmarshal(rec.Body.Bytes(), &cr); err != nil {
+		t.Fatal(err)
+	}
+	fp := cr.FittedFingerprint
+	regBody, _ := json.Marshal(krak.RegisterMachineRequest{Result: &cr, Dataset: dataset})
+	rec = post(t, g, "/v1/machines/"+fp, regBody)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("register: %d %s", rec.Code, rec.Body)
+	}
+	// Every replica serves what the gateway does, read directly: version
+	// 1 now, and after the appends below the newest version.
+	direct := func(want string) {
+		t.Helper()
+		for i, u := range urls {
+			resp, err := http.Get(u + "/v1/machines/" + fp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK || string(body) != want {
+				t.Fatalf("replica %d read directly: %d; same bytes as the gateway = %v", i, resp.StatusCode, string(body) == want)
+			}
+		}
+	}
+	direct(rec.Body.String())
+	for i := 0; i < 2; i++ {
+		body, _ := json.Marshal(krak.AppendRequest{Fingerprint: fp, Dataset: fmt.Sprintf("obs small %d 0.03\n", 3+i)})
+		if rec := post(t, g, "/v1/calibrate/append", body); rec.Code != http.StatusOK {
+			t.Fatalf("append %d: %d %s", i, rec.Code, rec.Body)
+		}
+	}
+	history := func() *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		g.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/machines/"+fp, nil))
+		return rec
+	}
+	before := history()
+	if before.Code != http.StatusOK {
+		t.Fatalf("history: %d %s", before.Code, before.Body)
+	}
+	direct(before.Body.String())
+
+	replicas[g.ring.owner("machines|"+fp)].Close()
+	after := history()
+	if after.Code != http.StatusOK || after.Body.String() != before.Body.String() {
+		t.Fatalf("history after its owner closed: %d %s; byte-identical = %v",
+			after.Code, after.Body, after.Body.String() == before.Body.String())
 	}
 }

@@ -3,8 +3,11 @@ package server
 import (
 	"errors"
 	"fmt"
+	"io/fs"
+	"os"
 	"slices"
-	"sync"
+	"strconv"
+	"sync/atomic"
 
 	"krak/internal/artifacts"
 	"krak/pkg/krak"
@@ -16,25 +19,32 @@ import (
 // recalibrations (explicit re-registration, or the append endpoint's
 // refit) stack as further versions under the same fingerprint, each
 // carrying the dataset text it was fitted on so the next append can
-// refit from it. Histories are rendered once, served as stored bytes,
-// and persisted through the content-addressed disk cache — a server
-// restarted on the same -cache-dir serves registered history
-// byte-identically without refitting anything.
+// refit from it.
+//
+// Nothing is held in memory: version n of fingerprint fp is the
+// immutable DiskCache entry (kind "registry/<fp>", key "n") holding the
+// history up to n as GET serves it. A read serves the newest entry; a
+// write creates n+1 from the n its caller read, or answers 409 if
+// another write took n+1 first, so no write drops another's
+// observations. Restarts, and any number of servers sharing one
+// -cache-dir, therefore serve one history byte-identically.
 
 const (
-	// maxRegistryMachines caps distinct registered fingerprints, like
-	// the machine cache: registration is a write amplified by disk
-	// persistence, so an open-ended stream of novel fingerprints must
-	// saturate rather than exhaust the store. Known fingerprints keep
-	// accepting versions past the cap.
+	// maxRegistryMachines caps distinct fingerprints per directory —
+	// fleet-wide when replicas share one — so a stream of novel
+	// fingerprints saturates rather than exhausts the store. Known
+	// fingerprints keep accepting versions past the cap.
 	maxRegistryMachines = 64
 
 	// maxRegistryVersions bounds one machine's history; past it the
 	// oldest versions fall off while version numbers keep counting up.
 	maxRegistryVersions = 16
 
-	// registryKind namespaces registry histories in the disk tier.
 	registryKind = "registry"
+
+	// maxReadAttempts bounds how often a read lists a fingerprint's
+	// entries again after the one it chose vanished.
+	maxReadAttempts = 8
 )
 
 // errRegistryFull is the 503 the registry cap returns.
@@ -43,106 +53,170 @@ var errRegistryFull = errors.New("server: machine registry is full; retry with a
 // errUnknownMachine is the 404 for fingerprints never registered.
 var errUnknownMachine = errors.New("server: unknown machine fingerprint")
 
-// machineRegistry is the bounded, disk-backed fingerprint → history
-// store. Safe for concurrent use.
+// errVersionTaken is the 409 for a write another write beat to its
+// version: the history changed since the caller read it.
+var errVersionTaken = errors.New("server: machine history changed since it was read; read it again and retry")
+
+// machineRegistry is the fingerprint → history store. Safe for
+// concurrent use, within and across processes.
 type machineRegistry struct {
-	mu   sync.Mutex
-	hist map[string]*krak.MachineHistory
-	body map[string][]byte
-	disk *artifacts.DiskCache
+	// disk is set by New for a -cache-dir. Without one it stays nil,
+	// nothing registered, until the first registration makes a private
+	// temporary directory (temp), which Server.Close removes.
+	disk atomic.Pointer[artifacts.DiskCache]
+	temp atomic.Pointer[string]
 }
 
-func newMachineRegistry(disk *artifacts.DiskCache) *machineRegistry {
-	return &machineRegistry{
-		hist: map[string]*krak.MachineHistory{},
-		body: map[string][]byte{},
-		disk: disk,
+// corrupt counts the entries reads discarded as corrupt.
+func (g *machineRegistry) corrupt() float64 {
+	if dc := g.disk.Load(); dc != nil {
+		return float64(dc.Corrupt())
 	}
+	return 0
 }
 
-// len reports how many fingerprints are registered in memory.
+// open returns the store, making the private directory on first use.
+func (g *machineRegistry) open() (*artifacts.DiskCache, error) {
+	if dc := g.disk.Load(); dc != nil {
+		return dc, nil
+	}
+	dir, err := os.MkdirTemp("", "krak-registry-")
+	if err != nil {
+		return nil, fmt.Errorf("server: making the registry directory: %w", err)
+	}
+	dc, _ := artifacts.OpenDiskCache(dir) // cannot fail: dir exists
+	if g.disk.CompareAndSwap(nil, dc) {
+		g.temp.Store(&dir)
+	} else {
+		os.RemoveAll(dir) // a concurrent first registration made one
+	}
+	return g.disk.Load(), nil
+}
+
+// len reports how many fingerprints the directory holds.
 func (g *machineRegistry) len() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.hist)
+	var names []string
+	if dc := g.disk.Load(); dc != nil {
+		names, _ = dc.List(registryKind)
+	}
+	return len(names)
 }
 
-// loadLocked returns the fingerprint's history, consulting the disk
-// tier on a memory miss (the restart path) and repopulating memory so
-// later appends keep numbering versions correctly. Callers hold g.mu.
-func (g *machineRegistry) loadLocked(fp string) (*krak.MachineHistory, []byte, error) {
-	if h, ok := g.hist[fp]; ok {
-		return h, g.body[fp], nil
+// newestVersion returns the highest version among entry names, 0 if none.
+func newestVersion(names []string) int {
+	n := 0
+	for _, name := range names {
+		if v, err := strconv.Atoi(name); err == nil && v > n {
+			n = v
+		}
 	}
-	b, ok := g.disk.Get(registryKind, fp)
-	if !ok {
-		return nil, nil, errUnknownMachine
+	return n
+}
+
+// history returns the newest stored rendered history for a fingerprint.
+// A fingerprint the entry name rule refuses touches no file. An entry
+// that vanishes between the listing and the read (a newer write pruned
+// it, or it was corrupt) sends the read back to the listing.
+func (g *machineRegistry) history(fp string) ([]byte, error) {
+	dc := g.disk.Load()
+	if dc == nil {
+		return nil, errUnknownMachine
+	}
+	kind := registryKind + "/" + fp
+	for range maxReadAttempts {
+		names, err := dc.List(kind)
+		if err != nil {
+			return nil, err
+		}
+		n := newestVersion(names)
+		if n == 0 {
+			return nil, errUnknownMachine
+		}
+		if b, ok := dc.Get(kind, strconv.Itoa(n)); ok {
+			return b, nil
+		}
+	}
+	return nil, fmt.Errorf("server: history of %s kept changing while being read", fp)
+}
+
+// read returns the newest stored history for a fingerprint, decoded.
+func (g *machineRegistry) read(fp string) (*krak.MachineHistory, error) {
+	b, err := g.history(fp)
+	if err != nil {
+		return nil, err
 	}
 	h := &krak.MachineHistory{}
 	if err := h.UnmarshalJSON(b); err != nil {
-		return nil, nil, fmt.Errorf("registry entry for %s is corrupt: %w", fp, err)
+		return nil, fmt.Errorf("registry entry for %s is corrupt: %w", fp, err)
 	}
-	g.hist[fp] = h
-	g.body[fp] = b
-	return h, b, nil
-}
-
-// history returns the stored rendered history for a fingerprint.
-func (g *machineRegistry) history(fp string) ([]byte, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	_, b, err := g.loadLocked(fp)
-	return b, err
-}
-
-// latest returns the newest registered version for a fingerprint.
-func (g *machineRegistry) latest(fp string) (krak.MachineVersion, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	h, _, err := g.loadLocked(fp)
-	if err != nil {
-		return krak.MachineVersion{}, err
+	if len(h.Versions) == 0 {
+		return nil, fmt.Errorf("registry entry for %s holds no versions", fp)
 	}
-	return h.Versions[len(h.Versions)-1], nil
+	return h, nil
 }
 
-// register records a calibration as the fingerprint's next version and
-// returns the updated rendered history. New fingerprints past the cap
-// are refused with errRegistryFull; known ones always accept. With a
-// cache directory the history is persisted before it is published: a
-// failed write fails the registration and leaves the registry as it was,
-// so nothing is served that a restart would lose.
+// register records a calibration as the version after the newest stored
+// one and returns the rendered history.
 func (g *machineRegistry) register(fp string, res *krak.CalibrationResult, dataset string) ([]byte, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	h, _, err := g.loadLocked(fp)
-	if errors.Is(err, errUnknownMachine) {
-		if len(g.hist) >= maxRegistryMachines {
-			return nil, errRegistryFull
-		}
-		h = &krak.MachineHistory{Fingerprint: fp}
-	} else if err != nil {
+	h, err := g.read(fp)
+	if err != nil && !errors.Is(err, errUnknownMachine) {
 		return nil, err
 	}
-	next := 1
-	if n := len(h.Versions); n > 0 {
-		next = h.Versions[n-1].Version + 1
+	return g.commit(fp, h, res, dataset)
+}
+
+// commit stores base plus a calibration as the fingerprint's next
+// version and returns the rendered history. base is the history the
+// caller read, nil for a fingerprint it found unregistered; if another
+// write stored that next version first, commit stores nothing and fails
+// with errVersionTaken. A novel fingerprint past the cap gets
+// errRegistryFull. A failed write fails the call, so nothing is
+// answered 200 that a restart would lose.
+func (g *machineRegistry) commit(fp string, base *krak.MachineHistory, res *krak.CalibrationResult, dataset string) ([]byte, error) {
+	dc, err := g.open()
+	if err != nil {
+		return nil, err
 	}
-	// Build the next history beside the stored one (Clip makes append
-	// copy), so a failure below leaves the stored history untouched.
-	versions := append(slices.Clip(h.Versions), krak.MachineVersion{Version: next, Dataset: dataset, Result: res})
+	var versions []krak.MachineVersion
+	next := 1
+	if base != nil {
+		versions = base.Versions
+		next = versions[len(versions)-1].Version + 1
+	} else if fps, err := dc.List(registryKind); err != nil {
+		return nil, err
+	} else if len(fps) >= maxRegistryMachines && !slices.Contains(fps, fp) {
+		return nil, errRegistryFull
+	}
+	versions = append(slices.Clip(versions), krak.MachineVersion{Version: next, Dataset: dataset, Result: res})
 	if len(versions) > maxRegistryVersions {
 		versions = versions[len(versions)-maxRegistryVersions:]
 	}
-	nh := &krak.MachineHistory{Fingerprint: h.Fingerprint, Versions: versions}
-	b, err := krak.RenderJSON(nh)
+	b, err := krak.RenderJSON(&krak.MachineHistory{Fingerprint: fp, Versions: versions})
 	if err != nil {
 		return nil, err
 	}
-	if err := g.disk.Put(registryKind, fp, b); err != nil {
+	kind, key := registryKind+"/"+fp, strconv.Itoa(next)
+	taken := fmt.Errorf("%w: version %d of %s exists", errVersionTaken, next, fp)
+	if err := dc.Put(kind, key, b); errors.Is(err, fs.ErrExist) {
+		return nil, taken
+	} else if err != nil {
 		return nil, fmt.Errorf("server: machine history not persisted: %w", err)
 	}
-	g.hist[fp] = nh
-	g.body[fp] = b
+	// Keep the newest two entries. Because older ones go, a caller that
+	// read a since-pruned version can create its successor again; such
+	// an entry is never the newest, so it is removed and refused too.
+	names, err := dc.List(kind)
+	if err != nil {
+		return nil, err
+	}
+	if newestVersion(names) > next {
+		dc.Remove(kind, key)
+		return nil, taken
+	}
+	for _, name := range names {
+		if v, err := strconv.Atoi(name); err == nil && v < next-1 {
+			dc.Remove(kind, name)
+		}
+	}
 	return b, nil
 }

@@ -3,12 +3,17 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"krak/pkg/krak"
@@ -234,15 +239,12 @@ func TestMachineRegistryLifecycle(t *testing.T) {
 	if len(hist.Versions) != 4 || hist.Versions[3].Version != 4 {
 		t.Fatalf("history after restart append: %+v", hist.Versions)
 	}
-	// Registry histories are the one disk tier: the restart's read and
-	// the append's write count there.
-	scrape := get(t, s2, "/metrics").Body.String()
-	for series, want := range map[string]float64{
-		`krak_disk_cache_hits_total{tier="registry"}`:   1,
-		`krak_disk_cache_writes_total{tier="registry"}`: 1,
-	} {
-		if got := metricValue(t, scrape, series); got != want {
-			t.Errorf("%s = %g, want %g", series, got, want)
+	// Each version is its own entry, and a write keeps only the newest
+	// two: versions 3 and 4 are on disk, 1 and 2 were pruned.
+	for v, want := range map[int]bool{1: false, 2: false, 3: true, 4: true} {
+		_, err := os.Stat(filepath.Join(dir, registryKind, fp, fmt.Sprintf("%d.art", v)))
+		if got := err == nil; got != want {
+			t.Errorf("entry for version %d present = %v, want %v", v, got, want)
 		}
 	}
 }
@@ -264,14 +266,15 @@ func grepMetric(metrics, name string) string {
 // and one machine's history is trimmed to maxRegistryVersions with
 // version numbers still counting up.
 func TestMachineRegistryBounds(t *testing.T) {
-	reg := newMachineRegistry(nil)
+	reg := &quickServer(func(c *Config) { c.CacheDir = t.TempDir() }).machineReg
 	res := &krak.CalibrationResult{Model: "general-homo", Form: "linear"}
+	fp := func(i int) string { return fmt.Sprintf("%032x", i) }
 	for i := 0; i < maxRegistryMachines; i++ {
-		if _, err := reg.register(fmt.Sprintf("fp-%03d", i), res, "obs small 2 0.05\n"); err != nil {
+		if _, err := reg.register(fp(i), res, "obs small 2 0.05\n"); err != nil {
 			t.Fatalf("register %d: %v", i, err)
 		}
 	}
-	if _, err := reg.register("fp-novel", res, ""); err == nil {
+	if _, err := reg.register(fp(maxRegistryMachines), res, ""); err == nil {
 		t.Fatal("registry accepted a novel fingerprint past the cap")
 	} else if status := ErrorStatus(err); status != http.StatusServiceUnavailable {
 		t.Fatalf("registry-full error maps to %d, want 503", status)
@@ -279,18 +282,18 @@ func TestMachineRegistryBounds(t *testing.T) {
 	// Known fingerprints keep accepting versions past the cap, and the
 	// history window slides while version numbers grow.
 	for i := 0; i < maxRegistryVersions+3; i++ {
-		if _, err := reg.register("fp-000", res, ""); err != nil {
+		if _, err := reg.register(fp(0), res, ""); err != nil {
 			t.Fatalf("re-register %d: %v", i, err)
 		}
 	}
-	v, err := reg.latest("fp-000")
+	h, err := reg.read(fp(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Version != maxRegistryVersions+4 {
+	if v := h.Versions[len(h.Versions)-1]; v.Version != maxRegistryVersions+4 {
 		t.Fatalf("latest version %d, want %d", v.Version, maxRegistryVersions+4)
 	}
-	b, err := reg.history("fp-000")
+	b, err := reg.history(fp(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +307,7 @@ func TestMachineRegistryBounds(t *testing.T) {
 	if hist.Versions[0].Version != 5 {
 		t.Fatalf("oldest retained version %d, want 5", hist.Versions[0].Version)
 	}
-	if _, err := reg.history("fp-unknown"); ErrorStatus(err) != http.StatusNotFound {
+	if _, err := reg.history(fp(maxRegistryMachines + 1)); ErrorStatus(err) != http.StatusNotFound {
 		t.Fatalf("unknown fingerprint error maps to %d, want 404", ErrorStatus(err))
 	}
 }
@@ -363,7 +366,9 @@ func TestRegisterFailsWhenHistoryNotPersisted(t *testing.T) {
 	}
 
 	// A known fingerprint keeps serving its persisted history unchanged
-	// when the next version cannot be written.
+	// when the next version cannot be written. A regular file where the
+	// fingerprint's staging directory belongs blocks the write but not
+	// the reads (permission bits would not stop a root test run).
 	if err := os.Remove(filepath.Join(dir, registryKind)); err != nil {
 		t.Fatal(err)
 	}
@@ -372,16 +377,21 @@ func TestRegisterFailsWhenHistoryNotPersisted(t *testing.T) {
 		t.Fatalf("register: %d %s", w.Code, w.Body)
 	}
 	v1 := w.Body.String()
-	blockRegistry()
+	stage := filepath.Join(dir, registryKind, fp, ".tmp")
+	if err := os.RemoveAll(stage); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(stage, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	if w := post(t, s, "/v1/machines/"+fp, regBody); w.Code != http.StatusInternalServerError {
 		t.Fatalf("re-register over an unwritable registry: %d %s, want 500", w.Code, w.Body)
 	}
 	if w := get(t, s, "/v1/machines/"+fp); w.Code != http.StatusOK || w.Body.String() != v1 {
 		t.Fatalf("history after a failed re-registration: %d, changed=%v", w.Code, w.Body.String() != v1)
 	}
-	scrape := get(t, s, "/metrics").Body.String()
-	if got := metricValue(t, scrape, `krak_disk_cache_writes_total{tier="registry"}`); got != 1 {
-		t.Errorf("registry writes = %g, want 1 (only the registration that persisted)", got)
+	if entries, err := os.ReadDir(filepath.Join(dir, registryKind, fp)); err != nil || len(entries) != 2 {
+		t.Errorf("fingerprint directory holds %v (%v), want only the staging file and version 1", entries, err)
 	}
 }
 
@@ -428,5 +438,274 @@ func TestCacheDirHoldsOnlyMachineRegistry(t *testing.T) {
 	}
 	if got := metricValue(t, get(t, s2, "/metrics").Body.String(), "krak_partition_computes_total"); got == 0 {
 		t.Error("restarted predict computed no partition; nothing but the registry should persist")
+	}
+}
+
+// TestConcurrentAppendsLoseNothing is the regression test for lost
+// appends: six concurrent appends to one replica used to all answer 200
+// while the newest version held the observations of only some of them.
+// Every append that answers 200 must be in the newest version's dataset,
+// and every other one must answer 409.
+func TestConcurrentAppendsLoseNothing(t *testing.T) {
+	s := quickServer(func(c *Config) { c.CacheDir = t.TempDir() })
+	fp, regBody := calibratedRegistration(t, s)
+	if w := post(t, s, "/v1/machines/"+fp, regBody); w.Code != http.StatusOK {
+		t.Fatalf("register: %d %s", w.Code, w.Body)
+	}
+	// Each append measures one PE count neither the base dataset nor
+	// any other append has.
+	pes := []int{3, 5, 6, 7, 9, 10}
+	codes := make([]int, len(pes))
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i, pe := range pes {
+		body, err := json.Marshal(krak.AppendRequest{Fingerprint: fp, Dataset: fmt.Sprintf("obs small %d 0.03\n", pe)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			codes[i] = post(t, s, "/v1/calibrate/append", string(body)).Code
+		}()
+	}
+	close(start)
+	wg.Wait()
+
+	var h krak.MachineHistory
+	if err := json.Unmarshal(get(t, s, "/v1/machines/"+fp).Body.Bytes(), &h); err != nil {
+		t.Fatal(err)
+	}
+	newest := h.Versions[len(h.Versions)-1]
+	ds, err := krak.ParseDataset([]byte(newest.Dataset))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored := map[int]bool{}
+	for _, o := range ds.Observations {
+		stored[o.PEs] = true
+	}
+	ok := 0
+	for i, pe := range pes {
+		switch codes[i] {
+		case http.StatusOK:
+			ok++
+			if !stored[pe] {
+				t.Errorf("append of PE %d answered 200 but is not in version %d's dataset", pe, newest.Version)
+			}
+		case http.StatusConflict:
+		default:
+			t.Errorf("append of PE %d answered %d, want 200 or 409", pe, codes[i])
+		}
+	}
+	t.Logf("append statuses %v", codes)
+	if ok == 0 || newest.Version != 1+ok {
+		t.Errorf("%d appends answered 200 and the newest version is %d, want at least one and version %d", ok, newest.Version, 1+ok)
+	}
+}
+
+// TestServersSharingOneDirectory is the regression test for lost
+// versions: servers A and B on one cache directory register the same
+// fingerprint alternately. Both must serve every version, with identical
+// bytes, and a reader polling both throughout must never see a 404 once
+// version 1 exists. A memory copy per server used to serve stale
+// histories and overwrite the other server's newer entry.
+func TestServersSharingOneDirectory(t *testing.T) {
+	dir := t.TempDir()
+	a := quickServer(func(c *Config) { c.CacheDir = dir })
+	b := quickServer(func(c *Config) { c.CacheDir = dir })
+	fp, regBody := calibratedRegistration(t, a)
+
+	var registered atomic.Bool
+	done := make(chan struct{})
+	var reader sync.WaitGroup
+	reader.Add(1)
+	go func() {
+		defer reader.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			srv := []*Server{a, b}[i%2]
+			was := registered.Load()
+			if w := get(t, srv, "/v1/machines/"+fp); was && w.Code != http.StatusOK {
+				t.Errorf("read %d after version 1 existed: %d %s", i, w.Code, w.Body)
+				return
+			}
+		}
+	}()
+	const rounds = 3
+	for i := range 2 * rounds {
+		if w := post(t, []*Server{a, b}[i%2], "/v1/machines/"+fp, regBody); w.Code != http.StatusOK {
+			t.Errorf("registration %d: %d %s", i+1, w.Code, w.Body)
+		}
+		registered.Store(true)
+	}
+	close(done)
+	reader.Wait()
+
+	fromA, fromB := get(t, a, "/v1/machines/"+fp), get(t, b, "/v1/machines/"+fp)
+	if fromA.Code != http.StatusOK || fromA.Body.String() != fromB.Body.String() {
+		t.Fatalf("A answered %d, B %d; identical bytes = %v", fromA.Code, fromB.Code, fromA.Body.String() == fromB.Body.String())
+	}
+	var hist krak.MachineHistory
+	if err := json.Unmarshal(fromA.Body.Bytes(), &hist); err != nil {
+		t.Fatal(err)
+	}
+	var got []int
+	for _, v := range hist.Versions {
+		got = append(got, v.Version)
+	}
+	if want := []int{1, 2, 3, 4, 5, 6}; !slices.Equal(got, want) {
+		t.Fatalf("shared history holds versions %v, want %v", got, want)
+	}
+}
+
+// TestMachineRegistryRefusesPathTraversal sends fingerprints that would
+// leave <dir>/registry, hide in it, or overflow a name, through GET and
+// POST /v1/machines/{fingerprint}. Each is refused with 400 before any
+// file is touched: files planted where they lead stay unread (a read
+// would have dropped them as corrupt), and nothing new is created.
+func TestMachineRegistryRefusesPathTraversal(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "cache")
+	s := quickServer(func(c *Config) { c.CacheDir = dir })
+	_, regBody := calibratedRegistration(t, s)
+	long := strings.Repeat("a", 200)
+	planted := []string{
+		filepath.Join(root, "x", "1.art"),
+		filepath.Join(dir, registryKind, ".hidden", "1.art"),
+		filepath.Join(dir, registryKind, long, "1.art"),
+	}
+	for _, p := range planted {
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, []byte("planted"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct{ path, fp string }{
+		{"..%2F..%2Fx", "../../x"},
+		{".hidden", ".hidden"},
+		{long, long},
+	} {
+		if w := get(t, s, "/v1/machines/"+c.path); w.Code != http.StatusBadRequest {
+			t.Errorf("GET %q: %d %s, want 400", c.path, w.Code, w.Body)
+		}
+		var req krak.RegisterMachineRequest
+		if err := json.Unmarshal([]byte(regBody), &req); err != nil {
+			t.Fatal(err)
+		}
+		req.Result.FittedFingerprint = c.fp
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w := post(t, s, "/v1/machines/"+c.path, string(body)); w.Code != http.StatusBadRequest {
+			t.Errorf("POST %q: %d %s, want 400", c.path, w.Code, w.Body)
+		}
+	}
+	var files []string
+	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			files = append(files, p)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slices.Sort(files)
+	want := slices.Sorted(slices.Values(planted))
+	if !slices.Equal(files, want) {
+		t.Fatalf("files under the test root = %v, want only the planted %v", files, want)
+	}
+}
+
+// TestRegistryWithoutCacheDir pins the private directory a server
+// without -cache-dir keeps its registry in: New and reads make nothing,
+// the first registration makes one directory, and Close removes it.
+func TestRegistryWithoutCacheDir(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	made := func() []os.DirEntry {
+		t.Helper()
+		entries, err := os.ReadDir(tmp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return entries
+	}
+	s := quickServer()
+	fp, regBody := calibratedRegistration(t, s)
+	if w := get(t, s, "/v1/machines/"+fp); w.Code != http.StatusNotFound {
+		t.Fatalf("history before registration: %d", w.Code)
+	}
+	if entries := made(); len(entries) != 0 {
+		t.Fatalf("New and a read made %v", entries)
+	}
+	w := post(t, s, "/v1/machines/"+fp, regBody)
+	if w.Code != http.StatusOK {
+		t.Fatalf("register: %d %s", w.Code, w.Body)
+	}
+	if entries := made(); len(entries) != 1 || !strings.HasPrefix(entries[0].Name(), "krak-registry-") {
+		t.Fatalf("first registration made %v, want one krak-registry-* directory", entries)
+	}
+	if got := get(t, s, "/v1/machines/"+fp); got.Code != http.StatusOK || got.Body.String() != w.Body.String() {
+		t.Fatalf("history: %d, same bytes as the registration = %v", got.Code, got.Body.String() == w.Body.String())
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if entries := made(); len(entries) != 0 {
+		t.Fatalf("Close left %v", entries)
+	}
+}
+
+// TestCommitFromPrunedVersionIsRefused covers a write whose base is so
+// stale that its next version was already pruned: creating that entry
+// succeeds, but it is never the newest, so commit removes it and
+// answers 409, and the newest history stays as it was.
+func TestCommitFromPrunedVersionIsRefused(t *testing.T) {
+	dir := t.TempDir()
+	reg := &quickServer(func(c *Config) { c.CacheDir = dir }).machineReg
+	res := &krak.CalibrationResult{Model: "general-homo", Form: "linear"}
+	fp := fmt.Sprintf("%032x", 7)
+	if _, err := reg.register(fp, res, ""); err != nil {
+		t.Fatal(err)
+	}
+	stale, err := reg.read(fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 3 {
+		if _, err := reg.register(fp, res, ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before, err := reg.history(fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.commit(fp, stale, res, ""); !errors.Is(err, errVersionTaken) || ErrorStatus(err) != http.StatusConflict {
+		t.Fatalf("commit from pruned version 1 = %v, want errVersionTaken (409)", err)
+	}
+	entries, err := os.ReadDir(filepath.Join(dir, registryKind, fp))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if want := []string{".tmp", "3.art", "4.art"}; !slices.Equal(names, want) {
+		t.Errorf("fingerprint directory holds %v, want %v", names, want)
+	}
+	if after, err := reg.history(fp); err != nil || string(after) != string(before) {
+		t.Errorf("history changed after the refused commit (err %v)", err)
 	}
 }

@@ -11,10 +11,11 @@
 // Every /v1 route runs behind admission control: endpoint classes (light
 // cached reads vs heavy pool-occupying computes) each have a concurrency
 // limit and a bounded wait queue, and callers past both get 429 with a
-// Retry-After instead of unbounded queueing (see admission.go). With a
-// cache directory configured (krak serve -cache-dir), the machine
-// registry persists there and survives restarts; every other cache lives
-// in memory only.
+// Retry-After instead of unbounded queueing (see admission.go). The
+// machine registry lives on disk, in the cache directory (krak serve
+// -cache-dir) or else a private temporary one: it keeps no copy in
+// memory, so restarts and servers sharing the directory serve one
+// history (see registry.go). Every other cache lives in memory only.
 //
 // Machines are identified by the content fingerprint of their normalized
 // MachineSpec, so file-defined and calibrated machines (custom networks,
@@ -47,6 +48,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -72,9 +74,11 @@ type Config struct {
 	// the CI smoke job serves in.
 	Quick bool
 
-	// CacheDir, when set, is where the machine registry persists: each
-	// registered history is written there and survives restarts on the
-	// same directory. "" keeps the registry in memory only.
+	// CacheDir is the directory the machine registry lives in: each
+	// version of a registered history is an immutable entry there, read
+	// by restarts and by every server sharing the directory. "" means a
+	// private temporary directory, made on the first registration and
+	// removed by Close.
 	CacheDir string
 
 	// LightLimit/LightQueue size the light admission class (cached reads:
@@ -140,7 +144,7 @@ type Server struct {
 	// machineReg is the versioned fingerprint → fitted-machine history
 	// store behind GET/POST /v1/machines/{fingerprint} and the append
 	// endpoint (see registry.go).
-	machineReg *machineRegistry
+	machineReg machineRegistry
 
 	// closed is set by Close; a closed server answers only 503s.
 	closed atomic.Bool
@@ -153,18 +157,12 @@ type Server struct {
 	driftFlagged     atomic.Int64
 }
 
-// New builds a Server from the config. It fails only when a configured
-// cache directory cannot be created.
+// New builds a Server from the config. It touches the filesystem only
+// for a configured cache directory, and fails only when that cannot be
+// created.
 func New(cfg Config) (*Server, error) {
 	if cfg.CacheSize <= 0 {
 		cfg.CacheSize = 1024
-	}
-	var regDisk *artifacts.DiskCache
-	if cfg.CacheDir != "" {
-		var err error
-		if regDisk, err = artifacts.OpenDiskCache(cfg.CacheDir); err != nil {
-			return nil, err
-		}
 	}
 	s := &Server{
 		cfg:       cfg,
@@ -175,7 +173,13 @@ func New(cfg Config) (*Server, error) {
 		metrics:   metrics.NewRegistry(),
 		admission: newAdmission(cfg),
 	}
-	s.machineReg = newMachineRegistry(regDisk)
+	if cfg.CacheDir != "" {
+		dc, err := artifacts.OpenDiskCache(cfg.CacheDir)
+		if err != nil {
+			return nil, err
+		}
+		s.machineReg.disk.Store(dc)
+	}
 	s.registerMetrics()
 	mux := http.NewServeMux()
 	// Observability endpoints are neither instrumented nor admission
@@ -254,24 +258,10 @@ func (s *Server) registerMetrics() {
 	reg.AddScalar("krak_partition_computes_total", "counter",
 		"Partition vectors computed from scratch (the artifact cache had none).",
 		func() float64 { return float64(s.artifacts.Stats().PartitionComputes) })
-	// The registry is the one disk tier; its series keep the tier label.
-	diskSeries := func(field func(artifacts.DiskStats) int64) map[string]func() float64 {
-		return map[string]func() float64{
-			"registry": func() float64 { return float64(field(s.machineReg.disk.Stats())) },
-		}
-	}
-	reg.AddLabeled("krak_disk_cache_hits_total", "counter",
-		"Disk-cache entries that verified and were served, by tier.",
-		diskSeries(func(d artifacts.DiskStats) int64 { return d.Hits }), "tier")
-	reg.AddLabeled("krak_disk_cache_misses_total", "counter",
-		"Disk-cache lookups that missed, by tier.",
-		diskSeries(func(d artifacts.DiskStats) int64 { return d.Misses }), "tier")
-	reg.AddLabeled("krak_disk_cache_writes_total", "counter",
-		"Disk-cache entries written, by tier.",
-		diskSeries(func(d artifacts.DiskStats) int64 { return d.Writes }), "tier")
+	// The registry is the one disk tier; its series keeps the tier label.
 	reg.AddLabeled("krak_disk_cache_corrupt_total", "counter",
 		"Disk-cache entries discarded as corrupt or version-skewed, by tier.",
-		diskSeries(func(d artifacts.DiskStats) int64 { return d.Corrupt }), "tier")
+		map[string]func() float64{"registry": s.machineReg.corrupt}, "tier")
 	if s.cfg.Faults != nil {
 		reg.AddLabeled("krak_fault_injected_total", "counter",
 			"Faults injected by the armed chaos plan, by kind.",
@@ -294,9 +284,13 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // Close marks the server closed after the HTTP listener has drained
 // (call it after http.Server.Shutdown); from then on every request gets
-// a 503. Idempotent; safe on a server that never served a request.
+// a 503. It removes the registry's private directory, if the server made
+// one. Idempotent; safe on a server that never served a request.
 func (s *Server) Close() error {
 	s.closed.Store(true)
+	if dir := s.machineReg.temp.Load(); dir != nil {
+		return os.RemoveAll(*dir)
+	}
 	return nil
 }
 
@@ -357,9 +351,12 @@ func ErrorStatus(err error) int {
 		return http.StatusServiceUnavailable
 	case errors.Is(err, errUnknownMachine):
 		return http.StatusNotFound
+	case errors.Is(err, errVersionTaken):
+		return http.StatusConflict
 	case errors.Is(err, krak.ErrUnknownExperiment):
 		return http.StatusNotFound
-	case errors.Is(err, krak.ErrUnknownDeck),
+	case errors.Is(err, artifacts.ErrBadName),
+		errors.Is(err, krak.ErrUnknownDeck),
 		errors.Is(err, krak.ErrBadPE),
 		errors.Is(err, krak.ErrUnknownModel),
 		errors.Is(err, krak.ErrUnknownPartitioner),
@@ -507,7 +504,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"registered":         total("krak_registered_machines"),
 		"drift_flagged":      total("krak_calib_drift_flagged_total"),
 		"partition_computes": total("krak_partition_computes_total"),
-		"disk_hits":          total("krak_disk_cache_hits_total"),
 	})
 }
 
@@ -655,8 +651,9 @@ func (s *Server) handleCalibrate(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMachineHistory serves a registered machine's calibration
-// history: the exact bytes stored at registration time, whether they
-// came from memory or (after a restart) the disk tier — no refitting.
+// history: the exact bytes stored for its newest version, by this
+// server, a sibling on the same directory, or before a restart — no
+// refitting.
 func (s *Server) handleMachineHistory(w http.ResponseWriter, r *http.Request) {
 	body, err := s.machineReg.history(r.PathValue("fingerprint"))
 	if err != nil {
@@ -666,8 +663,9 @@ func (s *Server) handleMachineHistory(w http.ResponseWriter, r *http.Request) {
 	writeBody(w, body)
 }
 
-// handleMachineRegister records a calibration result as the
-// fingerprint's next version and returns the updated history. The
+// handleMachineRegister records a calibration result as the version
+// after the newest one it reads and returns the updated history (409 if
+// another registration stored that version first). The
 // result must carry the fingerprint it is being registered under —
 // registration is claiming "this calibration described that machine".
 func (s *Server) handleMachineRegister(w http.ResponseWriter, r *http.Request) {
@@ -712,11 +710,12 @@ func (s *Server) handleCalibrateAppend(w http.ResponseWriter, r *http.Request) {
 	if m == nil {
 		return
 	}
-	ver, err := s.machineReg.latest(req.Fingerprint)
+	h, err := s.machineReg.read(req.Fingerprint)
 	if err != nil {
 		WriteError(w, ErrorStatus(err), err)
 		return
 	}
+	ver := h.Versions[len(h.Versions)-1]
 	if ver.Dataset == "" {
 		WriteError(w, http.StatusConflict,
 			fmt.Errorf("version %d of %s was registered without its dataset; appends need it to refit",
@@ -749,7 +748,10 @@ func (s *Server) handleCalibrateAppend(w http.ResponseWriter, r *http.Request) {
 	merged := &krak.Dataset{Name: base.Name}
 	merged.Observations = append(merged.Observations, base.Observations...)
 	merged.Observations = append(merged.Observations, fresh.Observations...)
-	if _, err := s.machineReg.register(req.Fingerprint, cr, string(merged.Format())); err != nil {
+	// Committed against the history the refit read: if another write
+	// stored a newer version meanwhile, this one answers 409 rather than
+	// dropping that write's observations.
+	if _, err := s.machineReg.commit(req.Fingerprint, h, cr, string(merged.Format())); err != nil {
 		WriteError(w, ErrorStatus(err), err)
 		return
 	}
