@@ -30,6 +30,7 @@ import (
 	"maps"
 	"net/http"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -68,9 +69,10 @@ type Plan struct {
 	LatencyMax  time.Duration
 
 	// TruncateRate is the fraction of in-scope responses cut to half
-	// their bytes; CorruptRate is the fraction with bytes flipped. Both
-	// leave the status code intact — the body lies, which is what the
-	// gateway's byte-level checks must catch.
+	// their bytes; CorruptRate is the fraction with digits changed,
+	// which keeps a JSON body valid JSON (see corruptBytes). Both leave
+	// the status code intact — the body lies, which is what the
+	// gateway's digest check must catch.
 	TruncateRate float64
 	CorruptRate  float64
 }
@@ -103,7 +105,7 @@ const (
 //	latency-rate 0.5           # fraction of requests delayed
 //	latency 5ms 50ms           # injected latency bounds
 //	truncate-rate 0.05         # fraction of responses cut in half
-//	corrupt-rate 0.05          # fraction of responses with flipped bytes
+//	corrupt-rate 0.05          # fraction of responses with changed digits
 //
 // Lines are directive-per-line, '#' starts a comment, blank lines are
 // ignored. Rates must lie in [0,1] and sum (error+truncate+corrupt) to
@@ -365,16 +367,43 @@ func (in *Injector) sleep(done <-chan struct{}, d decision) {
 	}
 }
 
-// corruptBytes deterministically flips bytes in place: every 97th byte
-// XORed, positions offset by the seed so different plans corrupt
-// differently.
+// corruptBytes deterministically changes bytes in place without
+// breaking JSON: every 97th ASCII digit, counting from an offset set by
+// the seed, becomes another nonzero digit (d+1, and 9 becomes 8). A
+// nonzero digit cannot make a leading zero, and a digit in a string or
+// a \uXXXX escape stays a digit, so a valid JSON body stays valid and
+// only a checksum of the bytes tells the difference. A body without
+// digits has every 97th byte XORed with 0xff instead.
 func corruptBytes(b []byte, seed uint64) {
 	if len(b) == 0 {
 		return
 	}
-	start := int(seed % 97)
-	for i := start % len(b); i < len(b); i += 97 {
-		b[i] ^= 0xff
+	digits := 0
+	for _, c := range b {
+		if '0' <= c && c <= '9' {
+			digits++
+		}
+	}
+	if digits == 0 {
+		for i := int(seed%97) % len(b); i < len(b); i += 97 {
+			b[i] ^= 0xff
+		}
+		return
+	}
+	flip, seen := int(seed%97)%digits, 0
+	for i, c := range b {
+		if c < '0' || c > '9' {
+			continue
+		}
+		if seen == flip {
+			if c == '9' {
+				b[i] = '8'
+			} else {
+				b[i] = c + 1
+			}
+			flip += 97
+		}
+		seen++
 	}
 }
 
@@ -437,6 +466,9 @@ func (in *Injector) Middleware(next http.HandlerFunc) http.HandlerFunc {
 					w.Header().Add(k, v)
 				}
 			}
+			// The body lies; its framing does not. Every other header,
+			// Content-Digest included, still describes the real body.
+			w.Header().Set("Content-Length", strconv.Itoa(len(out)))
 			w.WriteHeader(bw.code)
 			w.Write(out)
 			return

@@ -1,9 +1,12 @@
 package faultinject
 
 import (
+	"bytes"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -106,6 +109,9 @@ func TestMiddlewareTruncates(t *testing.T) {
 	if got := rec.Body.String(); len(got) != len(body)/2 || got != body[:len(body)/2] {
 		t.Fatalf("truncated body %q, want first half of %q", got, body)
 	}
+	if cl := rec.Header().Get("Content-Length"); cl != strconv.Itoa(len(body)/2) {
+		t.Fatalf("Content-Length %q after truncation to %d bytes", cl, len(body)/2)
+	}
 	if in.Totals()[KindTruncate] != 1 {
 		t.Fatalf("truncate total %v", in.Totals())
 	}
@@ -126,6 +132,38 @@ func TestMiddlewareCorrupts(t *testing.T) {
 	}
 	if rec.Code != http.StatusOK {
 		t.Fatalf("corruption changed the status to %d", rec.Code)
+	}
+}
+
+// TestCorruptKeepsJSONValid pins what the corrupt kind does to a body:
+// digits change to other nonzero digits and nothing else moves, so a
+// valid JSON body stays valid JSON and only a digest of the bytes can
+// catch it. A body without digits still changes, by the XOR fallback.
+func TestCorruptKeepsJSONValid(t *testing.T) {
+	body := []byte(`{"schema":"krak.result/v1","pes":90,"total_s":0.0109,"tag":"\u2028 9"}`)
+	for seed := uint64(1); seed <= 200; seed++ {
+		got := bytes.Clone(body)
+		corruptBytes(got, seed)
+		if bytes.Equal(got, body) {
+			t.Fatalf("seed %d: body unchanged", seed)
+		}
+		if !json.Valid(got) {
+			t.Fatalf("seed %d: corrupted body %s is not valid JSON", seed, got)
+		}
+		for i := range got {
+			if got[i] == body[i] {
+				continue
+			}
+			if got[i] < '1' || got[i] > '9' || body[i] < '0' || body[i] > '9' {
+				t.Fatalf("seed %d: byte %d changed %q -> %q, want a digit to a nonzero digit", seed, i, body[i], got[i])
+			}
+		}
+	}
+	plain := []byte(`{"ok":true}`)
+	got := bytes.Clone(plain)
+	corruptBytes(got, 7)
+	if bytes.Equal(got, plain) {
+		t.Fatal("a body without digits was left unchanged")
 	}
 }
 

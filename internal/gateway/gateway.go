@@ -20,14 +20,12 @@ package gateway
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
-	"unicode/utf8"
 
 	"krak/internal/faultinject"
 	"krak/internal/metrics"
@@ -286,7 +284,7 @@ func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request) {
 			rep.breaker.abandon()
 			break
 		}
-		if err != nil || !acceptable(resp.StatusCode, respBody) {
+		if err != nil || !acceptable(resp, respBody) {
 			rep.breaker.failure(time.Now())
 			now = time.Now()
 			continue
@@ -308,25 +306,22 @@ func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request) {
 }
 
 // acceptable reports whether a proxied response is servable. 5xx means
-// the replica failed; a 2xx body that is not valid UTF-8 or not valid
-// JSON means it was corrupted or truncated in flight (every serving-
-// tier body is ASCII JSON) — both push the gateway to the next replica
-// rather than relaying garbage.
-func acceptable(status int, body []byte) bool {
-	if status >= 500 {
+// the replica failed. A 2xx must carry the Content-Digest of the bytes
+// that arrived: a replica sends server.ContentDigest with every 2xx
+// body, so a missing or different digest means the body was corrupted
+// or truncated in flight, even when the damage left valid JSON. Either
+// way the gateway moves on to the next replica rather than relay it.
+func acceptable(resp *http.Response, body []byte) bool {
+	if resp.StatusCode >= 500 {
 		return false
 	}
-	if status < 300 && (!utf8.Valid(body) || !json.Valid(body)) {
-		return false
-	}
-	return true
+	return resp.StatusCode >= 300 || resp.Header.Get("Content-Digest") == server.ContentDigest(body)
 }
 
 // forward sends one attempt to one replica, preserving method, path,
 // query, and content type. The response body is fully read here so the
-// caller can integrity-check before a byte reaches the client; a body
-// past maxResponseBody fails the attempt by its length, before any
-// truncated prefix could reach the JSON check.
+// caller can check its digest before a byte reaches the client; a body
+// past maxResponseBody fails the attempt by its length.
 func (g *Gateway) forward(r *http.Request, rep *replica, body []byte) (*http.Response, []byte, error) {
 	url := rep.url + r.URL.Path
 	if r.URL.RawQuery != "" {
@@ -344,7 +339,15 @@ func (g *Gateway) forward(r *http.Request, rep *replica, body []byte) (*http.Res
 		return nil, nil, err
 	}
 	defer resp.Body.Close()
-	respBody, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBody+1))
+	var respBody []byte
+	if n := resp.ContentLength; n >= 0 && n <= maxResponseBody {
+		// A known length is read into one exact allocation; a body
+		// cut short fails with io.ErrUnexpectedEOF, as ReadAll would.
+		respBody = make([]byte, n)
+		_, err = io.ReadFull(resp.Body, respBody)
+	} else {
+		respBody, err = io.ReadAll(io.LimitReader(resp.Body, maxResponseBody+1))
+	}
 	if err != nil {
 		return nil, nil, err
 	}
@@ -355,9 +358,10 @@ func (g *Gateway) forward(r *http.Request, rep *replica, body []byte) (*http.Res
 }
 
 // copyHeaders relays the response headers the serving tier's clients
-// depend on; hop-by-hop noise stays behind.
+// depend on, Content-Digest among them so a client can check a body end
+// to end; hop-by-hop noise stays behind.
 func copyHeaders(w http.ResponseWriter, resp *http.Response) {
-	for _, k := range []string{"Content-Type", "Retry-After"} {
+	for _, k := range []string{"Content-Type", "Content-Digest", "Retry-After"} {
 		if v := resp.Header.Get(k); v != "" {
 			w.Header().Set(k, v)
 		}

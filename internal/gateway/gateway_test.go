@@ -12,18 +12,43 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unicode/utf8"
 
+	"krak/internal/faultinject"
 	"krak/internal/server"
 	"krak/pkg/krak"
 )
+
+// stubBody is what a stub replica answers on a 2xx: JSON with digits,
+// so a digit flip has something to change.
+const stubBody = `{"ok":true,"total_s":0.25}`
+
+// Damage modes of a stub replica's 2xx answers; 0 answers stubBody
+// with its digest.
+const (
+	garbage     int32 = iota + 1 // invalid UTF-8 under stubBody's digest
+	digitFlip                    // valid JSON, a digit changed, under stubBody's digest
+	noDigest                     // stubBody with no Content-Digest
+	wrongDigest                  // stubBody under another body's digest
+)
+
+// writeStubBody answers body with the Content-Digest of digestOf, made
+// by the server's own helper ("" sends none).
+func writeStubBody(w http.ResponseWriter, body, digestOf string) {
+	w.Header().Set("Content-Type", "application/json")
+	if digestOf != "" {
+		w.Header().Set("Content-Digest", server.ContentDigest([]byte(digestOf)))
+	}
+	io.WriteString(w, body)
+}
 
 // stubReplica is a fake backend with a scriptable handler and request
 // counting.
 type stubReplica struct {
 	ts       *httptest.Server
 	requests atomic.Int64
-	fail     atomic.Bool // when set, answer 500
-	garbage  atomic.Bool // when set, answer 200 with invalid UTF-8
+	fail     atomic.Bool  // when set, answer 500
+	damage   atomic.Int32 // how a 200 is damaged; 0 sends it intact
 }
 
 func newStubReplica() *stubReplica {
@@ -34,15 +59,21 @@ func newStubReplica() *stubReplica {
 			return
 		}
 		s.requests.Add(1)
-		switch {
-		case s.fail.Load():
+		if s.fail.Load() {
 			http.Error(w, "boom", http.StatusInternalServerError)
-		case s.garbage.Load():
-			w.Header().Set("Content-Type", "application/json")
-			w.Write([]byte("{\"ok\":\xff\xfe}"))
+			return
+		}
+		switch s.damage.Load() {
+		case garbage:
+			writeStubBody(w, "{\"ok\":\xff\xfe}", stubBody)
+		case digitFlip:
+			writeStubBody(w, strings.Replace(stubBody, "2", "3", 1), stubBody)
+		case noDigest:
+			writeStubBody(w, stubBody, "")
+		case wrongDigest:
+			writeStubBody(w, stubBody, stubBody+" ")
 		default:
-			w.Header().Set("Content-Type", "application/json")
-			fmt.Fprint(w, `{"ok":true}`)
+			writeStubBody(w, stubBody, stubBody)
 		}
 	}))
 	return s
@@ -167,28 +198,84 @@ func TestGatewayFailsOverAndRetries(t *testing.T) {
 	}
 }
 
+// TestGatewayRejectsCorruptBodies: a replica whose 2xx bodies do not
+// match their Content-Digest, or carry none, is failed over for every
+// key it owns, and the client receives the intact body with its digest
+// relayed. The digit flip is the case JSON validation used to let
+// through: the body it relays is valid JSON.
 func TestGatewayRejectsCorruptBodies(t *testing.T) {
-	var stubs []*stubReplica
-	var urls []string
-	for i := 0; i < 2; i++ {
-		s := newStubReplica()
-		defer s.ts.Close()
-		stubs = append(stubs, s)
-		urls = append(urls, s.ts.URL)
+	for _, tc := range []struct {
+		name   string
+		damage int32
+	}{
+		{"invalid UTF-8", garbage},
+		{"digit flip", digitFlip},
+		{"no digest", noDigest},
+		{"wrong digest", wrongDigest},
+	} {
+		var stubs []*stubReplica
+		var urls []string
+		for i := 0; i < 2; i++ {
+			s := newStubReplica()
+			defer s.ts.Close()
+			stubs = append(stubs, s)
+			urls = append(urls, s.ts.URL)
+		}
+		stubs[0].damage.Store(tc.damage)
+		g, err := New(testConfig(urls...), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pe := 1; pe <= 16; pe++ {
+			rec := post(t, g, "/v1/predict", predictBody(pe))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s, pe %d: status %d", tc.name, pe, rec.Code)
+			}
+			if rec.Body.String() != stubBody {
+				t.Fatalf("%s, pe %d: gateway relayed %q, want %q", tc.name, pe, rec.Body.String(), stubBody)
+			}
+			if got, want := rec.Header().Get("Content-Digest"), server.ContentDigest([]byte(stubBody)); got != want {
+				t.Fatalf("%s, pe %d: relayed Content-Digest %q, want %q", tc.name, pe, got, want)
+			}
+		}
+		if stubs[0].requests.Load() == 0 || g.retries.Load() == 0 {
+			t.Fatalf("%s: the damaged replica saw %d requests and the gateway retried %d times; it was never exercised",
+				tc.name, stubs[0].requests.Load(), g.retries.Load())
+		}
 	}
-	stubs[0].garbage.Store(true)
-	g, err := New(testConfig(urls...), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for pe := 1; pe <= 16; pe++ {
-		rec := post(t, g, "/v1/predict", predictBody(pe))
+}
+
+// TestAcceptableRefusesDigitFlip is the case the digest exists for: a
+// real predict body with a digit changed in flight by the fault
+// injector's corrupt kind is still valid UTF-8 JSON, which the JSON
+// validation acceptable used to run passed, but its digest no longer
+// matches. The same body intact is accepted.
+func TestAcceptableRefusesDigitFlip(t *testing.T) {
+	answer := func(faults *faultinject.Injector) (*http.Response, []byte) {
+		h, err := server.New(server.Config{Quick: true, Faults: faults})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer h.Close()
+		rec := post(t, h, "/v1/predict", predictBody(16))
 		if rec.Code != http.StatusOK {
-			t.Fatalf("pe %d: status %d", pe, rec.Code)
+			t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 		}
-		if !json.Valid(rec.Body.Bytes()) {
-			t.Fatalf("pe %d: gateway relayed a corrupt body %q", pe, rec.Body.String())
-		}
+		return rec.Result(), rec.Body.Bytes()
+	}
+	resp, body := answer(nil)
+	if !acceptable(resp, body) {
+		t.Fatal("an intact predict body was refused")
+	}
+	flippedResp, flipped := answer(faultinject.New(&faultinject.Plan{Seed: 7, CorruptRate: 1}))
+	if len(flipped) != len(body) || bytes.Equal(flipped, body) {
+		t.Fatalf("the corrupt fault did not change the body in place: %d bytes vs %d", len(flipped), len(body))
+	}
+	if !utf8.Valid(flipped) || !json.Valid(flipped) {
+		t.Fatalf("the digit-flipped body is not valid JSON, so JSON validation would catch it too:\n%s", flipped)
+	}
+	if acceptable(flippedResp, flipped) {
+		t.Fatalf("acceptable relayed a digit-flipped body:\n%s", flipped)
 	}
 }
 
@@ -410,10 +497,9 @@ func TestGatewayObservability(t *testing.T) {
 // 1 MiB request bound, and must reach the client byte-identically
 // without charging the replica's breaker.
 func TestGatewayRelaysLargeResponses(t *testing.T) {
-	big := []byte(`{"pad":"` + strings.Repeat("x", 2<<20) + `"}`)
+	big := `{"pad":"` + strings.Repeat("x", 2<<20) + `"}`
 	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(big)
+		writeStubBody(w, big, big)
 	}))
 	defer stub.Close()
 	g, err := New(testConfig(stub.URL), nil)
@@ -424,7 +510,7 @@ func TestGatewayRelaysLargeResponses(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d, want 200", rec.Code)
 	}
-	if !bytes.Equal(rec.Body.Bytes(), big) {
+	if rec.Body.String() != big {
 		t.Fatalf("relayed %d bytes, want the replica's %d byte-identically", rec.Body.Len(), len(big))
 	}
 	if state := g.replicas[0].breaker.value(); state != 0 {

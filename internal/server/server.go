@@ -43,6 +43,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -398,9 +399,30 @@ func WriteJSON(w http.ResponseWriter, v any) {
 	writeBody(w, body)
 }
 
+// writeBody sends a 2xx body, the one way every such body leaves a
+// replica: with its exact length, so neither side frames it in chunks,
+// and its Content-Digest, which the gateway checks before relaying.
 func writeBody(w http.ResponseWriter, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	h.Set("Content-Digest", ContentDigest(body))
 	w.Write(body)
+}
+
+// ContentDigest is the RFC 9530 Content-Digest field value of body: its
+// SHA-256 as a structured-field byte sequence, "sha-256=:<base64>:".
+// A replica sends it with every 2xx body (writeBody), and the gateway
+// recomputes it over the bytes it received, so a body changed in
+// flight, even into other valid JSON, is never relayed.
+func ContentDigest(body []byte) string {
+	const prefix = "sha-256=:"
+	sum := sha256.Sum256(body)
+	var field [len(prefix) + 44 + 1]byte // 44: base64 of 32 bytes
+	copy(field[:], prefix)
+	base64.StdEncoding.Encode(field[len(prefix):], sum[:])
+	field[len(field)-1] = ':'
+	return string(field[:])
 }
 
 // rendered renders a computation's result with krak.RenderJSON, passing

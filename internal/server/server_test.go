@@ -2,11 +2,14 @@ package server
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -426,5 +429,34 @@ func TestCoalescedWaitersSurviveCancel(t *testing.T) {
 	w := post(t, s, "/v1/predict", `{"deck":"small","pes":4}`)
 	if w.Code != http.StatusOK {
 		t.Fatalf("request after canceled peer: status %d: %s", w.Code, w.Body.String())
+	}
+}
+
+// TestBodiesCarryContentDigest: every 2xx body leaves through
+// writeBody with its exact Content-Length and the RFC 9530
+// Content-Digest of its bytes, rendered and cached bodies alike, while
+// an error envelope carries no digest.
+func TestBodiesCarryContentDigest(t *testing.T) {
+	s := quickServer()
+	for _, w := range []*httptest.ResponseRecorder{
+		post(t, s, "/v1/predict", `{"deck":"small","pes":16}`),
+		post(t, s, "/v1/predict", `{"deck":"small","pes":16}`), // the LRU hit
+		get(t, s, "/v1/machines"),
+		get(t, s, "/healthz"),
+	} {
+		if w.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", w.Code, w.Body.String())
+		}
+		body := w.Body.Bytes()
+		sum := sha256.Sum256(body)
+		if got, want := w.Header().Get("Content-Digest"), "sha-256=:"+base64.StdEncoding.EncodeToString(sum[:])+":"; got != want {
+			t.Errorf("Content-Digest %q, want %q", got, want)
+		}
+		if got := w.Header().Get("Content-Length"); got != strconv.Itoa(len(body)) {
+			t.Errorf("Content-Length %q for a %d-byte body", got, len(body))
+		}
+	}
+	if w := post(t, s, "/v1/predict", `{"deck":"mega"}`); w.Code != http.StatusBadRequest || w.Header().Get("Content-Digest") != "" {
+		t.Errorf("error answer: status %d, Content-Digest %q; want 400 without one", w.Code, w.Header().Get("Content-Digest"))
 	}
 }

@@ -10,23 +10,111 @@ import (
 
 // This file defines the wire types of the `krak serve` HTTP API — the
 // request bodies clients POST and the helpers that turn them into
-// Machines and Scenarios. They live in pkg/krak (not internal/server) so
+// Machines and Scenarios — and RenderJSON, the one renderer of every
+// successful body. They live in pkg/krak (not internal/server) so
 // clients and the server share one schema: a Go client builds a
 // PredictRequest, the server decodes the same struct, and the response
 // is a Result whose JSON is byte-identical to `krak predict --json`
-// (Result.MarshalJSON stamps ResultSchema; Result.UnmarshalJSON rejects
-// anything else with ErrSchema).
+// (the Result's wire form stamps ResultSchema; Result.UnmarshalJSON
+// rejects anything else with ErrSchema).
 
-// RenderJSON renders v as the serving contract's bytes: two-space
-// indented JSON plus a trailing newline. Every `--json` the CLI prints
-// and every successful body `krak serve` answers goes through it, which
-// is what makes the two byte-identical.
+// stamped is a type whose JSON is its fields plus a schema stamp:
+// wire returns that {schema, *alias} form, which both its MarshalJSON
+// and RenderJSON encode. A nil receiver's form is nil, so it renders as
+// null, as encoding/json renders a nil Marshaler.
+type stamped interface{ wire() any }
+
+// marshalWire is the body of every stamped type's MarshalJSON.
+func marshalWire(v stamped, what string) ([]byte, error) {
+	b, err := json.Marshal(v.wire())
+	if err != nil {
+		return nil, fmt.Errorf("%w: encoding %s: %w", ErrSchema, what, err)
+	}
+	return b, nil
+}
+
+// RenderJSON renders v as the serving contract's bytes: the output of
+// json.MarshalIndent(v, "", "  ") plus a trailing newline. Every
+// `--json` the CLI prints and every successful body `krak serve`
+// answers goes through it, which is what makes the two byte-identical.
+// It encodes once: a stamped value is encoded through its wire form,
+// so encoding/json does not re-scan and compact a MarshalJSON output.
+// The linear indenter then runs twice, once to size the output and
+// once to write it, so a cached body carries no slack.
 func RenderJSON(v any) ([]byte, error) {
-	out, err := json.MarshalIndent(v, "", "  ")
+	if s, ok := v.(stamped); ok {
+		v = s.wire()
+	}
+	compact, err := json.Marshal(v)
 	if err != nil {
 		return nil, fmt.Errorf("%w: rendering JSON: %w", ErrSchema, err)
 	}
-	return append(out, '\n'), nil
+	out := make([]byte, indent(nil, compact))
+	indent(out, compact)
+	return out, nil
+}
+
+// indent writes compact, indented as json.Indent(dst, compact, "", "  ")
+// would and followed by a newline, into out, and returns the length of
+// the result; a nil out only counts. compact must be json.Marshal
+// output: no whitespace outside strings, and every string well formed,
+// so the structural bytes are the ones outside strings. Runs between
+// them are copied whole.
+func indent(out, compact []byte) int {
+	n, last, depth := 0, 0, 0
+	// flush writes compact[last:end] and then sep: a space after a
+	// colon, or a newline and depth levels of indentation.
+	flush := func(end int, sep byte) {
+		size := end - last + 1
+		if sep == '\n' {
+			size += 2 * depth
+		}
+		if out != nil {
+			k := n + copy(out[n:], compact[last:end])
+			out[k] = sep
+			for k++; k < n+size; k++ {
+				out[k] = ' '
+			}
+		}
+		n, last = n+size, end
+	}
+	for i := 0; i < len(compact); i++ {
+		switch c := compact[i]; c {
+		case '"':
+			i = stringEnd(compact, i)
+		case ':':
+			flush(i+1, ' ')
+		case ',':
+			flush(i+1, '\n')
+		case '{', '[':
+			// An empty {} or [] stays on one line; c+2 is its closer.
+			if compact[i+1] == c+2 {
+				i++
+			} else {
+				depth++
+				flush(i+1, '\n')
+			}
+		case '}', ']':
+			depth--
+			flush(i, '\n')
+		}
+	}
+	flush(len(compact), '\n')
+	return n
+}
+
+// stringEnd returns the index of the quote that closes the string
+// opening at compact[open]. A backslash escapes one byte: \uXXXX
+// continues in hex digits, which are never quotes.
+func stringEnd(compact []byte, open int) int {
+	for i := open + 1; ; i++ {
+		switch compact[i] {
+		case '\\':
+			i++
+		case '"':
+			return i
+		}
+	}
 }
 
 // MachineSpec is the wire and file form of a Machine: every field is
@@ -601,19 +689,22 @@ type MachineHistory struct {
 	Versions    []MachineVersion `json:"versions"`
 }
 
-// MarshalJSON renders the history for machine consumption, stamping the
-// schema identifier.
-func (mh *MachineHistory) MarshalJSON() ([]byte, error) {
+// wire is the history's JSON form: its fields stamped with
+// MachineHistorySchema.
+func (mh *MachineHistory) wire() any {
+	if mh == nil {
+		return nil
+	}
 	type alias MachineHistory
-	b, err := json.Marshal(struct {
+	return struct {
 		Schema string `json:"schema"`
 		*alias
-	}{Schema: MachineHistorySchema, alias: (*alias)(mh)})
-	if err != nil {
-		return nil, fmt.Errorf("%w: encoding machine history: %w", ErrSchema, err)
-	}
-	return b, nil
+	}{MachineHistorySchema, (*alias)(mh)}
 }
+
+// MarshalJSON renders the history for machine consumption, stamping the
+// schema identifier.
+func (mh *MachineHistory) MarshalJSON() ([]byte, error) { return marshalWire(mh, "machine history") }
 
 // UnmarshalJSON decodes a MachineHistory produced by MarshalJSON,
 // rejecting payloads whose schema stamp is not MachineHistorySchema

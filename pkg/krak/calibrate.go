@@ -243,19 +243,22 @@ type CalibrationResult struct {
 // marshals to.
 const CalibrationSchema = "krak.calibration/v1"
 
-// MarshalJSON renders the calibration for machine consumption (the CLI's
-// --json flag and /v1/calibrate), stamping the schema identifier.
-func (cr *CalibrationResult) MarshalJSON() ([]byte, error) {
+// wire is the calibration's JSON form: its fields stamped with
+// CalibrationSchema.
+func (cr *CalibrationResult) wire() any {
+	if cr == nil {
+		return nil
+	}
 	type alias CalibrationResult
-	b, err := json.Marshal(struct {
+	return struct {
 		Schema string `json:"schema"`
 		*alias
-	}{Schema: CalibrationSchema, alias: (*alias)(cr)})
-	if err != nil {
-		return nil, fmt.Errorf("%w: encoding calibration: %w", ErrSchema, err)
-	}
-	return b, nil
+	}{CalibrationSchema, (*alias)(cr)}
 }
+
+// MarshalJSON renders the calibration for machine consumption (the CLI's
+// --json flag and /v1/calibrate), stamping the schema identifier.
+func (cr *CalibrationResult) MarshalJSON() ([]byte, error) { return marshalWire(cr, "calibration") }
 
 // UnmarshalJSON decodes a CalibrationResult produced by MarshalJSON,
 // rejecting payloads whose schema stamp is not CalibrationSchema with

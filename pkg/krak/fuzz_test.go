@@ -1,6 +1,8 @@
 package krak
 
 import (
+	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -56,6 +58,49 @@ func FuzzParseMachineFile(f *testing.F) {
 		}
 		if back.Fingerprint() != ms.Fingerprint() {
 			t.Fatalf("fingerprint drifted through format/parse:\n%s", text)
+		}
+	})
+}
+
+// FuzzIndent differentially checks RenderJSON's indenter against
+// json.Indent: a fuzzed string is wrapped in a fuzzed nesting of
+// objects, arrays and empty {} and [] (each 2-bit field of shape picks
+// one wrapper), encoded with json.Marshal, and both indenters must
+// agree byte for byte. The string lands as an object key, a value and
+// an array element, so escapes reach the indenter in every position.
+// Checked-in seeds live in testdata/fuzz/FuzzIndent; run with
+//
+//	go test -fuzz FuzzIndent ./pkg/krak
+func FuzzIndent(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string, shape uint16) {
+		var v any = s
+		for ; shape > 1; shape >>= 2 {
+			switch shape & 3 {
+			case 0:
+				v = []any{v}
+			case 1:
+				v = map[string]any{s: v}
+			case 2:
+				v = []any{map[string]any{}, v, []any{}, len(s)}
+			case 3:
+				v = map[string]any{"a": []any{}, s + "b": v, "c": map[string]any{}}
+			}
+		}
+		compact, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if err := json.Indent(&want, compact, "", "  "); err != nil {
+			t.Fatal(err)
+		}
+		want.WriteByte('\n')
+		got := make([]byte, indent(nil, compact))
+		if n := indent(got, compact); n != len(got) {
+			t.Fatalf("indent wrote %d bytes after sizing %d", n, len(got))
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("indent(%s)\n got: %q\nwant: %q", compact, got, want.Bytes())
 		}
 	})
 }

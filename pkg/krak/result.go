@@ -1,7 +1,6 @@
 package krak
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -117,19 +116,22 @@ type Result struct {
 // consumers can detect layout changes across releases.
 const ResultSchema = "krak.result/v1"
 
-// MarshalJSON renders the result for machine consumption (the CLI's
-// --json flag), stamping the schema identifier alongside the fields.
-func (r *Result) MarshalJSON() ([]byte, error) {
+// wire is the result's JSON form: its fields stamped with
+// ResultSchema.
+func (r *Result) wire() any {
+	if r == nil {
+		return nil
+	}
 	type alias Result
-	b, err := json.Marshal(struct {
+	return struct {
 		Schema string `json:"schema"`
 		*alias
-	}{Schema: ResultSchema, alias: (*alias)(r)})
-	if err != nil {
-		return nil, fmt.Errorf("%w: encoding result: %w", ErrSchema, err)
-	}
-	return b, nil
+	}{ResultSchema, (*alias)(r)}
 }
+
+// MarshalJSON renders the result for machine consumption (the CLI's
+// --json flag), stamping the schema identifier alongside the fields.
+func (r *Result) MarshalJSON() ([]byte, error) { return marshalWire(r, "result") }
 
 // Render formats the result for a terminal, mirroring the JSON content.
 func (r *Result) Render() string {

@@ -2,7 +2,6 @@ package krak
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
@@ -84,19 +83,22 @@ func (sr *SweepResult) Speedup() float64 {
 // SweepSchema identifies the JSON layout SweepResult marshals to.
 const SweepSchema = "krak.sweep/v1"
 
-// MarshalJSON renders the sweep for machine consumption, stamping the
-// schema identifier alongside the fields.
-func (sr *SweepResult) MarshalJSON() ([]byte, error) {
+// wire is the sweep's JSON form: its fields stamped with
+// SweepSchema.
+func (sr *SweepResult) wire() any {
+	if sr == nil {
+		return nil
+	}
 	type alias SweepResult
-	b, err := json.Marshal(struct {
+	return struct {
 		Schema string `json:"schema"`
 		*alias
-	}{Schema: SweepSchema, alias: (*alias)(sr)})
-	if err != nil {
-		return nil, fmt.Errorf("%w: encoding sweep: %w", ErrSchema, err)
-	}
-	return b, nil
+	}{SweepSchema, (*alias)(sr)}
 }
+
+// MarshalJSON renders the sweep for machine consumption, stamping the
+// schema identifier alongside the fields.
+func (sr *SweepResult) MarshalJSON() ([]byte, error) { return marshalWire(sr, "sweep") }
 
 // Render formats the sweep as a summary table for a terminal.
 func (sr *SweepResult) Render() string {
