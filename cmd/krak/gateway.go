@@ -19,14 +19,17 @@ import (
 // that routes across N `krak serve` replicas by consistent hashing of
 // the canonical request keys, with health probing, bounded retries,
 // per-replica circuit breakers, and ring failover, answering 503 with a
-// Retry-After when every replica for a key is down. Replicas come from
-// repeated/comma-separated -replica flags.
+// Retry-After when every replica for a key is down. A predict or
+// simulate question a replica already answered from its own cache is
+// kept (at most 1024 bodies) and answered again without a forward, so
+// restart the gateway with its fleet when the replicas' build changes.
+// Replicas come from repeated/comma-separated -replica flags.
 func runGateway(args []string) error {
 	fs := flag.NewFlagSet("krak gateway", flag.ExitOnError)
 	addr := fs.String("addr", ":8090", "listen address")
 	var replicaFlags stringList
 	fs.Var(&replicaFlags, "replica", "replica base URL (repeatable, or comma-separated)")
-	quick := fs.Bool("quick", false, "replicas run -quick (keeps canonical routing and cache keys consistent)")
+	quick := fs.Bool("quick", false, "replicas run -quick: set exactly when they do, since routing and the response cache key by it")
 	retries := fs.Int("retries", -1, "extra attempts per idempotent request (-1 = default)")
 	probeInterval := fs.Duration("probe-interval", 0, "health-check cadence per replica (0 = default)")
 	breakerThreshold := fs.Int("breaker-threshold", 0, "consecutive failures that open a replica's breaker (0 = default)")

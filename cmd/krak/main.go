@@ -126,7 +126,8 @@ subcommands:
   calibrate    fit machine parameters to measured timings
   machines     list machine presets, fingerprints, and model forms
   serve        run the HTTP prediction service
-  gateway      route requests across serve replicas with failover
+  gateway      route requests across serve replicas with failover, answering
+               repeat predict/simulate questions from its own cache
 
 Run "krak <subcommand> -h" for the subcommand's flags. All subcommands
 accept --json for machine-readable output, and subcommands that take a

@@ -145,6 +145,37 @@ func (c *Cache[K, V]) GetBounded(key K, limit int, fill func() (V, error)) (V, O
 	return e.val, Miss, e.err
 }
 
+// Get returns the filled value for key and marks it most recently used.
+// It never fills: a key that is absent or still filling reports false.
+func (c *Cache[K, V]) Get(key K) (V, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e, ok := c.m[key]; ok && e.elem != nil {
+		c.ll.MoveToFront(e.elem)
+		return e.val, true
+	}
+	var zero V
+	return zero, false
+}
+
+// Add stores val as key's filled entry, evicting beyond the bound, for a
+// caller that decides outside the cache whether a value may be kept. A
+// key already held, filled or filling, keeps what it holds: Add is for
+// keys whose value never changes once known.
+func (c *Cache[K, V]) Add(key K, val V) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := c.m[key]; ok {
+		return
+	}
+	if c.m == nil {
+		c.m = make(map[K]*cacheEntry[K, V])
+	}
+	e := &cacheEntry[K, V]{key: key, val: val}
+	c.m[key] = e
+	c.pushLocked(e)
+}
+
 // finish publishes a completed fill: a success enters the LRU order
 // (evicting beyond the bound), a failure drops its key so the next call
 // retries. Either way the waiters are released.
@@ -153,12 +184,18 @@ func (c *Cache[K, V]) finish(e *cacheEntry[K, V]) {
 	if e.err != nil {
 		delete(c.m, e.key)
 	} else {
-		e.elem = c.ll.PushFront(e)
-		for c.max > 0 && c.ll.Len() > c.max {
-			oldest := c.ll.Remove(c.ll.Back()).(*cacheEntry[K, V])
-			delete(c.m, oldest.key)
-		}
+		c.pushLocked(e)
 	}
 	c.mu.Unlock()
 	close(e.done)
+}
+
+// pushLocked enters a filled entry at the front of the LRU order and
+// evicts the least recently used beyond the bound. c.mu must be held.
+func (c *Cache[K, V]) pushLocked(e *cacheEntry[K, V]) {
+	e.elem = c.ll.PushFront(e)
+	for c.max > 0 && c.ll.Len() > c.max {
+		oldest := c.ll.Remove(c.ll.Back()).(*cacheEntry[K, V])
+		delete(c.m, oldest.key)
+	}
 }

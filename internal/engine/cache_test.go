@@ -409,3 +409,81 @@ func TestGetBoundedConcurrentCap(t *testing.T) {
 		t.Fatalf("admitted=%d refused=%d, want %d/%d", admitted.Load(), refused.Load(), cap, hammers-cap)
 	}
 }
+
+// TestCacheGetAdd pins the pair a caller uses when it decides outside
+// the cache whether a value may be kept: Get never fills and reports
+// only filled keys, Add never replaces a held value, and both share the
+// LRU order and bound with Do.
+func TestCacheGetAdd(t *testing.T) {
+	c := NewCache[string, int](2)
+	if v, ok := c.Get("a"); ok {
+		t.Fatalf("Get on an empty cache = %d, true", v)
+	}
+	c.Add("a", 1)
+	c.Add("a", 2) // a key's value never changes once known
+	if v, ok := c.Get("a"); !ok || v != 1 {
+		t.Fatalf("Get(a) = %d, %v; want 1, true", v, ok)
+	}
+	c.Add("b", 2)
+	c.Get("a") // a is now the most recently used
+	c.Add("c", 3)
+	if _, ok := c.Get("b"); ok {
+		t.Fatal("b survived an Add past the bound though a was used after it")
+	}
+	if v, _, _ := c.Do("a", func() (int, error) { return 9, nil }); v != 1 {
+		t.Fatalf("Do after Add refilled a: %d", v)
+	}
+	if c.Len() != 2 {
+		t.Fatalf("Len = %d, want 2", c.Len())
+	}
+
+	// A key still filling is neither reported by Get nor taken by Add.
+	release := make(chan struct{})
+	filling := make(chan struct{})
+	done := make(chan int)
+	go func() {
+		v, _, _ := c.Do("d", func() (int, error) {
+			close(filling)
+			<-release
+			return 4, nil
+		})
+		done <- v
+	}()
+	<-filling
+	if _, ok := c.Get("d"); ok {
+		t.Fatal("Get reported a key whose fill is in flight")
+	}
+	c.Add("d", 40)
+	close(release)
+	if v := <-done; v != 4 {
+		t.Fatalf("fill returned %d, want 4", v)
+	}
+	if v, ok := c.Get("d"); !ok || v != 4 {
+		t.Fatalf("Get(d) = %d, %v; want the fill's 4, true", v, ok)
+	}
+}
+
+// TestCacheGetAddConcurrent runs Get and Add for overlapping keys from
+// several goroutines, for the race detector, and checks the bound and
+// that each key keeps the one value ever added for it.
+func TestCacheGetAddConcurrent(t *testing.T) {
+	c := NewCache[int, int](8)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				k := (g*7 + i) % 16
+				if v, ok := c.Get(k); ok && v != k*k {
+					t.Errorf("Get(%d) = %d, want %d", k, v, k*k)
+				}
+				c.Add(k, k*k)
+			}
+		}()
+	}
+	wg.Wait()
+	if c.Len() > 8 {
+		t.Fatalf("Len = %d past the bound 8", c.Len())
+	}
+}

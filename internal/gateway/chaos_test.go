@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -31,7 +32,14 @@ error-status 500
 corrupt-rate 0.2
 `
 
-var chaosPEs = []int{2, 4, 8, 16, 32, 64}
+// chaosKeys is how many predict keys each soak round sends. Every round
+// sends fresh keys, each once, so none becomes a gateway cache hit and
+// every request of every round reaches a replica: the kill and the
+// armed fault plan act on live replica traffic to the end.
+const chaosKeys = 6
+
+// chaosPE is the PE count of key i in a soak round.
+func chaosPE(round, i int) int { return 2 + round*chaosKeys + i }
 
 // chaosHandler builds a real quick-mode serving replica, optionally
 // armed with a fault injector.
@@ -54,12 +62,13 @@ func chaosReplica(t *testing.T, inj *faultinject.Injector) (*httptest.Server, *s
 	return ts, h
 }
 
-// referenceBodies renders the ground truth once on a clean single node.
-func referenceBodies(t *testing.T) map[int][]byte {
+// referenceBodies renders the ground truth of rounds soak rounds once on
+// a clean single node, by PE count.
+func referenceBodies(t *testing.T, rounds int) map[int][]byte {
 	t.Helper()
 	ts, _ := chaosReplica(t, nil)
-	ref := make(map[int][]byte, len(chaosPEs))
-	for _, pe := range chaosPEs {
+	ref := make(map[int][]byte, rounds*chaosKeys)
+	for pe := chaosPE(0, 0); pe < chaosPE(rounds, 0); pe++ {
 		resp, err := http.Post(ts.URL+"/v1/predict", "application/json", bytes.NewReader(predictBody(pe)))
 		if err != nil {
 			t.Fatal(err)
@@ -84,6 +93,24 @@ func newChaosInjector(t *testing.T) *faultinject.Injector {
 	return faultinject.New(plan)
 }
 
+// corruptDrawn reports which PE counts' predict requests the chaos plan
+// corrupts on their first draw. Fault decisions are a pure function of
+// the plan's seed, the request's content and its occurrence number, so
+// a scratch injector run over the bodies once draws exactly what the
+// armed replica will for a key it sees once.
+func corruptDrawn(t *testing.T, pes []int) map[int]bool {
+	t.Helper()
+	probe := newChaosInjector(t)
+	h := probe.Middleware(func(w http.ResponseWriter, r *http.Request) { io.WriteString(w, "1") })
+	drawn := map[int]bool{}
+	for _, pe := range pes {
+		before := probe.Totals()[faultinject.KindCorrupt]
+		h(httptest.NewRecorder(), httptest.NewRequest("POST", "/v1/predict", bytes.NewReader(predictBody(pe))))
+		drawn[pe] = probe.Totals()[faultinject.KindCorrupt] > before
+	}
+	return drawn
+}
+
 // TestChaosKillAndCorruptMidSoak: one replica injects errors and corrupt
 // bodies the whole time, another is killed a third of the way in, and
 // the soak still completes with every request answered 200 by a replica
@@ -95,11 +122,22 @@ func newChaosInjector(t *testing.T) *faultinject.Injector {
 // run, so which replica owns which chaos key is known only once the
 // listeners are bound. The replicas are bound unstarted, the ring is
 // built from their addresses, and only then is the replica owning the
-// most keys armed — so the injector sees traffic whatever the ports —
-// and the busiest of the others picked to die.
+// most keys the plan corrupts armed — so its corrupt fault fires
+// whatever the ports — and the busiest of the others picked to die. The
+// breakers never open: an open breaker would skip the armed replica for
+// a wall-clock cooldown, so whether a corrupt draw happened would depend
+// on timing.
 func TestChaosKillAndCorruptMidSoak(t *testing.T) {
-	ref := referenceBodies(t)
+	const rounds = 20
+	ref := referenceBodies(t, rounds)
 	inj := newChaosInjector(t)
+	var pes []int
+	for round := 0; round < rounds; round++ {
+		for i := 0; i < chaosKeys; i++ {
+			pes = append(pes, chaosPE(round, i))
+		}
+	}
+	corrupt := corruptDrawn(t, pes)
 
 	replicas := make([]*httptest.Server, 3)
 	urls := make([]string, len(replicas))
@@ -111,20 +149,29 @@ func TestChaosKillAndCorruptMidSoak(t *testing.T) {
 
 	cfg := testConfig(urls...)
 	cfg.Quick = true
+	cfg.BreakerThreshold = maxBreakerFails
 	g, err := New(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	owned := make([]int, len(replicas))
-	for _, pe := range chaosPEs {
+	ownedCorrupt := make([]int, len(replicas))
+	for _, pe := range pes {
 		req := httptest.NewRequest("POST", "/v1/predict", nil)
-		owned[g.ring.owner(g.classify(req, predictBody(pe)).key)]++
+		owner := g.ring.owner(g.classify(req, predictBody(pe)).key)
+		owned[owner]++
+		if corrupt[pe] {
+			ownedCorrupt[owner]++
+		}
 	}
 	armed := 0
-	for i, n := range owned {
-		if n > owned[armed] {
+	for i, n := range ownedCorrupt {
+		if n > ownedCorrupt[armed] {
 			armed = i
 		}
+	}
+	if ownedCorrupt[armed] == 0 {
+		t.Fatalf("the plan corrupts none of the %d keys", len(pes))
 	}
 	victim := (armed + 1) % len(replicas)
 	for i, n := range owned {
@@ -148,15 +195,22 @@ func TestChaosKillAndCorruptMidSoak(t *testing.T) {
 		g.Close()
 	}()
 
-	const rounds = 20
 	killAt := rounds / 3
-	sent := 0
+	sent, sentAfterKill := 0, 0
+	var proxiedAtKill []int64
 	for round := 0; round < rounds; round++ {
 		if round == killAt {
 			replicas[victim].Close() // SIGKILL equivalent: connections refused from here on
+			for i := range replicas {
+				proxiedAtKill = append(proxiedAtKill, g.proxiedByIndex[i].Load())
+			}
 		}
-		for _, pe := range chaosPEs {
+		for i := 0; i < chaosKeys; i++ {
+			pe := chaosPE(round, i)
 			sent++
+			if round >= killAt {
+				sentAfterKill++
+			}
 			rec := post(t, g, "/v1/predict", predictBody(pe))
 			if rec.Code != http.StatusOK {
 				t.Fatalf("round %d pe %d: lost request, status %d body %s",
@@ -178,9 +232,32 @@ func TestChaosKillAndCorruptMidSoak(t *testing.T) {
 	if unavailable := g.unavailable.Load(); unavailable != 0 {
 		t.Fatalf("retries and failover left %d requests to 503", unavailable)
 	}
+	// Every request after the kill was answered by a live replica, none
+	// by the dead one or the gateway's cache.
+	var grown int64
+	for i := range replicas {
+		d := g.proxiedByIndex[i].Load() - proxiedAtKill[i]
+		if i == victim && d != 0 {
+			t.Fatalf("the killed replica answered %d requests after the kill", d)
+		}
+		grown += d
+	}
+	if grown != int64(sentAfterKill) || g.cacheHits.Load() != 0 {
+		t.Fatalf("after the kill replicas answered %d of %d requests and the cache %d",
+			grown, sentAfterKill, g.cacheHits.Load())
+	}
+	// The armed replica drew a corrupt fault for every key it owns that
+	// the plan corrupts, and every body above matched the reference, so
+	// the gateway refused each one: every fault cost an attempt and a
+	// retry on the next replica.
 	totals := inj.Totals()
-	if totals[faultinject.KindError]+totals[faultinject.KindCorrupt] == 0 {
-		t.Fatalf("armed injector fired nothing: %v", totals)
+	faults := totals[faultinject.KindError] + totals[faultinject.KindCorrupt]
+	if totals[faultinject.KindCorrupt] < int64(ownedCorrupt[armed]) {
+		t.Fatalf("armed replica drew %d corrupt faults, want at least the %d of the keys it owns: %v",
+			totals[faultinject.KindCorrupt], ownedCorrupt[armed], totals)
+	}
+	if g.retries.Load() < faults {
+		t.Fatalf("%d retries for %d injected faults: a faulted answer was not refused", g.retries.Load(), faults)
 	}
 }
 
@@ -193,7 +270,7 @@ func TestChaosKillAndCorruptMidSoak(t *testing.T) {
 // no cache directory a faulted request has nowhere left to go: each
 // response is either the reference body or a 503, and the 503s number
 // exactly the injected error and corrupt faults.
-func runChaosSoak(t *testing.T, ref map[int][]byte) map[string]int64 {
+func runChaosSoak(t *testing.T, rounds int, ref map[int][]byte) map[string]int64 {
 	t.Helper()
 	inj := newChaosInjector(t)
 	ts, _ := chaosReplica(t, inj)
@@ -210,8 +287,9 @@ func runChaosSoak(t *testing.T, ref map[int][]byte) map[string]int64 {
 		t.Fatal(err)
 	}
 	var unavailable int64
-	for round := 0; round < 10; round++ {
-		for _, pe := range chaosPEs {
+	for round := 0; round < rounds; round++ {
+		for i := 0; i < chaosKeys; i++ {
+			pe := chaosPE(round, i)
 			rec := post(t, g, "/v1/predict", predictBody(pe))
 			switch rec.Code {
 			case http.StatusOK:
@@ -244,9 +322,10 @@ func runChaosSoak(t *testing.T, ref map[int][]byte) map[string]int64 {
 // injected-fault sequence, observed as identical
 // krak_fault_injected_total counters across two independent runs.
 func TestChaosFaultTotalsReproducible(t *testing.T) {
-	ref := referenceBodies(t)
-	first := runChaosSoak(t, ref)
-	second := runChaosSoak(t, ref)
+	const rounds = 10
+	ref := referenceBodies(t, rounds)
+	first := runChaosSoak(t, rounds, ref)
+	second := runChaosSoak(t, rounds, ref)
 	if !reflect.DeepEqual(first, second) {
 		t.Fatalf("fault totals diverged across identical runs:\nfirst:  %v\nsecond: %v", first, second)
 	}
@@ -273,7 +352,7 @@ func TestChaosSeedChangesFaultSequence(t *testing.T) {
 		ts, _ := chaosReplica(t, inj)
 		for i := 0; i < 24; i++ {
 			resp, err := http.Post(ts.URL+"/v1/predict", "application/json",
-				bytes.NewReader(predictBody(chaosPEs[i%len(chaosPEs)])))
+				bytes.NewReader(predictBody(chaosPE(0, i%chaosKeys))))
 			if err == nil {
 				resp.Body.Close()
 			}

@@ -39,9 +39,10 @@ type Config struct {
 	BreakerCooldown  time.Duration
 
 	// Quick applies the serving tier's -quick to the gateway's own view
-	// of each request (its canonical routing keys). Set it exactly when
-	// the replicas run -quick, or keys will not match the bodies the
-	// replicas cache.
+	// of each request (its canonical routing and cache keys). Set it
+	// exactly when the replicas run -quick, or keys will not match the
+	// bodies the replicas cache: a gateway keying with Quick in front of
+	// full-size replicas would store one body for two questions.
 	Quick bool
 }
 

@@ -11,10 +11,21 @@
 // unavailable the gateway answers 503, carrying krak.ErrUnavailable
 // semantics and a Retry-After.
 //
+// In front of the forward sits a bounded response cache for the routes
+// whose ring key is the replica's own response-LRU key (predict and
+// simulate): a repeat question is answered without a second hop. A body
+// is stored only when a replica answered it 200, from its own LRU, with
+// a Content-Digest the gateway checked, so a key asked once never takes
+// gateway memory. Within one build a key's body never changes, which is
+// what the replicas' LRUs already rely on; the gateway is restarted
+// together with its fleet.
+//
 // Everything observable is exported through the shared metrics
 // registry: krak_gateway_retries_total, krak_gateway_breaker_state,
-// krak_gateway_unavailable_total, per-replica health gauges, and the
-// standard request/latency families.
+// krak_gateway_unavailable_total, krak_gateway_cache_hits_total,
+// per-replica health gauges, and the standard request/latency families.
+// Each response on a cached route says in its RFC 9211 Cache-Status
+// which tier answered it.
 package gateway
 
 import (
@@ -23,10 +34,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"krak/internal/engine"
 	"krak/internal/faultinject"
 	"krak/internal/metrics"
 	"krak/internal/server"
@@ -42,6 +55,17 @@ import (
 // and a compare.MaxPoints compare (under 1 MB); the bound leaves
 // headroom above all three.
 const maxResponseBody = 32 << 20
+
+// cacheEntries bounds the response cache: the replicas' default LRU
+// size, so the gateway holds at most what one replica does.
+const cacheEntries = 1024
+
+// The Cache-Status members the gateway adds on a cached route: to a body
+// it answered from its cache, and to one it forwarded.
+const (
+	cacheStatusHit = "krak-gateway; hit"
+	cacheStatusFwd = "krak-gateway; fwd=uri-miss"
+)
 
 // unmatchedLabel is the metric endpoint label every path outside the
 // endpoint table shares, so arbitrary paths cannot mint new series.
@@ -86,7 +110,12 @@ type Gateway struct {
 	// built at New; ServeHTTP picks one by endpointLabel.
 	proxies map[string]http.HandlerFunc
 
+	// cache holds the replica-LRU hits of cached routes by ring key (see
+	// relay).
+	cache *engine.Cache[string, stored]
+
 	requests       atomic.Int64
+	cacheHits      atomic.Int64
 	retries        atomic.Int64
 	unavailable    atomic.Int64
 	proxiedByIndex []atomic.Int64
@@ -112,6 +141,7 @@ func New(cfg Config, faults *faultinject.Injector) (*Gateway, error) {
 			Transport: faults.RoundTripper(http.DefaultTransport.(*http.Transport).Clone()),
 		},
 		ring:           newRing(cfg.Replicas, virtualNodes),
+		cache:          engine.NewCache[string, stored](cacheEntries),
 		metrics:        metrics.NewRegistry(),
 		start:          time.Now(),
 		rng:            stats.NewSplitMix64(jitterSeed),
@@ -191,23 +221,27 @@ func (g *Gateway) probe(ctx context.Context, rep *replica) {
 }
 
 // reqClass is the routing classification of one request: the ring key
-// it hashes on and whether retry/failover across replicas is safe.
+// it hashes on, whether retry/failover across replicas is safe, and
+// whether the response cache may answer it.
 type reqClass struct {
 	key        string
 	idempotent bool
+	cached     bool
 }
 
 // classify derives a request's class from its endpoint-table row
-// (server.Lookup): the row's ring key, and retry/failover only when the
-// row is idempotent and the request uses the row's own method. A path
-// outside the table gets a body-digest key and one attempt; it is still
-// proxied, so a replica running a newer version keeps serving it during
-// a rolling upgrade.
+// (server.Lookup): the row's ring key, and retry/failover and the
+// response cache only when the row allows them and the request uses the
+// row's own method. A path outside the table gets a body-digest key and
+// one attempt; it is still proxied, so a replica running a newer version
+// keeps serving it during a rolling upgrade.
 func (g *Gateway) classify(r *http.Request, body []byte) reqClass {
 	rt, _ := server.Lookup(r.Method, r.URL.Path)
+	own := rt.Method == r.Method
 	return reqClass{
 		key:        rt.Key(r, body, g.cfg.Quick),
-		idempotent: rt.Idempotent && rt.Method == r.Method,
+		idempotent: rt.Idempotent && own,
+		cached:     rt.Cached && own,
 	}
 }
 
@@ -239,8 +273,10 @@ func endpointLabel(path string) string {
 	return unmatchedLabel
 }
 
-// proxy is the routed path: pick the key's replica sequence, attempt
-// with retry/backoff/failover as the class allows, then answer 503.
+// proxy is the routed path: answer from the response cache when the
+// class allows and the key is held, else pick the key's replica
+// sequence, attempt with retry/backoff/failover as the class allows,
+// then answer 503.
 //
 // A client that hangs up or times out ends the attempts at once. Its
 // dead context fails every later forward, and charging that to the
@@ -253,6 +289,13 @@ func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	class := g.classify(r, body)
+	if class.cached {
+		if st, ok := g.cache.Get(class.key); ok {
+			g.cacheHits.Add(1)
+			st.write(w)
+			return
+		}
+	}
 	seq := g.ring.sequence(class.key)
 	ctx := r.Context()
 
@@ -291,9 +334,7 @@ func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request) {
 		}
 		rep.breaker.success()
 		g.proxiedByIndex[idx].Add(1)
-		copyHeaders(w, resp)
-		w.WriteHeader(resp.StatusCode)
-		w.Write(respBody)
+		g.relay(w, class, resp, respBody)
 		return
 	}
 	if err := ctx.Err(); err != nil {
@@ -357,15 +398,59 @@ func (g *Gateway) forward(r *http.Request, rep *replica, body []byte) (*http.Res
 	return resp, respBody, nil
 }
 
-// copyHeaders relays the response headers the serving tier's clients
-// depend on, Content-Digest among them so a client can check a body end
-// to end; hop-by-hop noise stays behind.
-func copyHeaders(w http.ResponseWriter, resp *http.Response) {
-	for _, k := range []string{"Content-Type", "Content-Digest", "Retry-After"} {
+// relay sends an accepted replica response: the header fields the
+// serving tier's clients depend on, Content-Digest among them so a
+// client can check a body end to end, and the exact Content-Length of
+// the bytes, so the client sees the framing the replica sent rather
+// than chunks; hop-by-hop noise stays behind.
+//
+// On a cached route it adds the gateway's Cache-Status member, and it
+// stores a 200 that the replica says it answered from its own LRU
+// (server.CacheStatusHit). acceptable has already checked the body's
+// digest.
+func (g *Gateway) relay(w http.ResponseWriter, class reqClass, resp *http.Response, body []byte) {
+	h := w.Header()
+	for _, k := range []string{"Content-Type", "Content-Digest", "Retry-After", "Cache-Status"} {
 		if v := resp.Header.Get(k); v != "" {
-			w.Header().Set(k, v)
+			h.Set(k, v)
 		}
 	}
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	if class.cached {
+		upstream := resp.Header.Get("Cache-Status")
+		member := cacheStatusFwd
+		if resp.StatusCode == http.StatusOK && upstream == server.CacheStatusHit {
+			st := stored{body, h.Clone()}
+			st.header.Set("Cache-Status", upstream+", "+cacheStatusHit)
+			g.cache.Add(class.key, st)
+			member += "; stored"
+		}
+		if upstream != "" {
+			member = upstream + ", " + member
+		}
+		h.Set("Cache-Status", member)
+	}
+	w.WriteHeader(resp.StatusCode)
+	w.Write(body)
+}
+
+// stored is a response the cache answers again: the bytes and the
+// header fields they were relayed with, Cache-Status saying the gateway
+// answered.
+type stored struct {
+	body   []byte
+	header http.Header
+}
+
+// write sends st with status 200. Every hit shares the stored field
+// values, which nothing modifies.
+func (st stored) write(w http.ResponseWriter) {
+	h := w.Header()
+	//krakcheck:ignore maprange each field is assigned on its own, so the order cannot show
+	for k, v := range st.header {
+		h[k] = v
+	}
+	w.Write(st.body)
 }
 
 // backoff sleeps the jittered exponential delay before retry n (n ≥ 1):
@@ -427,6 +512,10 @@ func (g *Gateway) registerMetrics() {
 		"Retry attempts beyond each request's first.", counter(&g.retries))
 	reg.AddScalar("krak_gateway_unavailable_total", "counter",
 		"Requests no replica could serve (503).", counter(&g.unavailable))
+	reg.AddScalar("krak_gateway_cache_hits_total", "counter",
+		"Requests answered from the gateway's response cache, with no forward.", counter(&g.cacheHits))
+	reg.AddScalar("krak_gateway_cache_entries", "gauge",
+		"Response bodies the gateway's cache holds.", func() float64 { return float64(g.cache.Len()) })
 	breakerSeries := make(map[string]func() float64, len(g.replicas))
 	healthSeries := make(map[string]func() float64, len(g.replicas))
 	proxiedSeries := make(map[string]func() float64, len(g.replicas))

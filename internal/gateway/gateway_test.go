@@ -49,6 +49,7 @@ type stubReplica struct {
 	requests atomic.Int64
 	fail     atomic.Bool  // when set, answer 500
 	damage   atomic.Int32 // how a 200 is damaged; 0 sends it intact
+	hit      atomic.Bool  // when set, a 200 says it came from the replica's LRU
 }
 
 func newStubReplica() *stubReplica {
@@ -62,6 +63,9 @@ func newStubReplica() *stubReplica {
 		if s.fail.Load() {
 			http.Error(w, "boom", http.StatusInternalServerError)
 			return
+		}
+		if s.hit.Load() {
+			w.Header().Set("Cache-Status", server.CacheStatusHit)
 		}
 		switch s.damage.Load() {
 		case garbage:

@@ -28,6 +28,11 @@ type Route struct {
 	// Idempotent marks routes the gateway may retry and fail over.
 	Idempotent bool
 
+	// Cached marks routes whose ring key, for a body that decodes, is
+	// the key the replica's response LRU stores the answer under, so the
+	// gateway may answer a repeat from its own cache.
+	Cached bool
+
 	// Key derives the gateway's ring key for a request on this route.
 	Key RingKey
 
@@ -44,23 +49,23 @@ type RingKey func(r *http.Request, body []byte, quick bool) string
 // every tier serves its own, outside admission, instrumentation, fault
 // injection and proxying.
 var routes = []Route{
-	{"POST", "/v1/predict", classLight, true,
+	{"POST", "/v1/predict", classLight, true, true,
 		canonicalKey(func(r *krak.PredictRequest) *krak.MachineSpec { return &r.Machine }), (*Server).handlePredict},
-	{"POST", "/v1/simulate", classLight, true,
+	{"POST", "/v1/simulate", classLight, true, true,
 		canonicalKey(func(r *krak.SimulateRequest) *krak.MachineSpec { return &r.Machine }), (*Server).handleSimulate},
-	{"POST", "/v1/sweep", classHeavy, true, digestKey, (*Server).handleSweep},
-	{"POST", "/v1/compare", classHeavy, true, digestKey, (*Server).handleCompare},
-	{"POST", "/v1/calibrate", classHeavy, true, digestKey, (*Server).handleCalibrate},
+	{"POST", "/v1/sweep", classHeavy, true, false, digestKey, (*Server).handleSweep},
+	{"POST", "/v1/compare", classHeavy, true, false, digestKey, (*Server).handleCompare},
+	{"POST", "/v1/calibrate", classHeavy, true, false, digestKey, (*Server).handleCalibrate},
 	// Appends mutate the registry: one attempt only, on the replica that
 	// owns the history they extend.
-	{"POST", "/v1/calibrate/append", classHeavy, false, appendKey, (*Server).handleCalibrateAppend},
-	{"GET", "/v1/machines", classLight, true, pathKey, (*Server).handleMachines},
+	{"POST", "/v1/calibrate/append", classHeavy, false, false, appendKey, (*Server).handleCalibrateAppend},
+	{"GET", "/v1/machines", classLight, true, false, pathKey, (*Server).handleMachines},
 	// Registry reads and writes anchor to the fingerprint, so a machine's
 	// history lives on one replica.
-	{"GET", "/v1/machines/{fingerprint}", classLight, true, fingerprintKey, (*Server).handleMachineHistory},
-	{"POST", "/v1/machines/{fingerprint}", classLight, false, fingerprintKey, (*Server).handleMachineRegister},
-	{"GET", "/v1/experiments", classLight, true, pathKey, (*Server).handleExperimentList},
-	{"GET", "/v1/experiments/{id}", classLight, true, pathKey, (*Server).handleExperiment},
+	{"GET", "/v1/machines/{fingerprint}", classLight, true, false, fingerprintKey, (*Server).handleMachineHistory},
+	{"POST", "/v1/machines/{fingerprint}", classLight, false, false, fingerprintKey, (*Server).handleMachineRegister},
+	{"GET", "/v1/experiments", classLight, true, false, pathKey, (*Server).handleExperimentList},
+	{"GET", "/v1/experiments/{id}", classLight, true, false, pathKey, (*Server).handleExperiment},
 }
 
 // Routes returns a copy of the endpoint table.
@@ -138,14 +143,15 @@ func digestKey(r *http.Request, body []byte, _ bool) string {
 }
 
 // canonicalKey keys a request by its wire type's CanonicalKey — the key
-// the replica's response cache stores the body under — after resolving
-// the machine exactly as the replica will. machine points at the
-// request's MachineSpec. A body that does not decode or resolve falls
-// back to its digest.
+// the replica's response cache stores the body under — after decoding
+// and resolving the machine exactly as the replica will. machine points
+// at the request's MachineSpec. A body that the replica's strict decode
+// refuses, or that does not resolve, falls back to its digest, so it
+// never shares a key with a body the replica answers.
 func canonicalKey[R interface{ CanonicalKey() string }](machine func(*R) *krak.MachineSpec) RingKey {
 	return func(r *http.Request, body []byte, quick bool) string {
 		var req R
-		if json.Unmarshal(body, &req) == nil {
+		if decodeStrict(body, &req) == nil {
 			ms := machine(&req)
 			if resolved, err := ResolveSpec(*ms, quick); err == nil {
 				*ms = resolved

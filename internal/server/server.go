@@ -134,9 +134,10 @@ type Server struct {
 	artifacts *krak.SharedArtifacts
 
 	// responses is the size-bounded LRU of rendered response bodies,
-	// keyed by canonical request. Its single-flight Do coalesces
-	// duplicate in-flight requests.
-	responses *engine.Cache[string, []byte]
+	// keyed by canonical request, each stored with its Content-Digest so
+	// a hit hashes nothing. Its single-flight Do coalesces duplicate
+	// in-flight requests.
+	responses *engine.Cache[string, digested]
 
 	pool      *engine.Pool
 	metrics   *metrics.Registry
@@ -168,7 +169,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:       cfg,
 		start:     time.Now(),
-		responses: engine.NewCache[string, []byte](cfg.CacheSize),
+		responses: engine.NewCache[string, digested](cfg.CacheSize),
 		pool:      engine.New(cfg.Parallel),
 		artifacts: krak.NewSharedArtifacts(),
 		metrics:   metrics.NewRegistry(),
@@ -316,13 +317,21 @@ func ReadBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	return body, nil
 }
 
-// decode reads a strict JSON body into v: unknown fields and trailing
-// garbage are errors, exactly what the fuzz harness pounds on.
+// decode reads a strict JSON body into v (see decodeStrict).
 func decode(w http.ResponseWriter, r *http.Request, v any) error {
 	body, err := ReadBody(w, r)
 	if err != nil {
 		return err
 	}
+	return decodeStrict(body, v)
+}
+
+// decodeStrict decodes body into v: unknown fields and trailing garbage
+// are errors, exactly what the fuzz harness pounds on. It is the one
+// decode a request body passes on both tiers: the handlers' and the
+// gateway's canonical ring keys, so a body the replica refuses never
+// takes the key of one it answers.
+func decodeStrict(body []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
@@ -396,18 +405,44 @@ func WriteJSON(w http.ResponseWriter, v any) {
 		WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
-	writeBody(w, body)
+	writeBody(w, body, ContentDigest(body))
 }
+
+// jsonType is the Content-Type of every body a replica renders, shared
+// by every response and never modified.
+var jsonType = []string{"application/json"}
 
 // writeBody sends a 2xx body, the one way every such body leaves a
 // replica: with its exact length, so neither side frames it in chunks,
 // and its Content-Digest, which the gateway checks before relaying.
-func writeBody(w http.ResponseWriter, body []byte) {
+func writeBody(w http.ResponseWriter, body []byte, digest string) {
 	h := w.Header()
-	h.Set("Content-Type", "application/json")
+	h["Content-Type"] = jsonType
 	h.Set("Content-Length", strconv.Itoa(len(body)))
-	h.Set("Content-Digest", ContentDigest(body))
+	h.Set("Content-Digest", digest)
 	w.Write(body)
+}
+
+// digested is a response-LRU entry: a rendered body and its
+// Content-Digest, hashed once per fill rather than on every hit.
+type digested struct {
+	body   []byte
+	digest string
+}
+
+// CacheStatusHit is the RFC 9211 Cache-Status a replica sends with a
+// body its response LRU already held when the request arrived. The
+// gateway stores a body only on this value, so a key asked once never
+// takes gateway memory.
+const CacheStatusHit = "krak-serve; hit"
+
+// cacheStatus is the Cache-Status field value of each response-LRU
+// outcome: a miss went forward to the computation, and a coalesced
+// request was collapsed onto another request's.
+var cacheStatus = [...][]string{
+	engine.Miss:      {"krak-serve; fwd=miss"},
+	engine.Hit:       {CacheStatusHit},
+	engine.Coalesced: {"krak-serve; fwd=miss; collapsed"},
 }
 
 // ContentDigest is the RFC 9530 Content-Digest field value of body: its
@@ -534,13 +569,21 @@ func (s *Server) handleMachines(w http.ResponseWriter, r *http.Request) {
 }
 
 // cachedBody looks key up in the rendered-response LRU, filling it on a
-// miss; duplicate misses in flight share the one computation. The LRU
-// reports each request's outcome distinctly: a hit found the entry
-// filled, a coalesced request joined another request's in-flight fill
-// (it waited, it did not compute, and it was not served from the
-// finished cache), and a miss ran the fill itself.
+// miss; duplicate misses in flight share the one computation, and each
+// fill hashes its body once. The LRU reports each request's
+// outcome distinctly, in the counters and in the response's
+// Cache-Status: a hit found the entry filled, a coalesced request joined
+// another request's in-flight fill (it waited, it did not compute, and
+// it was not served from the finished cache), and a miss ran the fill
+// itself.
 func (s *Server) cachedBody(w http.ResponseWriter, key string, fill func() ([]byte, error)) {
-	body, outcome, err := s.responses.Do(key, fill)
+	d, outcome, err := s.responses.Do(key, func() (digested, error) {
+		body, err := fill()
+		if err != nil {
+			return digested{}, err
+		}
+		return digested{body, ContentDigest(body)}, nil
+	})
 	if err != nil {
 		WriteError(w, ErrorStatus(err), err)
 		return
@@ -553,7 +596,8 @@ func (s *Server) cachedBody(w http.ResponseWriter, key string, fill func() ([]by
 	default:
 		s.cacheMisses.Add(1)
 	}
-	writeBody(w, body)
+	w.Header()["Cache-Status"] = cacheStatus[outcome]
+	writeBody(w, d.body, d.digest)
 }
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
@@ -682,7 +726,7 @@ func (s *Server) handleMachineHistory(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, ErrorStatus(err), err)
 		return
 	}
-	writeBody(w, body)
+	writeBody(w, body, ContentDigest(body))
 }
 
 // handleMachineRegister records a calibration result as the version
@@ -712,7 +756,7 @@ func (s *Server) handleMachineRegister(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, ErrorStatus(err), err)
 		return
 	}
-	writeBody(w, body)
+	writeBody(w, body, ContentDigest(body))
 }
 
 // handleCalibrateAppend folds fresh measurements into a registered

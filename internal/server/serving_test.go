@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -120,20 +121,33 @@ func TestHealthzAgreesWithMetrics(t *testing.T) {
 // as cache hits, inflating the hit rate under bursts. The three outcomes
 // must be reported distinctly: the burst below is 1 miss plus n-1
 // coalesced (zero hits — nothing was in the finished cache), and only
-// the repeat afterwards is a hit.
+// the repeat afterwards is a hit. Each response's RFC 9211 Cache-Status
+// names its outcome the same way, and only the hit carries
+// CacheStatusHit, the value the gateway admits bodies on.
 func TestCacheOutcomeCountsPinned(t *testing.T) {
 	s := quickServer()
 	const n = 6
-	burstOnHeldFill(t, s, "burst", n)
+	recs, _ := burstOnHeldFill(t, s, "burst", n)
 	if m, c, h := s.cacheMisses.Load(), s.cacheCoalesced.Load(), s.cacheHits.Load(); m != 1 || c != n-1 || h != 0 {
 		t.Fatalf("burst counts: misses=%d coalesced=%d hits=%d, want 1/%d/0", m, c, h, n-1)
 	}
-	s.cachedBody(httptest.NewRecorder(), "burst", func() ([]byte, error) {
+	statuses := map[string]int{}
+	for _, w := range recs {
+		statuses[w.Header().Get("Cache-Status")]++
+	}
+	if want := map[string]int{"krak-serve; fwd=miss": 1, "krak-serve; fwd=miss; collapsed": n - 1}; !maps.Equal(statuses, want) {
+		t.Fatalf("burst Cache-Status values %v, want %v", statuses, want)
+	}
+	rec := httptest.NewRecorder()
+	s.cachedBody(rec, "burst", func() ([]byte, error) {
 		t.Error("repeat ran the fill")
 		return nil, nil
 	})
 	if m, c, h := s.cacheMisses.Load(), s.cacheCoalesced.Load(), s.cacheHits.Load(); m != 1 || c != n-1 || h != 1 {
 		t.Fatalf("after repeat: misses=%d coalesced=%d hits=%d, want 1/%d/1", m, c, h, n-1)
+	}
+	if got := rec.Header().Get("Cache-Status"); got != CacheStatusHit {
+		t.Fatalf("repeat Cache-Status %q, want %q", got, CacheStatusHit)
 	}
 }
 
