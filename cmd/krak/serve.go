@@ -52,7 +52,7 @@ func runServe(args []string) error {
 	parallel := fs.Int("parallel", 0, "worker-pool width for dispatch and machines (0 = number of CPUs)")
 	cacheSize := fs.Int("cache-size", 1024, "rendered-response LRU capacity (entries)")
 	quick := fs.Bool("quick", false, "serve scaled-down decks and calibrations")
-	cacheDir := fs.String("cache-dir", "", "directory the machine registry lives in, shared by restarts and replicas (empty = a private temporary directory, removed at shutdown)")
+	cacheDir := fs.String("cache-dir", "", "directory the machine registry lives in, shared by restarts and replicas (empty = a private temporary directory, removed at shutdown); a 200 means the write is visible to every replica, not fsynced")
 	lightLimit := fs.Int("light-limit", 0, "concurrent in-flight limit for cached-read endpoints (0 = default 256, -1 = unlimited)")
 	lightQueue := fs.Int("light-queue", 0, "admission wait-queue depth for cached-read endpoints (0 = default 1024, -1 = no queue)")
 	heavyLimit := fs.Int("heavy-limit", 0, "concurrent in-flight limit for sweep/compare/calibrate (0 = default 4, -1 = unlimited)")

@@ -14,11 +14,11 @@
 // Calibrate (fit machine parameters to measured timings, yielding a
 // reusable machine description) — all returning unified
 // Result/SweepResult/CalibrationResult values with Render and
-// MarshalJSON output. The cmd/krak CLI exposes the same operations as
-// subcommands (predict, simulate, hydro, part, sweep, experiments,
-// calibrate), and `krak serve` runs them as a long-lived HTTP
-// service (internal/server) whose responses are byte-identical to the
-// CLI's --json output; pkg/krak also carries the service's wire types
+// schema-stamped JSON output. The cmd/krak CLI exposes the same
+// operations as subcommands (predict, simulate, hydro, part, sweep,
+// experiments, calibrate), and `krak serve` runs them as a long-lived
+// HTTP service (internal/server) whose responses are byte-identical to
+// the CLI's --json output; pkg/krak also carries the service's wire types
 // (PredictRequest, SimulateRequest, SweepRequest, CalibrateRequest,
 // MachineSpec — including declarative machine files via
 // ParseMachineFile/-machine-file).

@@ -230,3 +230,56 @@ func TestGatewayRelayKeepsLength(t *testing.T) {
 		}
 	}
 }
+
+// TestGatewayRelaysHead: a HEAD through the gateway answers what a HEAD
+// on the replica answers, with the same Content-Length and
+// Content-Digest and no body, and charges no replica. The gateway used
+// to forward the HEAD, read the declared length of a body the replica
+// never sends, fail with io.ErrUnexpectedEOF, charge the breaker and
+// answer 503. A HEAD on the gateway's own /metrics and /healthz is the
+// gateway's to answer: it used to be proxied, and the replica's
+// /metrics, which carries no Content-Digest, was refused with a 503.
+func TestGatewayRelaysHead(t *testing.T) {
+	g, replicas := cacheFleet(t, 1)
+	front := httptest.NewServer(g)
+	defer front.Close()
+	head := func(url string) (*http.Response, []byte) {
+		t.Helper()
+		resp, err := http.Head(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, b
+	}
+	direct, _ := head(replicas[0].URL + "/v1/machines")
+	if direct.StatusCode != http.StatusOK || direct.ContentLength <= 0 || direct.Header.Get("Content-Digest") == "" {
+		t.Fatalf("direct HEAD: %d, ContentLength %d, Content-Digest %q", direct.StatusCode, direct.ContentLength, direct.Header.Get("Content-Digest"))
+	}
+	resp, body := head(front.URL + "/v1/machines")
+	if resp.StatusCode != http.StatusOK || resp.ContentLength != direct.ContentLength ||
+		resp.Header.Get("Content-Digest") != direct.Header.Get("Content-Digest") || len(body) != 0 {
+		t.Errorf("HEAD through the gateway: %d, ContentLength %d, Content-Digest %q, %d body bytes; direct: ContentLength %d, Content-Digest %q",
+			resp.StatusCode, resp.ContentLength, resp.Header.Get("Content-Digest"), len(body),
+			direct.ContentLength, direct.Header.Get("Content-Digest"))
+	}
+	for _, path := range []string{"/metrics", "/healthz"} {
+		if resp, body := head(front.URL + path); resp.StatusCode != http.StatusOK || len(body) != 0 {
+			t.Errorf("HEAD %s on the gateway: %d with %d body bytes, want 200 and none", path, resp.StatusCode, len(body))
+		}
+	}
+	if n := proxiedTotal(g); n != 1 {
+		t.Errorf("replicas answered %d requests, want 1: the gateway answers HEAD on its own endpoints", n)
+	}
+	br := g.replicas[0].breaker
+	br.mu.Lock()
+	state, failures := br.state, br.failures
+	br.mu.Unlock()
+	if state != breakerClosed || failures != 0 || g.retries.Load() != 0 {
+		t.Errorf("breaker state %d with %d failures, %d retries; want closed, 0, 0", state, failures, g.retries.Load())
+	}
+}

@@ -202,11 +202,13 @@ func (g *Gateway) probeLoop(ctx context.Context, rep *replica) {
 	}
 }
 
-// probe runs one health check.
+// probe runs one health check. A probe cut short because ctx ended (the
+// gateway is stopping) says nothing about the replica and publishes no
+// verdict.
 func (g *Gateway) probe(ctx context.Context, rep *replica) {
-	ctx, cancel := context.WithTimeout(ctx, g.cfg.ProbeTimeout)
+	pctx, cancel := context.WithTimeout(ctx, g.cfg.ProbeTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, rep.url+"/healthz", nil)
+	req, err := http.NewRequestWithContext(pctx, http.MethodGet, rep.url+"/healthz", nil)
 	if err != nil {
 		return
 	}
@@ -215,6 +217,9 @@ func (g *Gateway) probe(ctx context.Context, rep *replica) {
 	if resp != nil {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
+	}
+	if ctx.Err() != nil {
+		return
 	}
 	rep.healthy.Store(ok)
 	rep.probes.Add(1)
@@ -245,15 +250,16 @@ func (g *Gateway) classify(r *http.Request, body []byte) reqClass {
 	}
 }
 
-// ServeHTTP routes one request: gateway-local observability endpoints,
-// then the proxy path with retry and failover.
+// ServeHTTP routes one request: gateway-local observability endpoints
+// (GET or HEAD), then the proxy path with retry and failover.
 func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	g.requests.Add(1)
+	read := r.Method == http.MethodGet || r.Method == http.MethodHead
 	switch {
-	case r.Method == http.MethodGet && r.URL.Path == "/healthz":
+	case read && r.URL.Path == "/healthz":
 		g.handleHealthz(w, r)
 		return
-	case r.Method == http.MethodGet && r.URL.Path == "/metrics":
+	case read && r.URL.Path == "/metrics":
 		g.metrics.Handler(w, r)
 		return
 	}
@@ -362,13 +368,20 @@ func acceptable(resp *http.Response, body []byte) bool {
 // forward sends one attempt to one replica, preserving method, path,
 // query, and content type. The response body is fully read here so the
 // caller can check its digest before a byte reaches the client; a body
-// past maxResponseBody fails the attempt by its length.
+// past maxResponseBody fails the attempt by its length. A HEAD goes out
+// as a GET, so the check runs over the real bytes (a HEAD answer
+// declares a length it never sends); net/http then relays its header
+// fields only.
 func (g *Gateway) forward(r *http.Request, rep *replica, body []byte) (*http.Response, []byte, error) {
 	url := rep.url + r.URL.Path
 	if r.URL.RawQuery != "" {
 		url += "?" + r.URL.RawQuery
 	}
-	req, err := http.NewRequestWithContext(r.Context(), r.Method, url, bytes.NewReader(body))
+	method := r.Method
+	if method == http.MethodHead {
+		method = http.MethodGet
+	}
+	req, err := http.NewRequestWithContext(r.Context(), method, url, bytes.NewReader(body))
 	if err != nil {
 		return nil, nil, err
 	}

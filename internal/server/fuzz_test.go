@@ -122,7 +122,7 @@ func FuzzDecodeRequest(f *testing.F) {
 			// Registered results are re-rendered into history bodies; the
 			// marshal round trip must never panic, and the schema stamp
 			// must survive it.
-			if b, err := rr.Result.MarshalJSON(); err == nil {
+			if b, err := krak.RenderJSON(rr.Result); err == nil {
 				var back krak.CalibrationResult
 				if err := back.UnmarshalJSON(b); err != nil {
 					t.Fatalf("registered result does not round-trip: %v", err)

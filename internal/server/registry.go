@@ -1,6 +1,8 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -195,28 +197,63 @@ func (g *machineRegistry) commit(fp string, base *krak.MachineHistory, res *krak
 	if err != nil {
 		return nil, err
 	}
+	// Only the newest two entries are kept, so a caller that read a
+	// since-pruned version could create its successor again. A version
+	// past next already stored means exactly that.
 	kind, key := registryKind+"/"+fp, strconv.Itoa(next)
 	taken := fmt.Errorf("%w: version %d of %s exists", errVersionTaken, next, fp)
+	if names, err := dc.List(kind); err != nil {
+		return nil, err
+	} else if newestVersion(names) > next {
+		return nil, taken
+	}
 	if err := dc.Put(kind, key, b); errors.Is(err, fs.ErrExist) {
 		return nil, taken
 	} else if err != nil {
 		return nil, fmt.Errorf("server: machine history not persisted: %w", err)
 	}
-	// Keep the newest two entries. Because older ones go, a caller that
-	// read a since-pruned version can create its successor again; such
-	// an entry is never the newest, so it is removed and refused too.
+	return b, g.settle(dc, fp, next, b)
+}
+
+// settle finishes a commit that created entry next of fp, holding the
+// history ours: it prunes the entries older than next's predecessor.
+// If a newer version appeared meanwhile, settle keeps ours only when the
+// newest history was built on it; otherwise ours re-created a pruned
+// version that newer writes never saw, so settle removes it and fails
+// with errVersionTaken.
+func (g *machineRegistry) settle(dc *artifacts.DiskCache, fp string, next int, ours []byte) error {
+	kind, key := registryKind+"/"+fp, strconv.Itoa(next)
 	names, err := dc.List(kind)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if newestVersion(names) > next {
+	if newestVersion(names) > next && !g.builtOn(fp, ours) {
 		dc.Remove(kind, key)
-		return nil, taken
+		return fmt.Errorf("%w: version %d of %s was pruned before this write stored it", errVersionTaken, next, fp)
 	}
 	for _, name := range names {
 		if v, err := strconv.Atoi(name); err == nil && v < next-1 {
 			dc.Remove(kind, name)
 		}
 	}
-	return b, nil
+	return nil
+}
+
+// builtOn reports whether the newest stored history of fp extends the
+// history ours: every version the two both hold, the newest of ours
+// among them, is the same entry.
+func (g *machineRegistry) builtOn(fp string, ours []byte) bool {
+	var mine krak.MachineHistory
+	newest, err := g.read(fp)
+	if err != nil || mine.UnmarshalJSON(ours) != nil {
+		return false
+	}
+	n0, m0 := newest.Versions[0].Version, mine.Versions[0].Version
+	from, to := max(n0, m0), m0+len(mine.Versions)
+	if from >= to || to > n0+len(newest.Versions) {
+		return false
+	}
+	a, errA := json.Marshal(newest.Versions[from-n0 : to-n0])
+	b, errB := json.Marshal(mine.Versions[from-m0:])
+	return errA == nil && errB == nil && bytes.Equal(a, b)
 }

@@ -709,3 +709,63 @@ func TestCommitFromPrunedVersionIsRefused(t *testing.T) {
 		t.Errorf("history changed after the refused commit (err %v)", err)
 	}
 }
+
+// TestCommitBuiltOnIsKept covers a write whose version another write
+// built on before the first one listed the directory. The entries are
+// staged through the DiskCache in the order of that race: the write's
+// own version 2, then a version 3, then the write's settle step. When
+// version 3 holds the write's version 2, the write stands: commit used
+// to remove version 2 and answer 409 though version 3 holds it, and a
+// client retrying that 409 stored its calibration twice. When version
+// 3 was built on another version 2, the write's entry is a stale
+// re-creation: it is removed and refused.
+func TestCommitBuiltOnIsKept(t *testing.T) {
+	reg := &quickServer(func(c *Config) { c.CacheDir = t.TempDir() }).machineReg
+	res := &krak.CalibrationResult{Model: "general-homo", Form: "linear"}
+	for i, builtOn := range []bool{true, false} {
+		fp := fmt.Sprintf("%032x", 8+i)
+		if _, err := reg.register(fp, res, "obs small 2 0.05\n"); err != nil {
+			t.Fatal(err)
+		}
+		h, err := reg.read(fp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		render := func(datasets ...string) []byte {
+			t.Helper()
+			versions := h.Versions
+			for _, ds := range datasets {
+				versions = append(slices.Clip(versions), krak.MachineVersion{Version: len(versions) + 1, Dataset: ds, Result: res})
+			}
+			b, err := krak.RenderJSON(&krak.MachineHistory{Fingerprint: fp, Versions: versions})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
+		}
+		ours, other := "obs small 4 0.03\n", "obs small 16 0.01\n"
+		newer := render(ours, "obs small 8 0.02\n")
+		if !builtOn {
+			newer = render(other, "obs small 8 0.02\n")
+		}
+		dc, kind := reg.disk.Load(), registryKind+"/"+fp
+		mine := render(ours)
+		if err := dc.Put(kind, "2", mine); err != nil {
+			t.Fatal(err)
+		}
+		if err := dc.Put(kind, "3", newer); err != nil {
+			t.Fatal(err)
+		}
+		err = reg.settle(dc, fp, 2, mine)
+		_, kept := dc.Get(kind, "2")
+		if builtOn && (err != nil || !kept) {
+			t.Errorf("version 3 holds the write's version 2, yet settle = %v and the entry is kept = %v", err, kept)
+		}
+		if !builtOn && (!errors.Is(err, errVersionTaken) || ErrorStatus(err) != http.StatusConflict || kept) {
+			t.Errorf("version 3 holds another version 2, yet settle = %v and the entry is kept = %v; want errVersionTaken (409), removed", err, kept)
+		}
+		if b, err := reg.history(fp); err != nil || string(b) != string(newer) {
+			t.Errorf("the newest history is not version 3 (err %v)", err)
+		}
+	}
+}

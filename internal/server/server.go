@@ -337,7 +337,9 @@ func decodeStrict(body []byte, v any) error {
 	if err := dec.Decode(v); err != nil {
 		return badRequest{fmt.Errorf("decoding request: %w", err)}
 	}
-	if dec.More() {
+	// Only white space may follow. More would report false before a
+	// stray closing } or ], so the next token must be the end.
+	if _, err := dec.Token(); err != io.EOF {
 		return badRequest{errors.New("decoding request: trailing data after JSON body")}
 	}
 	return nil

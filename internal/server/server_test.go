@@ -333,6 +333,40 @@ func TestErrorStatuses(t *testing.T) {
 	}
 }
 
+// TestStrictDecodeRefusesTrailingData: a body may be followed by white
+// space only. json.Decoder.More reports false before a closing } or ],
+// so a body with a stray one used to answer 200; it must answer 400,
+// and the gateway's ring key, which decodes the same way, falls back to
+// the body's digest instead of the key of the clean body.
+func TestStrictDecodeRefusesTrailingData(t *testing.T) {
+	s := quickServer()
+	const clean = `{"deck":"small","pes":16}`
+	rt, _ := Lookup(http.MethodPost, "/v1/predict")
+	ringKey := rt.Key
+	req := httptest.NewRequest(http.MethodPost, "/v1/predict", nil)
+	for _, c := range []struct {
+		body string
+		want int
+	}{
+		{clean + " \n\t", http.StatusOK},
+		{clean + "}", http.StatusBadRequest},
+		{clean + "]", http.StatusBadRequest},
+		{clean + " }", http.StatusBadRequest},
+		{clean + "} x", http.StatusBadRequest},
+		{clean + " x", http.StatusBadRequest},
+		{clean + " {}", http.StatusBadRequest},
+	} {
+		w := post(t, s, "/v1/predict", c.body)
+		if w.Code != c.want {
+			t.Errorf("%q: status %d, want %d: %s", c.body, w.Code, c.want, w.Body)
+		}
+		sameKey := ringKey(req, []byte(c.body), true) == ringKey(req, []byte(clean), true)
+		if sameKey != (c.want == http.StatusOK) {
+			t.Errorf("%q: shares the clean body's ring key = %v, want %v", c.body, sameKey, c.want == http.StatusOK)
+		}
+	}
+}
+
 func bigPEList(n int) string {
 	var b strings.Builder
 	for i := 0; i < n; i++ {

@@ -15,36 +15,37 @@ import (
 // clients and the server share one schema: a Go client builds a
 // PredictRequest, the server decodes the same struct, and the response
 // is a Result whose JSON is byte-identical to `krak predict --json`
-// (the Result's wire form stamps ResultSchema; Result.UnmarshalJSON
-// rejects anything else with ErrSchema).
+// (a Result stamps ResultSchema; Result.UnmarshalJSON rejects anything
+// else with ErrSchema).
 
-// stamped is a type whose JSON is its fields plus a schema stamp:
-// wire returns that {schema, *alias} form, which both its MarshalJSON
-// and RenderJSON encode. A nil receiver's form is nil, so it renders as
-// null, as encoding/json renders a nil Marshaler.
-type stamped interface{ wire() any }
+// Every answer type (Result, SweepResult, CalibrationResult,
+// MachineHistory) stamps its own encodings: its first field, Schema, is
+// a zero-size value whose MarshalText is the type's schema constant, so
+// encoding/json writes "schema" first and a nested answer encodes in
+// the same pass as its parent. Decoding goes through each type's
+// UnmarshalJSON, which reads the stamp as a string and hands it to
+// checkStamp.
 
-// marshalWire is the body of every stamped type's MarshalJSON.
-func marshalWire(v stamped, what string) ([]byte, error) {
-	b, err := json.Marshal(v.wire())
+// checkStamp finishes an UnmarshalJSON: err is the decode's error and
+// got the stamp it read, which must be want. what names the payload.
+func checkStamp(err error, got, want, what string) error {
 	if err != nil {
-		return nil, fmt.Errorf("%w: encoding %s: %w", ErrSchema, what, err)
+		return fmt.Errorf("%w: decoding %s: %w", ErrSchema, what, err)
 	}
-	return b, nil
+	if got != want {
+		return fmt.Errorf("%w: got %q, want %q", ErrSchema, got, want)
+	}
+	return nil
 }
 
 // RenderJSON renders v as the serving contract's bytes: the output of
 // json.MarshalIndent(v, "", "  ") plus a trailing newline. Every
 // `--json` the CLI prints and every successful body `krak serve`
 // answers goes through it, which is what makes the two byte-identical.
-// It encodes once: a stamped value is encoded through its wire form,
-// so encoding/json does not re-scan and compact a MarshalJSON output.
-// The linear indenter then runs twice, once to size the output and
-// once to write it, so a cached body carries no slack.
+// It encodes once, stamps included, and the linear indenter then runs
+// twice, once to size the output and once to write it, so a cached
+// body carries no slack.
 func RenderJSON(v any) ([]byte, error) {
-	if s, ok := v.(stamped); ok {
-		v = s.wire()
-	}
 	compact, err := json.Marshal(v)
 	if err != nil {
 		return nil, fmt.Errorf("%w: rendering JSON: %w", ErrSchema, err)
@@ -685,43 +686,26 @@ type MachineVersion struct {
 // MachineHistory is the body of GET /v1/machines/{fingerprint}: the
 // registered calibration versions of one machine, oldest first.
 type MachineHistory struct {
+	Schema      historyStamp     `json:"schema"`
 	Fingerprint string           `json:"fingerprint"`
 	Versions    []MachineVersion `json:"versions"`
 }
 
-// wire is the history's JSON form: its fields stamped with
-// MachineHistorySchema.
-func (mh *MachineHistory) wire() any {
-	if mh == nil {
-		return nil
-	}
-	type alias MachineHistory
-	return struct {
-		Schema string `json:"schema"`
-		*alias
-	}{MachineHistorySchema, (*alias)(mh)}
-}
+// historyStamp encodes as MachineHistorySchema.
+type historyStamp struct{}
 
-// MarshalJSON renders the history for machine consumption, stamping the
-// schema identifier.
-func (mh *MachineHistory) MarshalJSON() ([]byte, error) { return marshalWire(mh, "machine history") }
+func (historyStamp) MarshalText() ([]byte, error) { return []byte(MachineHistorySchema), nil }
 
-// UnmarshalJSON decodes a MachineHistory produced by MarshalJSON,
-// rejecting payloads whose schema stamp is not MachineHistorySchema
-// with ErrSchema.
+// UnmarshalJSON decodes a MachineHistory, rejecting payloads whose
+// schema stamp is not MachineHistorySchema with ErrSchema.
 func (mh *MachineHistory) UnmarshalJSON(data []byte) error {
 	type alias MachineHistory
 	aux := struct {
 		Schema string `json:"schema"`
 		*alias
 	}{alias: (*alias)(mh)}
-	if err := json.Unmarshal(data, &aux); err != nil {
-		return fmt.Errorf("%w: decoding machine history: %w", ErrSchema, err)
-	}
-	if aux.Schema != MachineHistorySchema {
-		return fmt.Errorf("%w: got %q, want %q", ErrSchema, aux.Schema, MachineHistorySchema)
-	}
-	return nil
+	err := json.Unmarshal(data, &aux)
+	return checkStamp(err, aux.Schema, MachineHistorySchema, "machine history")
 }
 
 // MachineInfo is one entry of GET /v1/machines: an interconnect preset
@@ -744,38 +728,27 @@ func ListMachines() []MachineInfo {
 	return out
 }
 
-// UnmarshalJSON decodes a Result produced by MarshalJSON (the CLI's
-// --json output and every `krak serve` response), rejecting payloads
-// whose schema stamp is not ResultSchema with ErrSchema.
+// UnmarshalJSON decodes a Result (the CLI's --json output and every
+// `krak serve` response), rejecting payloads whose schema stamp is not
+// ResultSchema with ErrSchema.
 func (r *Result) UnmarshalJSON(data []byte) error {
 	type alias Result
 	aux := struct {
 		Schema string `json:"schema"`
 		*alias
 	}{alias: (*alias)(r)}
-	if err := json.Unmarshal(data, &aux); err != nil {
-		return fmt.Errorf("%w: decoding result: %w", ErrSchema, err)
-	}
-	if aux.Schema != ResultSchema {
-		return fmt.Errorf("%w: got %q, want %q", ErrSchema, aux.Schema, ResultSchema)
-	}
-	return nil
+	err := json.Unmarshal(data, &aux)
+	return checkStamp(err, aux.Schema, ResultSchema, "result")
 }
 
-// UnmarshalJSON decodes a SweepResult produced by its MarshalJSON,
-// rejecting payloads whose schema stamp is not SweepSchema with
-// ErrSchema.
+// UnmarshalJSON decodes a SweepResult, rejecting payloads whose schema
+// stamp is not SweepSchema with ErrSchema.
 func (sr *SweepResult) UnmarshalJSON(data []byte) error {
 	type alias SweepResult
 	aux := struct {
 		Schema string `json:"schema"`
 		*alias
 	}{alias: (*alias)(sr)}
-	if err := json.Unmarshal(data, &aux); err != nil {
-		return fmt.Errorf("%w: decoding sweep: %w", ErrSchema, err)
-	}
-	if aux.Schema != SweepSchema {
-		return fmt.Errorf("%w: got %q, want %q", ErrSchema, aux.Schema, SweepSchema)
-	}
-	return nil
+	err := json.Unmarshal(data, &aux)
+	return checkStamp(err, aux.Schema, SweepSchema, "sweep")
 }

@@ -186,9 +186,10 @@ type CalibrationPoint struct {
 // fitted machine as a MachineSpec ready for LoadMachine / -machine-file
 // / wire requests.
 type CalibrationResult struct {
-	Dataset      string `json:"dataset,omitempty"`
-	Observations int    `json:"observations"`
-	Model        string `json:"model"`
+	Schema       calibrationStamp `json:"schema"`
+	Dataset      string           `json:"dataset,omitempty"`
+	Observations int              `json:"observations"`
+	Model        string           `json:"model"`
 
 	// Form is the fitted model form (a ModelForms name), Terms and
 	// Coeffs its aligned term names and fitted coefficients, and
@@ -243,39 +244,21 @@ type CalibrationResult struct {
 // marshals to.
 const CalibrationSchema = "krak.calibration/v1"
 
-// wire is the calibration's JSON form: its fields stamped with
-// CalibrationSchema.
-func (cr *CalibrationResult) wire() any {
-	if cr == nil {
-		return nil
-	}
-	type alias CalibrationResult
-	return struct {
-		Schema string `json:"schema"`
-		*alias
-	}{CalibrationSchema, (*alias)(cr)}
-}
+// calibrationStamp encodes as CalibrationSchema.
+type calibrationStamp struct{}
 
-// MarshalJSON renders the calibration for machine consumption (the CLI's
-// --json flag and /v1/calibrate), stamping the schema identifier.
-func (cr *CalibrationResult) MarshalJSON() ([]byte, error) { return marshalWire(cr, "calibration") }
+func (calibrationStamp) MarshalText() ([]byte, error) { return []byte(CalibrationSchema), nil }
 
-// UnmarshalJSON decodes a CalibrationResult produced by MarshalJSON,
-// rejecting payloads whose schema stamp is not CalibrationSchema with
-// ErrSchema.
+// UnmarshalJSON decodes a CalibrationResult, rejecting payloads whose
+// schema stamp is not CalibrationSchema with ErrSchema.
 func (cr *CalibrationResult) UnmarshalJSON(data []byte) error {
 	type alias CalibrationResult
 	aux := struct {
 		Schema string `json:"schema"`
 		*alias
 	}{alias: (*alias)(cr)}
-	if err := json.Unmarshal(data, &aux); err != nil {
-		return fmt.Errorf("%w: decoding calibration: %w", ErrSchema, err)
-	}
-	if aux.Schema != CalibrationSchema {
-		return fmt.Errorf("%w: got %q, want %q", ErrSchema, aux.Schema, CalibrationSchema)
-	}
-	return nil
+	err := json.Unmarshal(data, &aux)
+	return checkStamp(err, aux.Schema, CalibrationSchema, "calibration")
 }
 
 // Render formats the calibration for a terminal, mirroring the JSON

@@ -41,7 +41,7 @@
 //
 // Session methods return a unified *Result carrying typed per-phase
 // breakdowns, partition or hydro diagnostics, and both human-readable
-// (Render) and machine-readable (MarshalJSON) output.
+// (Render) and machine-readable (RenderJSON) output.
 //
 // A minimal end-to-end use:
 //
@@ -81,9 +81,9 @@
 // platform (preset, custom network, compute scale, or an embedded
 // machine file; Fingerprint is its content identity), and
 // Result/SweepResult/CalibrationResult/MachineHistory round-trip
-// through MarshalJSON/UnmarshalJSON with a schema stamp (ResultSchema,
-// SweepSchema, CalibrationSchema, MachineHistorySchema) that
-// UnmarshalJSON enforces via ErrSchema. A /v1/predict response is
+// through encoding/json with a schema stamp (ResultSchema, SweepSchema,
+// CalibrationSchema, MachineHistorySchema) that each type's first field
+// writes and its UnmarshalJSON enforces via ErrSchema. A /v1/predict response is
 // byte-identical to `krak predict --json` for the same scenario,
 // /v1/calibrate to `krak calibrate --json`, and /v1/calibrate/append to
 // `krak calibrate -append --json`; GET /v1/machines/{fingerprint}

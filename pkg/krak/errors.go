@@ -51,11 +51,12 @@ var (
 	// unsupported feature model, or a degenerate fit.
 	ErrCalibration = errors.New("krak: calibration error")
 
-	// ErrSchema is returned by the MarshalJSON/UnmarshalJSON pairs on
-	// Result, SweepResult, and CalibrationResult when a payload cannot be
-	// decoded, its schema stamp is not the expected one, or a value
-	// cannot be encoded — the guard that keeps clients of `krak serve`
-	// from silently exchanging an incompatible layout.
+	// ErrSchema is returned by the UnmarshalJSON methods of Result,
+	// SweepResult, CalibrationResult and MachineHistory when a payload
+	// cannot be decoded or its schema stamp is not the expected one, and
+	// by RenderJSON when a value cannot be encoded — the guard that keeps
+	// clients of `krak serve` from silently exchanging an incompatible
+	// layout.
 	ErrSchema = errors.New("krak: unexpected result schema")
 
 	// ErrUnavailable is returned (and mapped to 503 on the wire) when the

@@ -212,7 +212,7 @@ func TestTypedErrors(t *testing.T) {
 			return cr.UnmarshalJSON([]byte(`"nope"`))
 		}, ErrSchema},
 		{"unencodable result", func() error {
-			_, err := (&Result{Kind: KindPredict, TotalSeconds: math.NaN()}).MarshalJSON()
+			_, err := RenderJSON(&Result{Kind: KindPredict, TotalSeconds: math.NaN()})
 			return err
 		}, ErrSchema},
 	}

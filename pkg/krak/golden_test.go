@@ -134,8 +134,9 @@ func TestSimulateMatchesCluster(t *testing.T) {
 	}
 }
 
-// TestResultJSONMatchesRendering asserts the --json path: MarshalJSON
-// emits valid JSON whose headline number matches the text rendering.
+// TestResultJSONMatchesRendering asserts the --json path: json.Marshal
+// emits valid, stamped JSON whose headline number matches the text
+// rendering.
 func TestResultJSONMatchesRendering(t *testing.T) {
 	s := quickSession(t, WithDeck("medium"), WithPE(128))
 	res, err := s.Predict()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"testing"
 
 	"krak/internal/compare"
@@ -128,6 +129,101 @@ func BenchmarkRenderJSON(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := krak.RenderJSON(r); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// baseSession is a session on a quick machine with the default
+// scenario.
+func baseSession(tb testing.TB) *krak.Session {
+	tb.Helper()
+	m, err := krak.NewMachine(krak.WithQuick())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sc, err := krak.NewScenario()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s, err := krak.NewSession(m, sc)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s
+}
+
+// sweepResult is the body of a 4-point quick predict /v1/sweep answer.
+func sweepResult(tb testing.TB) *krak.SweepResult {
+	tb.Helper()
+	op, grid, err := krak.SweepRequest{Decks: []string{"small"}, PEs: []int{2, 4, 8, 16}}.Grid()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sr, err := baseSession(tb).Sweep(context.Background(), op, grid)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return sr
+}
+
+// historyResult is the body of a /v1/machines/{fingerprint} answer
+// holding two versions of one quick calibration.
+func historyResult(tb testing.TB) *krak.MachineHistory {
+	tb.Helper()
+	const text = "obs small 2 0.052\nobs small 4 0.031\nobs small 8 0.021\n"
+	ds, err := krak.ParseDataset([]byte(text))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cr, err := baseSession(tb).Calibrate(context.Background(), ds, krak.CalibrateOptions{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return &krak.MachineHistory{Fingerprint: cr.FittedFingerprint, Versions: []krak.MachineVersion{
+		{Version: 1, Dataset: text, Result: cr},
+		{Version: 2, Dataset: text, Result: cr},
+	}}
+}
+
+func BenchmarkRenderJSONSweep(b *testing.B) {
+	sr := sweepResult(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := krak.RenderJSON(sr); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestSchemaStamps: each answer type writes its schema stamp first,
+// from a value as well as a pointer, and its UnmarshalJSON refuses a
+// payload whose stamp is missing or another one with ErrSchema.
+func TestSchemaStamps(t *testing.T) {
+	for _, c := range []struct {
+		schema string
+		value  any
+		decode func([]byte) error
+	}{
+		{krak.ResultSchema, krak.Result{Kind: krak.KindPredict}, new(krak.Result).UnmarshalJSON},
+		{krak.SweepSchema, krak.SweepResult{}, new(krak.SweepResult).UnmarshalJSON},
+		{krak.CalibrationSchema, krak.CalibrationResult{}, new(krak.CalibrationResult).UnmarshalJSON},
+		{krak.MachineHistorySchema, krak.MachineHistory{}, new(krak.MachineHistory).UnmarshalJSON},
+	} {
+		b, err := json.Marshal(c.value)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prefix := `{"schema":"` + c.schema + `",`; !bytes.HasPrefix(b, []byte(prefix)) {
+			t.Errorf("%T encodes as %s, want it to start with %s", c.value, b, prefix)
+		}
+		if err := c.decode(b); err != nil {
+			t.Errorf("%s: its own encoding does not decode: %v", c.schema, err)
+		}
+		unstamped := append([]byte("{"), b[len(`{"schema":"`+c.schema+`",`):]...)
+		for _, bad := range [][]byte{unstamped, bytes.Replace(b, []byte("/v1"), []byte("/v2"), 1)} {
+			if err := c.decode(bad); !errors.Is(err, krak.ErrSchema) {
+				t.Errorf("%s: decoding %s = %v, want ErrSchema", c.schema, bad, err)
+			}
 		}
 	}
 }

@@ -92,12 +92,13 @@ type ExperimentReport struct {
 // Result is the unified answer every Session method returns. Fields not
 // relevant to the producing method are zero and omitted from JSON.
 type Result struct {
-	Kind    Kind   `json:"kind"`
-	Deck    string `json:"deck,omitempty"`
-	Cells   int    `json:"cells,omitempty"`
-	PEs     int    `json:"pes,omitempty"`
-	Network string `json:"network,omitempty"`
-	Model   string `json:"model,omitempty"`
+	Schema  resultStamp `json:"schema"`
+	Kind    Kind        `json:"kind"`
+	Deck    string      `json:"deck,omitempty"`
+	Cells   int         `json:"cells,omitempty"`
+	PEs     int         `json:"pes,omitempty"`
+	Network string      `json:"network,omitempty"`
+	Model   string      `json:"model,omitempty"`
 
 	// TotalSeconds is the headline number: predicted iteration time for
 	// Predict, mean measured iteration time for Simulate.
@@ -116,22 +117,10 @@ type Result struct {
 // consumers can detect layout changes across releases.
 const ResultSchema = "krak.result/v1"
 
-// wire is the result's JSON form: its fields stamped with
-// ResultSchema.
-func (r *Result) wire() any {
-	if r == nil {
-		return nil
-	}
-	type alias Result
-	return struct {
-		Schema string `json:"schema"`
-		*alias
-	}{ResultSchema, (*alias)(r)}
-}
+// resultStamp encodes as ResultSchema.
+type resultStamp struct{}
 
-// MarshalJSON renders the result for machine consumption (the CLI's
-// --json flag), stamping the schema identifier alongside the fields.
-func (r *Result) MarshalJSON() ([]byte, error) { return marshalWire(r, "result") }
+func (resultStamp) MarshalText() ([]byte, error) { return []byte(ResultSchema), nil }
 
 // Render formats the result for a terminal, mirroring the JSON content.
 func (r *Result) Render() string {

@@ -53,6 +53,7 @@ type SweepPoint struct {
 // in submission order plus the sweep's aggregate timing. WorkSeconds over
 // WallSeconds is the realized parallel speedup.
 type SweepResult struct {
+	Schema      sweepStamp   `json:"schema"`
 	Op          SweepOp      `json:"op"`
 	Network     string       `json:"network"`
 	Parallelism int          `json:"parallelism"`
@@ -83,22 +84,10 @@ func (sr *SweepResult) Speedup() float64 {
 // SweepSchema identifies the JSON layout SweepResult marshals to.
 const SweepSchema = "krak.sweep/v1"
 
-// wire is the sweep's JSON form: its fields stamped with
-// SweepSchema.
-func (sr *SweepResult) wire() any {
-	if sr == nil {
-		return nil
-	}
-	type alias SweepResult
-	return struct {
-		Schema string `json:"schema"`
-		*alias
-	}{SweepSchema, (*alias)(sr)}
-}
+// sweepStamp encodes as SweepSchema.
+type sweepStamp struct{}
 
-// MarshalJSON renders the sweep for machine consumption, stamping the
-// schema identifier alongside the fields.
-func (sr *SweepResult) MarshalJSON() ([]byte, error) { return marshalWire(sr, "sweep") }
+func (sweepStamp) MarshalText() ([]byte, error) { return []byte(SweepSchema), nil }
 
 // Render formats the sweep as a summary table for a terminal.
 func (sr *SweepResult) Render() string {
