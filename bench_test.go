@@ -163,6 +163,17 @@ func benchDeckSummary(b *testing.B, p int) *mesh.PartitionSummary {
 	return sum
 }
 
+// benchDeckPlan is benchDeckSummary's exchange plan, built once as the
+// artifact store builds it.
+func benchDeckPlan(b *testing.B, p int) *cluster.Plan {
+	b.Helper()
+	plan, err := cluster.NewPlan(benchDeckSummary(b, p))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return plan
+}
+
 // BenchmarkQuickDecks builds the four quick standard decks every replica
 // serves from, through a fresh artifact store each op. B/op is the
 // per-deck mesh data a replica carries, so per-cell fields that creep
@@ -199,9 +210,9 @@ func BenchmarkPartitionMultilevel128(b *testing.B) {
 // iterations (exactly what SimulateIterations' Repeats loop does), so the
 // working buffers are warm and only the Result allocates.
 func BenchmarkClusterSimulate128(b *testing.B) {
-	sum := benchDeckSummary(b, 128)
+	plan := benchDeckPlan(b, 128)
 	cfg := cluster.Config{Net: netmodel.QsNetI(), Costs: compute.ES45()}
-	r := cluster.NewRunner(sum)
+	r := cluster.NewRunner(plan)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cfg.Iteration = i
@@ -212,17 +223,18 @@ func BenchmarkClusterSimulate128(b *testing.B) {
 }
 
 // BenchmarkSimulateIterationsFresh128 is the serving path: every
-// /v1/simulate request hands SimulateIterations a summary and gets a
-// fresh cluster.Runner, so whatever the Runner builds on first use is
-// paid per request. One iteration per op shows that cost at its largest;
+// /v1/simulate request hands SimulateIterations the artifact store's
+// plan and gets a fresh cluster.Runner, so whatever the Runner sets up on
+// first use (its buffers and wire times) is paid per request. One
+// iteration per op shows that cost at its largest;
 // BenchmarkClusterSimulate128's warm Runner hides it.
 func BenchmarkSimulateIterationsFresh128(b *testing.B) {
-	sum := benchDeckSummary(b, 128)
+	plan := benchDeckPlan(b, 128)
 	cfg := cluster.Config{Net: netmodel.QsNetI(), Costs: compute.ES45()}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cfg.Iteration = i
-		if _, _, err := cluster.SimulateIterations(sum, cfg, 1); err != nil {
+		if _, _, err := cluster.SimulateIterations(plan, cfg, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

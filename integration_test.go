@@ -35,11 +35,11 @@ func TestEndToEndGeneralModelValidation(t *testing.T) {
 	}
 	model := core.NewGeneral(cal, env.Net, core.Homogeneous)
 	for _, p := range []int{32, 64, 128} {
-		sum, err := env.Partition(d, p)
+		plan, err := env.Plan(d, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		meas, err := env.Measure(sum)
+		meas, err := env.Measure(plan)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,11 +67,12 @@ func TestEndToEndMeshSpecificTracksMeasured(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := env.Partition(d, 64)
+	plan, err := env.Plan(d, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	meas, err := env.Measure(sum)
+	sum := plan.Summary()
+	meas, err := env.Measure(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,11 +102,11 @@ func TestHeterogeneousCrossover(t *testing.T) {
 	het := core.NewGeneral(cal, env.Net, core.Heterogeneous)
 	var errs []float64
 	for _, p := range []int{16, 64, 256} {
-		sum, err := env.Partition(d, p)
+		plan, err := env.Plan(d, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		meas, err := env.Measure(sum)
+		meas, err := env.Measure(plan)
 		if err != nil {
 			t.Fatal(err)
 		}

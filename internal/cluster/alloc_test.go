@@ -14,7 +14,7 @@ import (
 func TestRunnerAllocRegression(t *testing.T) {
 	sum := summarize(t, 64, 32, 16)
 	cfg := baseConfig()
-	r := NewRunner(sum)
+	r := NewRunner(newPlan(t, sum))
 	// Warm the buffers once; the regression bound applies at steady state.
 	if _, err := r.Simulate(cfg); err != nil {
 		t.Fatal(err)

@@ -78,65 +78,192 @@ type Result struct {
 	CollectiveTime float64
 }
 
-// Runner simulates iterations over one partition summary. On its first
-// multi-processor simulation it lays out every point-to-point pattern of
-// the phase table as an exchange plan (see exchangePlan); later runs reuse
-// the plans and working buffers, so the per-iteration loop — the Repeats
-// loop every measurement takes — walks flat arrays and allocates nothing
-// but the Result it returns. A Runner is not safe for concurrent use;
-// concurrent callers each create their own (the summary itself is
-// read-only and freely shared).
+// Plan is the message layout of every point-to-point pattern of the
+// phase table over one partition summary: the boundary exchange and the
+// 8- and 16-byte ghost updates, each in run-length form (see pattern).
+// A Plan depends on the partition alone, not on the interconnect, and is
+// immutable once built, so one Plan serves any number of Runners, nets
+// and goroutines; the artifact store keeps one beside each summary it
+// holds.
+type Plan struct {
+	sum *mesh.PartitionSummary
+
+	// patterns holds one layout per point-to-point pattern, in the order
+	// the phase table first uses them; patternOf maps a phase index to its
+	// pattern. Both are empty on one processor, which sends nothing.
+	patterns  []pattern
+	patternOf [phases.Count]int
+
+	slots int // the most arrival slots one pattern fills
+	runs  int // runs over all patterns: the length of a Runner's wire times
+}
+
+// pattern lays out one point-to-point pattern's messages as runs: a run
+// is count consecutive messages of one sender to one receiver with the
+// same payload, so they share one wire time.
+//
+// Messages are posted in order: sender ascending, then its neighbors
+// ascending, then the order the phases package enumerates one neighbor's
+// messages. Sender pe's (sender, receiver) pairs are [pairOff[pe],
+// pairOff[pe+1]); pair i posts runs [runOff[i], runOff[i+1]), and its
+// messages fill its receiver's arrival slots from base[i] on, one after
+// another. Receiver pe owns slots [recvOff[pe], recvOff[pe+1]), which its
+// senders fill in posting order.
+type pattern struct {
+	ghostBytes int // bytes per ghost node; 0 for the boundary exchange
+	firstRun   int // index of run 0 in a Runner's wire times
+
+	pairOff []int32
+	base    []int32
+	runOff  []int32
+	runs    []run
+	recvOff []int32
+}
+
+// run is count messages of bytes each.
+type run struct {
+	bytes, count int32
+}
+
+// NewPlan lays out the point-to-point patterns of sum's partition.
+func NewPlan(sum *mesh.PartitionSummary) (*Plan, error) {
+	if sum == nil || sum.P <= 0 {
+		return nil, fmt.Errorf("cluster: empty partition summary")
+	}
+	pl := &Plan{sum: sum}
+	if sum.P == 1 {
+		return pl, nil
+	}
+	// One Boundary lookup per (pe, neighbor) pair serves every pattern.
+	n := 0
+	for _, nbs := range sum.NeighborsOf {
+		n += len(nbs)
+	}
+	bounds := make([]*mesh.PairBoundary, 0, n)
+	for pe, nbs := range sum.NeighborsOf {
+		for _, nb := range nbs {
+			bounds = append(bounds, sum.Boundary(pe, nb))
+		}
+	}
+	for i, ph := range phases.All() {
+		if !ph.HasPointToPoint() {
+			continue
+		}
+		ghost := ph.GhostUpdateBytes
+		if ph.BoundaryExchange {
+			ghost = 0
+		}
+		k := 0
+		for k < len(pl.patterns) && pl.patterns[k].ghostBytes != ghost {
+			k++
+		}
+		if k == len(pl.patterns) {
+			pat := buildPattern(sum, bounds, ghost)
+			pat.firstRun = pl.runs
+			pl.runs += len(pat.runs)
+			pl.slots = max(pl.slots, int(pat.recvOff[sum.P]))
+			pl.patterns = append(pl.patterns, pat)
+		}
+		pl.patternOf[i] = k
+	}
+	return pl, nil
+}
+
+// Summary returns the partition summary the plan lays out.
+func (pl *Plan) Summary() *mesh.PartitionSummary { return pl.sum }
+
+// buildPattern lays out one pattern's messages: a counting pass sizes
+// every array exactly, a second pass places each run. bounds holds
+// sum.Boundary(pe, nb) for every NeighborsOf entry, flattened in order.
+func buildPattern(sum *mesh.PartitionSummary, bounds []*mesh.PairBoundary, ghostBytes int) pattern {
+	p := sum.P
+	pat := pattern{ghostBytes: ghostBytes}
+	var msgs []phases.Message
+	enumerate := func(b *mesh.PairBoundary, pe int) []phases.Message {
+		if ghostBytes == 0 {
+			return phases.AppendBoundaryExchangeMessages(msgs[:0], b)
+		}
+		return phases.AppendGhostUpdateMessages(msgs[:0], b, pe, ghostBytes)
+	}
+
+	pat.pairOff = make([]int32, p+1)
+	pat.recvOff = make([]int32, p+1)
+	runs := 0
+	k := 0
+	for pe, nbs := range sum.NeighborsOf {
+		pat.pairOff[pe+1] = pat.pairOff[pe] + int32(len(nbs))
+		for _, nb := range nbs {
+			msgs = enumerate(bounds[k], pe)
+			k++
+			for m := range msgs {
+				if m == 0 || msgs[m].Bytes != msgs[m-1].Bytes {
+					runs++
+				}
+			}
+			pat.recvOff[nb+1] += int32(len(msgs))
+		}
+	}
+	for pe := 0; pe < p; pe++ {
+		pat.recvOff[pe+1] += pat.recvOff[pe]
+	}
+
+	pat.base = make([]int32, k)
+	pat.runOff = make([]int32, k+1)
+	pat.runs = make([]run, 0, runs)
+	next := slices.Clone(pat.recvOff[:p]) // per receiver: its next free slot
+	k = 0
+	for pe, nbs := range sum.NeighborsOf {
+		for _, nb := range nbs {
+			msgs = enumerate(bounds[k], pe)
+			pat.base[k] = next[nb]
+			next[nb] += int32(len(msgs))
+			for m, msg := range msgs {
+				if m == 0 || msg.Bytes != msgs[m-1].Bytes {
+					pat.runs = append(pat.runs, run{bytes: int32(msg.Bytes)})
+				}
+				pat.runs[len(pat.runs)-1].count++
+			}
+			k++
+			pat.runOff[k] = int32(len(pat.runs))
+		}
+	}
+	return pat
+}
+
+// Runner simulates iterations over one Plan. It holds only working
+// buffers: the wire time of each of the plan's runs on the last
+// interconnect it simulated, each processor's last posting time, and
+// each arrival slot's arrival time. They are sized on the first
+// multi-processor simulation and reused, so the per-iteration loop — the
+// Repeats loop every measurement takes — walks flat arrays and allocates
+// nothing but the Result it returns. A Runner is not safe for concurrent
+// use; concurrent callers each create their own over the shared Plan.
 //
 // krakcheck:arena
 type Runner struct {
-	sum *mesh.PartitionSummary
+	plan *Plan
 
-	// plans holds one exchange plan per point-to-point pattern: the
-	// boundary exchange and the 8- and 16-byte ghost updates. planOf maps
-	// a phase index to its pattern's plan; nPlans counts the built ones.
-	plans  [3]exchangePlan
-	planOf [phases.Count]int
-	nPlans int
-
-	postDone []float64 // per PE: time its last send was posted
-	arrivals []float64 // per slot: a message's arrival time at its receiver
+	net      *netmodel.Model // the interconnect wire holds times for
+	wire     []float64       // per run: its messages' wire time on net
+	postDone []float64       // per PE: time its last send was posted
+	arrivals []float64       // per slot: a message's arrival time at its receiver
 }
 
-// exchangePlan is the message layout of one point-to-point pattern over
-// the runner's partition, in two CSR views (a flat array plus per-PE
-// start offsets) of the same messages.
-//
-// Messages are numbered in posting order: sender ascending, then its
-// neighbors ascending, then the order the phases package enumerates one
-// neighbor's messages. Sender pe posts messages [sendOff[pe],
-// sendOff[pe+1]).
-//
-// Each message lands in an arrival slot. Receiver pe owns slots
-// [recvOff[pe], recvOff[pe+1]), filled in posting order.
-//
-// krakcheck:arena
-type exchangePlan struct {
-	ghostBytes int // bytes per ghost node; 0 for the boundary exchange
-
-	sendOff []int
-	slot    []int32   // per message: its arrival slot
-	wire    []float64 // per message: its wire time on net
-	net     *netmodel.Model
-
-	recvOff []int
-	bytes   []int // per slot: the payload
-}
-
-// NewRunner returns a reusable simulator for the given partition summary.
-func NewRunner(sum *mesh.PartitionSummary) *Runner {
-	return &Runner{sum: sum}
+// NewRunner returns a reusable simulator over the given plan.
+func NewRunner(plan *Plan) *Runner {
+	return &Runner{plan: plan}
 }
 
 // Simulate runs one iteration of Krak over the partitioned deck described
-// by sum. One-shot convenience over NewRunner(sum).Simulate(cfg); loops
-// should hold a Runner to amortize its plans and buffers.
+// by sum. One-shot convenience over NewRunner(NewPlan(sum)).Simulate(cfg);
+// loops should hold a Plan and a Runner to amortize the layout and the
+// buffers.
 func Simulate(sum *mesh.PartitionSummary, cfg Config) (*Result, error) {
-	return NewRunner(sum).Simulate(cfg)
+	plan, err := NewPlan(sum)
+	if err != nil {
+		return nil, err
+	}
+	return NewRunner(plan).Simulate(cfg)
 }
 
 // FillComputeTimes sets tab[ph-1][pe] to processor pe's computation time
@@ -158,20 +285,20 @@ func FillComputeTimes(tab *[phases.Count][]float64, sum *mesh.PartitionSummary, 
 	}
 }
 
-// Simulate runs one iteration of Krak over the runner's partition summary.
+// Simulate runs one iteration of Krak over the runner's plan.
 func (r *Runner) Simulate(cfg Config) (*Result, error) {
 	if cfg.Net == nil || cfg.Costs == nil {
 		return nil, fmt.Errorf("cluster: Config.Net and Config.Costs are required")
 	}
-	sum := r.sum
-	if sum == nil || sum.P <= 0 {
-		return nil, fmt.Errorf("cluster: empty partition summary")
+	if r.plan == nil {
+		return nil, fmt.Errorf("cluster: nil plan")
 	}
+	sum := r.plan.sum
 	p := sum.P
 	res := &Result{}
 	FillComputeTimes(&res.ComputeTimes, sum, cfg.Costs, cfg.Iteration)
 	if p > 1 {
-		r.preparePlans(cfg.Net)
+		r.prepare(cfg.Net)
 	}
 
 	for phIdx, ph := range phases.All() {
@@ -187,7 +314,7 @@ func (r *Runner) Simulate(cfg Config) (*Result, error) {
 		// 2. Point-to-point communication, if any.
 		var phaseEnd float64
 		if ph.HasPointToPoint() && p > 1 {
-			phaseEnd = r.simulateP2P(&r.plans[r.planOf[phIdx]], comp, cfg.SerializeSends)
+			phaseEnd = r.simulateP2P(&r.plan.patterns[r.plan.patternOf[phIdx]], comp, cfg.SerializeSends)
 		} else {
 			phaseEnd = maxComp
 		}
@@ -214,127 +341,57 @@ func (r *Runner) Simulate(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// preparePlans builds the exchange plans on first use, sizes the working
-// buffers for them, and brings every plan's wire times to net.
-func (r *Runner) preparePlans(net *netmodel.Model) {
-	sum := r.sum
-	if r.nPlans == 0 {
-		// One Boundary lookup per (pe, neighbor) pair serves every plan.
-		n := 0
-		for _, nbs := range sum.NeighborsOf {
-			n += len(nbs)
-		}
-		bounds := make([]*mesh.PairBoundary, 0, n)
-		for pe, nbs := range sum.NeighborsOf {
-			for _, nb := range nbs {
-				bounds = append(bounds, sum.Boundary(pe, nb))
-			}
-		}
-		slots := 0
-		for i, ph := range phases.All() {
-			if !ph.HasPointToPoint() {
-				continue
-			}
-			ghost := ph.GhostUpdateBytes
-			if ph.BoundaryExchange {
-				ghost = 0
-			}
-			k := 0
-			for k < r.nPlans && r.plans[k].ghostBytes != ghost {
-				k++
-			}
-			if k == r.nPlans {
-				r.plans[k].build(sum, bounds, ghost)
-				slots = max(slots, len(r.plans[k].bytes))
-				r.nPlans++
-			}
-			r.planOf[i] = k
-		}
-		r.postDone = make([]float64, sum.P)
-		r.arrivals = make([]float64, slots)
+// prepare sizes the working buffers on first use and brings the wire
+// times to net: one MsgTime per run.
+func (r *Runner) prepare(net *netmodel.Model) {
+	pl := r.plan
+	if r.postDone == nil {
+		r.postDone = make([]float64, pl.sum.P)
+		r.arrivals = make([]float64, pl.slots)
+		r.wire = make([]float64, pl.runs)
 	}
-	for k := 0; k < r.nPlans; k++ {
-		if pl := &r.plans[k]; pl.net != net {
-			pl.net = net
-			for m, s := range pl.slot {
-				pl.wire[m] = net.MsgTime(pl.bytes[s])
-			}
+	if r.net == net {
+		return
+	}
+	r.net = net
+	for i := range pl.patterns {
+		pat := &pl.patterns[i]
+		wire := r.wire[pat.firstRun:]
+		for k, rn := range pat.runs {
+			wire[k] = net.MsgTime(int(rn.bytes))
 		}
 	}
 }
 
-// build lays out the pattern's messages: a counting pass sizes every
-// array exactly, a second pass places each message. bounds holds
-// sum.Boundary(pe, nb) for every NeighborsOf entry, flattened in order.
-func (pl *exchangePlan) build(sum *mesh.PartitionSummary, bounds []*mesh.PairBoundary, ghostBytes int) {
-	p := sum.P
-	pl.ghostBytes = ghostBytes
-	var msgs []phases.Message
-	enumerate := func(b *mesh.PairBoundary, pe int) []phases.Message {
-		if ghostBytes == 0 {
-			return phases.AppendBoundaryExchangeMessages(msgs[:0], b)
-		}
-		return phases.AppendGhostUpdateMessages(msgs[:0], b, pe, ghostBytes)
-	}
-
-	pl.sendOff = make([]int, p+1)
-	pl.recvOff = make([]int, p+1)
-	k := 0
-	for pe, nbs := range sum.NeighborsOf {
-		for _, nb := range nbs {
-			msgs = enumerate(bounds[k], pe)
-			k++
-			pl.sendOff[pe+1] += len(msgs)
-			pl.recvOff[nb+1] += len(msgs)
-		}
-	}
-	for pe := 0; pe < p; pe++ {
-		pl.sendOff[pe+1] += pl.sendOff[pe]
-		pl.recvOff[pe+1] += pl.recvOff[pe]
-	}
-
-	n := pl.sendOff[p]
-	pl.slot = make([]int32, n)
-	pl.wire = make([]float64, n)
-	pl.bytes = make([]int, n)
-	next := make([]int, p) // per receiver: its next free slot
-	copy(next, pl.recvOff)
-	m := 0
-	k = 0
-	for pe, nbs := range sum.NeighborsOf {
-		for _, nb := range nbs {
-			msgs = enumerate(bounds[k], pe)
-			k++
-			for _, msg := range msgs {
-				s := next[nb]
-				next[nb]++
-				pl.slot[m] = int32(s)
-				pl.bytes[s] = msg.Bytes
-				m++
-			}
-		}
-	}
-}
-
-// simulateP2P plays out one phase's point-to-point traffic over its plan
-// and returns the time at which the slowest processor has finished
-// computing, sending, and receiving. Phase-relative time: computation
-// starts at 0.
-func (r *Runner) simulateP2P(pl *exchangePlan, comp []float64, serialize bool) float64 {
-	p := r.sum.P
+// simulateP2P plays out one phase's point-to-point traffic over its
+// pattern and returns the time at which the slowest processor has
+// finished computing, sending, and receiving. Phase-relative time:
+// computation starts at 0.
+func (r *Runner) simulateP2P(pat *pattern, comp []float64, serialize bool) float64 {
+	p := r.plan.sum.P
 	arr := r.arrivals
+	wire := r.wire[pat.firstRun:]
 	for pe := 0; pe < p; pe++ {
 		t := comp[pe]
-		for m := pl.sendOff[pe]; m < pl.sendOff[pe+1]; m++ {
-			if serialize {
-				// The whole wire time is charged before the next send.
-				t += sendOverhead + pl.wire[m]
-				arr[pl.slot[m]] = t
-			} else {
-				// Asynchronous: the sender pays only the posting overhead;
-				// the transfer proceeds in the background.
-				t += sendOverhead
-				arr[pl.slot[m]] = t + pl.wire[m]
+		for i := pat.pairOff[pe]; i < pat.pairOff[pe+1]; i++ {
+			s := pat.base[i]
+			for k := pat.runOff[i]; k < pat.runOff[i+1]; k++ {
+				w := wire[k]
+				end := s + pat.runs[k].count
+				if serialize {
+					// The whole wire time is charged before the next send.
+					for ; s < end; s++ {
+						t += sendOverhead + w
+						arr[s] = t
+					}
+				} else {
+					// Asynchronous: the sender pays only the posting
+					// overhead; the transfer proceeds in the background.
+					for ; s < end; s++ {
+						t += sendOverhead
+						arr[s] = t + w
+					}
+				}
 			}
 		}
 		r.postDone[pe] = t
@@ -343,7 +400,7 @@ func (r *Runner) simulateP2P(pl *exchangePlan, comp []float64, serialize bool) f
 	// Receives: blocking, drained in arrival order after sends are posted.
 	end := 0.0
 	for pe := 0; pe < p; pe++ {
-		end = max(end, drain(arr[pl.recvOff[pe]:pl.recvOff[pe+1]], r.postDone[pe]))
+		end = max(end, drain(arr[pat.recvOff[pe]:pat.recvOff[pe+1]], r.postDone[pe]))
 	}
 	return end
 }
@@ -355,6 +412,11 @@ func (r *Runner) simulateP2P(pl *exchangePlan, comp []float64, serialize bool) f
 // each adds exactly one recvOverhead, so they fold without sorting; only
 // the later ones are sorted. Only the times enter the fold, so the order
 // of equal times cannot matter. Reorders arrivals.
+//
+// The arrivals come as ascending runs: within a run the send clock rises
+// and the wire time is one, and a serialized sender's clock rises across
+// all its messages. So the late ones are sorted by insertion, which
+// costs one comparison per element already in order.
 func drain(arrivals []float64, cpu float64) float64 {
 	posted := cpu
 	late := arrivals[:0]
@@ -365,7 +427,14 @@ func drain(arrivals []float64, cpu float64) float64 {
 			late = append(late, a)
 		}
 	}
-	slices.Sort(late)
+	for i := 1; i < len(late); i++ {
+		a := late[i]
+		j := i
+		for ; j > 0 && late[j-1] > a; j-- {
+			late[j] = late[j-1]
+		}
+		late[j] = a
+	}
 	for _, a := range late {
 		cpu = max(cpu, a) + recvOverhead
 	}
@@ -376,11 +445,11 @@ func drain(arrivals []float64, cpu float64) float64 {
 // the per-iteration results plus the mean iteration time. All iterations
 // share one Runner, so the per-iteration simulation is allocation-free
 // beyond the Results themselves.
-func SimulateIterations(sum *mesh.PartitionSummary, cfg Config, n int) ([]*Result, float64, error) {
+func SimulateIterations(plan *Plan, cfg Config, n int) ([]*Result, float64, error) {
 	if n <= 0 {
 		return nil, 0, fmt.Errorf("cluster: iteration count %d", n)
 	}
-	runner := NewRunner(sum)
+	runner := NewRunner(plan)
 	results := make([]*Result, 0, n)
 	var total float64
 	for i := 0; i < n; i++ {

@@ -29,6 +29,15 @@ func summarize(t testing.TB, w, h, p int) *mesh.PartitionSummary {
 	return sum
 }
 
+func newPlan(t testing.TB, sum *mesh.PartitionSummary) *Plan {
+	t.Helper()
+	pl, err := NewPlan(sum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pl
+}
+
 func baseConfig() Config {
 	return Config{Net: netmodel.QsNetI(), Costs: compute.ES45().WithoutNoise()}
 }
@@ -232,7 +241,8 @@ func TestMaterialDependentPhaseSpread(t *testing.T) {
 func TestSimulateIterations(t *testing.T) {
 	sum := summarize(t, 32, 16, 4)
 	cfg := Config{Net: netmodel.QsNetI(), Costs: compute.ES45()}
-	results, mean, err := SimulateIterations(sum, cfg, 5)
+	plan := newPlan(t, sum)
+	results, mean, err := SimulateIterations(plan, cfg, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +256,7 @@ func TestSimulateIterations(t *testing.T) {
 	if math.Abs(mean-s/5) > 1e-15 {
 		t.Fatal("mean mismatch")
 	}
-	if _, _, err := SimulateIterations(sum, cfg, 0); err == nil {
+	if _, _, err := SimulateIterations(plan, cfg, 0); err == nil {
 		t.Fatal("n=0 accepted")
 	}
 }
@@ -268,28 +278,29 @@ func TestFasterNetworkFasterIteration(t *testing.T) {
 	}
 }
 
-// Each point-to-point plan delivers every message exactly once: every
-// arrival slot is filled by one message, and each PE sends and receives
-// exactly the bytes the phases package enumerates for its boundaries, so
-// the bytes sent equal the bytes received.
+// Each point-to-point pattern delivers every message exactly once: every
+// arrival slot is filled by one message from a sender to the slot's
+// owner, and each PE sends and receives exactly the bytes the phases
+// package enumerates for its boundaries, so the bytes sent equal the
+// bytes received. Runs are maximal: two runs of one pair in a row differ
+// in payload.
 func TestExchangePlansPairSendsWithReceives(t *testing.T) {
 	sum := summarize(t, 64, 32, 16)
-	r := NewRunner(sum)
-	r.preparePlans(netmodel.QsNetI())
-	if r.nPlans != 3 {
-		t.Fatalf("built %d plans, want the boundary exchange and two ghost updates", r.nPlans)
+	pl := newPlan(t, sum)
+	if len(pl.patterns) != 3 {
+		t.Fatalf("built %d patterns, want the boundary exchange and two ghost updates", len(pl.patterns))
 	}
-	for k := 0; k < r.nPlans; k++ {
-		pl := &r.plans[k]
+	for k := range pl.patterns {
+		pat := &pl.patterns[k]
 		wantSent := make([]int, sum.P)
 		wantRecv := make([]int, sum.P)
 		for pe, nbs := range sum.NeighborsOf {
 			for _, nb := range nbs {
 				var msgs []phases.Message
-				if pl.ghostBytes == 0 {
+				if pat.ghostBytes == 0 {
 					msgs = phases.AppendBoundaryExchangeMessages(nil, sum.Boundary(pe, nb))
 				} else {
-					msgs = phases.AppendGhostUpdateMessages(nil, sum.Boundary(pe, nb), pe, pl.ghostBytes)
+					msgs = phases.AppendGhostUpdateMessages(nil, sum.Boundary(pe, nb), pe, pat.ghostBytes)
 				}
 				for _, m := range msgs {
 					wantSent[pe] += m.Bytes
@@ -297,26 +308,44 @@ func TestExchangePlansPairSendsWithReceives(t *testing.T) {
 				}
 			}
 		}
-		filled := make([]int, len(pl.bytes))
-		for _, s := range pl.slot {
-			filled[s]++
+		slots := int(pat.recvOff[sum.P])
+		filled := make([]int, slots)
+		slotBytes := make([]int, slots)
+		sent := make([]int, sum.P)
+		for pe, nbs := range sum.NeighborsOf {
+			for i := pat.pairOff[pe]; i < pat.pairOff[pe+1]; i++ {
+				nb := nbs[i-pat.pairOff[pe]]
+				s := int(pat.base[i])
+				runs := pat.runs[pat.runOff[i]:pat.runOff[i+1]]
+				for j, rn := range runs {
+					if rn.count <= 0 || (j > 0 && runs[j-1].bytes == rn.bytes) {
+						t.Fatalf("pattern %d (ghost %d B), PE %d -> %d: run %d of %v is not maximal", k, pat.ghostBytes, pe, nb, j, runs)
+					}
+					for c := int32(0); c < rn.count; c++ {
+						if s < int(pat.recvOff[nb]) || s >= int(pat.recvOff[nb+1]) {
+							t.Fatalf("pattern %d (ghost %d B), PE %d -> %d: slot %d is not the receiver's", k, pat.ghostBytes, pe, nb, s)
+						}
+						filled[s]++
+						slotBytes[s] = int(rn.bytes)
+						s++
+					}
+					sent[pe] += int(rn.bytes * rn.count)
+				}
+			}
 		}
 		for s, n := range filled {
 			if n != 1 {
-				t.Fatalf("plan %d (ghost %d B): slot %d filled %d times", k, pl.ghostBytes, s, n)
+				t.Fatalf("pattern %d (ghost %d B): slot %d filled %d times", k, pat.ghostBytes, s, n)
 			}
 		}
 		for pe := 0; pe < sum.P; pe++ {
-			sent, recv := 0, 0
-			for m := pl.sendOff[pe]; m < pl.sendOff[pe+1]; m++ {
-				sent += pl.bytes[pl.slot[m]]
+			recv := 0
+			for s := pat.recvOff[pe]; s < pat.recvOff[pe+1]; s++ {
+				recv += slotBytes[s]
 			}
-			for s := pl.recvOff[pe]; s < pl.recvOff[pe+1]; s++ {
-				recv += pl.bytes[s]
-			}
-			if sent != wantSent[pe] || recv != wantRecv[pe] {
-				t.Errorf("plan %d (ghost %d B), PE %d: sent %d B, received %d B; want %d and %d",
-					k, pl.ghostBytes, pe, sent, recv, wantSent[pe], wantRecv[pe])
+			if sent[pe] != wantSent[pe] || recv != wantRecv[pe] {
+				t.Errorf("pattern %d (ghost %d B), PE %d: sent %d B, received %d B; want %d and %d",
+					k, pat.ghostBytes, pe, sent[pe], recv, wantSent[pe], wantRecv[pe])
 			}
 		}
 	}

@@ -151,7 +151,7 @@ func TestRunnerPinnedDigests(t *testing.T) {
 			for _, n := range pinNets(t) {
 				name := fmt.Sprintf("P%d/%s/%s", p, mode, n.name)
 				cfg := Config{Net: n.net, Costs: costs, SerializeSends: serialize}
-				got[name] = pinDigest(t, NewRunner(sum), cfg)
+				got[name] = pinDigest(t, NewRunner(newPlan(t, sum)), cfg)
 			}
 		}
 	}
@@ -160,7 +160,7 @@ func TestRunnerPinnedDigests(t *testing.T) {
 	sum := summarize(t, 96, 48, 32)
 	qs := Config{Net: netmodel.QsNetI(), Costs: costs}
 	ge := Config{Net: netmodel.GigE(), Costs: costs}
-	got["P32/async/reused:qsnet,gige,qsnet"] = pinDigest(t, NewRunner(sum), qs, ge, qs)
+	got["P32/async/reused:qsnet,gige,qsnet"] = pinDigest(t, NewRunner(newPlan(t, sum)), qs, ge, qs)
 
 	for name, digest := range got {
 		want, ok := pinnedDigests[name]
@@ -183,10 +183,10 @@ func TestRunnerReuseAcrossNets(t *testing.T) {
 	costs := compute.ES45()
 	qs := Config{Net: netmodel.QsNetI(), Costs: costs}
 	ge := Config{Net: netmodel.GigE(), Costs: costs}
-	reused := pinDigest(t, NewRunner(sum), qs, ge, qs)
+	reused := pinDigest(t, NewRunner(newPlan(t, sum)), qs, ge, qs)
 	h := sha256.New()
 	for _, cfg := range []Config{qs, ge, qs} {
-		r := NewRunner(sum)
+		r := NewRunner(newPlan(t, sum))
 		for it := 0; it < 3; it++ {
 			c := cfg
 			c.Iteration = it

@@ -34,7 +34,6 @@ func AblationPartitioner(ctx context.Context, env *Env) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := partition.FromMesh(d.Mesh)
 	res := &Result{
 		ID:     "ablation-partitioner",
 		Title:  fmt.Sprintf("Partitioner ablation (%s deck, %d PEs)", d.Name, p),
@@ -48,18 +47,15 @@ func AblationPartitioner(ctx context.Context, env *Env) (*Result, error) {
 		partition.Random{Seed: env.Seed},
 	}
 	// Each partitioner's partition+measure run is one engine job; they
-	// share the graph read-only.
+	// share the deck's graph through the Store.
 	rows, err := engine.Map(ctx, env.pool(), len(parters), func(_ context.Context, i int) ([]string, error) {
 		pr := parters[i]
-		part, err := pr.Partition(g, p)
+		plan, err := env.PlanFor(d, pr, p)
 		if err != nil {
 			return nil, err
 		}
-		sum, err := mesh.Summarize(d.Mesh, part, p)
-		if err != nil {
-			return nil, err
-		}
-		meas, err := env.Measure(sum)
+		sum := plan.Summary()
+		meas, err := env.Measure(plan)
 		if err != nil {
 			return nil, err
 		}
@@ -86,7 +82,7 @@ func AblationOverlap(_ context.Context, env *Env) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	sum, err := env.Partition(d, p)
+	plan, err := env.Plan(d, p)
 	if err != nil {
 		return nil, err
 	}
@@ -104,7 +100,7 @@ func AblationOverlap(_ context.Context, env *Env) (*Result, error) {
 	} {
 		cfg := env.clusterConfig()
 		cfg.SerializeSends = c.serialize
-		_, mean, err := cluster.SimulateIterations(sum, cfg, env.repeats())
+		_, mean, err := cluster.SimulateIterations(plan, cfg, env.repeats())
 		if err != nil {
 			return nil, err
 		}
@@ -151,11 +147,12 @@ func AblationKnee(_ context.Context, env *Env) (*Result, error) {
 		}
 		model := newMeshSpecific(cal, sub.Net)
 		for _, p := range predPs {
-			sum, err := sub.Partition(d, p)
+			plan, err := sub.Plan(d, p)
 			if err != nil {
 				return nil, err
 			}
-			meas, err := sub.Measure(sum)
+			sum := plan.Summary()
+			meas, err := sub.Measure(plan)
 			if err != nil {
 				return nil, err
 			}
@@ -182,15 +179,16 @@ func AblationCombine(_ context.Context, env *Env) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	sum, err := env.Partition(d, p)
+	plan, err := env.Plan(d, p)
 	if err != nil {
 		return nil, err
 	}
+	sum := plan.Summary()
 	cal, err := env.ContrivedCalibration()
 	if err != nil {
 		return nil, err
 	}
-	meas, err := env.Measure(sum)
+	meas, err := env.Measure(plan)
 	if err != nil {
 		return nil, err
 	}
@@ -285,11 +283,11 @@ func AblationNetwork(ctx context.Context, env *Env) (*Result, error) {
 	rows, err := engine.Map(ctx, env.pool(), len(nets), func(_ context.Context, i int) ([]string, error) {
 		net := nets[i]
 		sub := &Env{Net: net, Costs: env.Costs, Seed: env.Seed, Repeats: env.Repeats, Quick: env.Quick}
-		sum, err := sub.Partition(d, p)
+		plan, err := sub.Plan(d, p)
 		if err != nil {
 			return nil, err
 		}
-		meas, err := sub.Measure(sum)
+		meas, err := sub.Measure(plan)
 		if err != nil {
 			return nil, err
 		}

@@ -171,14 +171,28 @@ func (e *Env) VectorFor(d *mesh.Deck, pr partition.Partitioner, p int) ([]int, e
 	return e.Store().Vector(d, pr, e.Seed, p)
 }
 
-// Measure runs the simulator and returns the mean iteration time.
-func (e *Env) Measure(sum *mesh.PartitionSummary) (float64, error) {
-	_, mean, err := cluster.SimulateIterations(sum, e.clusterConfig(), e.repeats())
+// Plan returns (and caches) the simulator's exchange plan of the
+// multilevel partition of d at p processors; its Summary is Partition's.
+func (e *Env) Plan(d *mesh.Deck, p int) (*cluster.Plan, error) {
+	return e.Store().Plan(d, partition.NewMultilevel(e.Seed), e.Seed, p)
+}
+
+// PlanFor is Plan for an arbitrary partitioner seeded from this Env's
+// Seed.
+func (e *Env) PlanFor(d *mesh.Deck, pr partition.Partitioner, p int) (*cluster.Plan, error) {
+	return e.Store().Plan(d, pr, e.Seed, p)
+}
+
+// Measure runs the simulator over plan and returns the mean iteration
+// time.
+func (e *Env) Measure(plan *cluster.Plan) (float64, error) {
+	_, mean, err := cluster.SimulateIterations(plan, e.clusterConfig(), e.repeats())
 	return mean, err
 }
 
 // MeasureResult runs a single simulated iteration and returns its detailed
-// result (noise stream 0).
+// result (noise stream 0). It lays out the partition's messages afresh;
+// loops take a Plan and Measure.
 func (e *Env) MeasureResult(sum *mesh.PartitionSummary) (*cluster.Result, error) {
 	return cluster.Simulate(sum, e.clusterConfig())
 }

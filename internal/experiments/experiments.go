@@ -297,11 +297,12 @@ func Table5(ctx context.Context, env *Env) (*Result, error) {
 		model := newMeshSpecific(cal, net)
 		return engine.Map(ctx, env.pool(), len(c.predPs), func(_ context.Context, i int) ([]string, error) {
 			p := c.predPs[i]
-			sum, err := env.Partition(d, p)
+			plan, err := env.Plan(d, p)
 			if err != nil {
 				return nil, err
 			}
-			meas, err := env.Measure(sum)
+			sum := plan.Summary()
+			meas, err := env.Measure(plan)
 			if err != nil {
 				return nil, err
 			}
@@ -363,11 +364,11 @@ func Table6(ctx context.Context, env *Env) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		sum, err := env.Partition(d, pt.p)
+		plan, err := env.Plan(d, pt.p)
 		if err != nil {
 			return nil, err
 		}
-		meas, err := env.Measure(sum)
+		meas, err := env.Measure(plan)
 		if err != nil {
 			return nil, err
 		}

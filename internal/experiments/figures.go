@@ -286,11 +286,11 @@ func Figure5(ctx context.Context, env *Env) (*Result, error) {
 			if p > cells {
 				return point{skip: true}, nil
 			}
-			sum, err := env.Partition(d, p)
+			plan, err := env.Plan(d, p)
 			if err != nil {
 				return point{}, err
 			}
-			meas, err := env.Measure(sum)
+			meas, err := env.Measure(plan)
 			if err != nil {
 				return point{}, err
 			}

@@ -97,3 +97,27 @@ func TestEndpointLabel(t *testing.T) {
 		}
 	}
 }
+
+// TestHeadRoutesAsItsGet: a HEAD is its GET without the body, so over a
+// 3-replica ring it hashes to the GET's key and owner, and it is retried
+// and failed over like the GET.
+func TestHeadRoutesAsItsGet(t *testing.T) {
+	replicas := testReplicas(3)
+	g, err := New(testConfig(replicas...), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{"/v1/machines", "/v1/machines/f00dcafe", "/v1/experiments", "/v1/experiments/table1"} {
+		get := g.classify(httptest.NewRequest(http.MethodGet, path, nil), nil)
+		head := g.classify(httptest.NewRequest(http.MethodHead, path, nil), nil)
+		if head.key != get.key {
+			t.Errorf("%s: HEAD key %q, GET key %q", path, head.key, get.key)
+		}
+		if ho, gwn := g.ring.owner(head.key), g.ring.owner(get.key); ho != gwn {
+			t.Errorf("%s: HEAD owned by %s, GET by %s", path, replicas[ho], replicas[gwn])
+		}
+		if !get.idempotent || !head.idempotent {
+			t.Errorf("%s: idempotent GET %v, HEAD %v; want both", path, get.idempotent, head.idempotent)
+		}
+	}
+}

@@ -237,12 +237,17 @@ type reqClass struct {
 // classify derives a request's class from its endpoint-table row
 // (server.Lookup): the row's ring key, and retry/failover and the
 // response cache only when the row allows them and the request uses the
-// row's own method. A path outside the table gets a body-digest key and
+// row's own method. A HEAD uses its GET row as its own: it is that GET
+// without the body. A path outside the table gets a body-digest key and
 // one attempt; it is still proxied, so a replica running a newer version
 // keeps serving it during a rolling upgrade.
 func (g *Gateway) classify(r *http.Request, body []byte) reqClass {
-	rt, _ := server.Lookup(r.Method, r.URL.Path)
-	own := rt.Method == r.Method
+	method := r.Method
+	if method == http.MethodHead {
+		method = http.MethodGet
+	}
+	rt, _ := server.Lookup(method, r.URL.Path)
+	own := rt.Method == method
 	return reqClass{
 		key:        rt.Key(r, body, g.cfg.Quick),
 		idempotent: rt.Idempotent && own,

@@ -110,9 +110,14 @@ func matches(pattern, path string) bool {
 	}
 }
 
-// pathKey keys a GET by its path: the path is its whole content.
+// pathKey keys a GET by its path: the path is its whole content. A HEAD
+// is its GET without the body, so it shares the GET's key and replica.
 func pathKey(r *http.Request, _ []byte, _ bool) string {
-	return r.Method + " " + r.URL.Path
+	method := r.Method
+	if method == http.MethodHead {
+		method = http.MethodGet
+	}
+	return method + " " + r.URL.Path
 }
 
 // fingerprintKey keys a registry request by the machine fingerprint

@@ -122,7 +122,11 @@ func TestSimulateMatchesCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, mean, err := cluster.SimulateIterations(sum, cluster.Config{Net: env.Net, Costs: env.Costs}, 2)
+	plan, err := cluster.NewPlan(sum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, mean, err := cluster.SimulateIterations(plan, cluster.Config{Net: env.Net, Costs: env.Costs}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

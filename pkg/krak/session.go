@@ -59,22 +59,29 @@ func (s *Session) deck() (*mesh.Deck, error) {
 // artifact store — every partitioner, not just the default multilevel one,
 // is cached per (deck, algorithm, seed, PE count).
 func (s *Session) partitionSummary(d *mesh.Deck) (*mesh.PartitionSummary, error) {
-	if s.sc.partitioner == "multilevel" {
-		sum, err := s.m.env.Partition(d, s.sc.pe)
-		if err != nil {
-			return nil, modelErr("partition", err)
-		}
-		return sum, nil
-	}
 	pr, err := partitionerByName(s.sc.partitioner, s.m.env.Seed)
 	if err != nil {
 		return nil, err
 	}
 	sum, serr := s.m.env.SummaryFor(d, pr, s.sc.pe)
 	if serr != nil {
-		return nil, modelErr("partition summary", serr)
+		return nil, modelErr("partition", serr)
 	}
 	return sum, nil
+}
+
+// plan resolves the simulator's exchange plan of the scenario's partition
+// through the machine's artifact store, under partitionSummary's key.
+func (s *Session) plan(d *mesh.Deck) (*cluster.Plan, error) {
+	pr, err := partitionerByName(s.sc.partitioner, s.m.env.Seed)
+	if err != nil {
+		return nil, err
+	}
+	plan, perr := s.m.env.PlanFor(d, pr, s.sc.pe)
+	if perr != nil {
+		return nil, modelErr("partition", perr)
+	}
+	return plan, nil
 }
 
 func (s *Session) iterations() int {
@@ -156,17 +163,18 @@ func (s *Session) Simulate() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	sum, err := s.partitionSummary(d)
+	plan, err := s.plan(d)
 	if err != nil {
 		return nil, err
 	}
+	sum := plan.Summary()
 	cfg := cluster.Config{
 		Net:            s.m.env.Net,
 		Costs:          s.m.env.Costs,
 		SerializeSends: s.m.serialize,
 	}
 	n := s.iterations()
-	results, mean, simErr := cluster.SimulateIterations(sum, cfg, n)
+	results, mean, simErr := cluster.SimulateIterations(plan, cfg, n)
 	if simErr != nil {
 		return nil, modelErr("cluster simulation", simErr)
 	}
