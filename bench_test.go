@@ -175,8 +175,9 @@ func benchDeckPlan(b *testing.B, p int) *cluster.Plan {
 }
 
 // BenchmarkQuickDecks builds the four quick standard decks every replica
-// serves from, through a fresh artifact store each op. B/op is the
-// per-deck mesh data a replica carries, so per-cell fields that creep
+// serves from, through a fresh artifact store each op: four decks over
+// three meshes, since quick Medium and Large share one 320x160 mesh.
+// B/op is the mesh data a replica carries, so per-cell fields that creep
 // back show up in bench-diff.
 func BenchmarkQuickDecks(b *testing.B) {
 	b.ReportAllocs()

@@ -51,7 +51,7 @@ func runServe(args []string) error {
 	addr := fs.String("addr", ":8080", "listen address")
 	parallel := fs.Int("parallel", 0, "worker-pool width for dispatch and machines (0 = number of CPUs)")
 	cacheSize := fs.Int("cache-size", 1024, "rendered-response LRU capacity (entries)")
-	quick := fs.Bool("quick", false, "serve scaled-down decks and calibrations")
+	quick := fs.Bool("quick", false, "serve scaled-down decks and calibrations (Medium and Large become one 320x160 mesh and share every artifact; answers differ only in \"deck\")")
 	cacheDir := fs.String("cache-dir", "", "directory the machine registry lives in, shared by restarts and replicas (empty = a private temporary directory, removed at shutdown); a 200 means the write is visible to every replica, not fsynced")
 	lightLimit := fs.Int("light-limit", 0, "concurrent in-flight limit for cached-read endpoints (0 = default 256, -1 = unlimited)")
 	lightQueue := fs.Int("light-queue", 0, "admission wait-queue depth for cached-read endpoints (0 = default 1024, -1 = no queue)")

@@ -3,10 +3,17 @@
 // partition vectors and summaries, and the simulator's exchange plans.
 // The experiments environment, the pkg/krak façade
 // (Predict/Simulate/Sweep/RunHydro/Partition), and the HTTP server all
-// resolve these through one Store, so a deck is built once, its graph is
-// extracted once, a (deck, partitioner, seed, p) partition is computed
-// once, and its messages are laid out once — no matter which layer asks
-// first or how many concurrent jobs ask at the same time.
+// resolve these through one Store, so a mesh is built once, its graph is
+// extracted once, a (deck content, partitioner, seed, p) partition is
+// computed once, and its messages are laid out once — no matter which
+// layer asks first or how many concurrent jobs ask at the same time.
+//
+// Identity is content: every cache below the decks keys on
+// mesh.Deck.CacheKey, which has no name in it, so decks of one mesh —
+// quick Medium and Large, a standard deck and the layered deck of its
+// size, a parsed deck of the same cells — share one graph and one set of
+// partitions, summaries and plans. A partitioner's error is named after
+// each caller's deck.
 //
 // Every cache is an unbounded engine.Cache: duplicate concurrent requests
 // coalesce onto one computation, a failed computation is not kept (the
@@ -36,7 +43,7 @@ import (
 // single-flight caches.
 // The zero value is ready to use; a Store must not be copied after first
 // use. One Store may back any number of environments/machines whose
-// artifact-relevant configuration (deck quick-scaling, partitioner seeds —
+// artifact-relevant configuration (deck content, partitioner seeds —
 // both part of the cache keys) differs: the keys keep them apart while
 // letting everything shareable be shared.
 type Store struct {
@@ -63,28 +70,25 @@ func (s *Store) PartitionComputes() int64 { return s.partitionComputes.Load() }
 const quickDeckCellCap = 51200
 
 // StandardDeck returns (and caches) a standard deck, shrunk under the
-// quick cap when quick is set. Quick and full-size variants cache under
-// distinct keys.
+// quick cap when quick is set: LayeredDeck's mesh at those dimensions
+// under the size's own name (Medium-quick, Large-quick, or the bare size
+// at full scale). Under quick, Medium and Large share one 320x160 mesh.
 func (s *Store) StandardDeck(sz mesh.StandardSize, quick bool) (*mesh.Deck, error) {
-	key := sz.String()
+	name := sz.String()
 	if quick {
-		key += "/quick"
+		name += "-quick"
 	}
-	d, _, err := s.decks.Do(key, func() (*mesh.Deck, error) {
-		if quick {
-			w, h := sz.Dims()
-			for w*h > quickDeckCellCap {
-				w /= 2
-				h /= 2
-			}
-			d, err := mesh.BuildLayeredDeck(w, h)
-			if err != nil {
-				return nil, err
-			}
-			d.Name = sz.String() + "-quick"
-			return d, nil
+	d, _, err := s.decks.Do(name, func() (*mesh.Deck, error) {
+		w, h := sz.Dims()
+		for quick && w*h > quickDeckCellCap {
+			w /= 2
+			h /= 2
 		}
-		return mesh.BuildStandardDeck(sz)
+		base, err := s.LayeredDeck(w, h)
+		if err != nil {
+			return nil, err
+		}
+		return &mesh.Deck{Name: name, Mesh: base.Mesh, DetonatorX: base.DetonatorX, DetonatorY: base.DetonatorY}, nil
 	})
 	return d, err
 }
@@ -119,22 +123,27 @@ func (s *Store) Vector(d *mesh.Deck, pr partition.Partitioner, seed uint64, p in
 	vec, _, err := s.vectors.Do(partKey(d, pr, seed, p), func() ([]int, error) {
 		return s.partition(d, pr, p)
 	})
-	return vec, err
+	return vec, named(d, p, err)
 }
 
 // partition runs pr over d's graph: the one place a partition is
-// computed.
+// computed. Its error names no deck, since every deck of one content
+// shares the run; each caller names its own (see named).
 func (s *Store) partition(d *mesh.Deck, pr partition.Partitioner, p int) ([]int, error) {
 	g, err := s.Graph(d)
 	if err != nil {
 		return nil, err
 	}
 	s.partitionComputes.Add(1)
-	part, err := pr.Partition(g, p)
+	return pr.Partition(g, p)
+}
+
+// named wraps a partition flight's error with the caller's deck.
+func named(d *mesh.Deck, p int, err error) error {
 	if err != nil {
-		return nil, fmt.Errorf("artifacts: partitioning %s to %d parts: %w", d.Name, p, err)
+		return fmt.Errorf("artifacts: partitioning %s to %d parts: %w", d.Name, p, err)
 	}
-	return part, nil
+	return nil
 }
 
 // Summary returns (and caches) the partition summary of d under pr at p
@@ -145,7 +154,11 @@ func (s *Store) partition(d *mesh.Deck, pr partition.Partitioner, p int) ([]int,
 // a Summary of the same key partitions again, since the summary kept no
 // vector.
 func (s *Store) Summary(d *mesh.Deck, pr partition.Partitioner, seed uint64, p int) (*mesh.PartitionSummary, error) {
-	key := partKey(d, pr, seed, p)
+	return s.summary(partKey(d, pr, seed, p), d, pr, p)
+}
+
+// summary is Summary under a key the caller already built.
+func (s *Store) summary(key string, d *mesh.Deck, pr partition.Partitioner, p int) (*mesh.PartitionSummary, error) {
 	sum, _, err := s.sums.Do(key, func() (*mesh.PartitionSummary, error) {
 		part, ok := s.vectors.Get(key)
 		if !ok {
@@ -156,18 +169,19 @@ func (s *Store) Summary(d *mesh.Deck, pr partition.Partitioner, seed uint64, p i
 		}
 		return mesh.Summarize(d.Mesh, part, p)
 	})
-	return sum, err
+	return sum, named(d, p, err)
 }
 
 // Plan returns (and caches) the simulator's exchange plan of the
 // partition Summary describes, under the same key: every simulation of
 // the partition, on any interconnect, reuses one layout.
 func (s *Store) Plan(d *mesh.Deck, pr partition.Partitioner, seed uint64, p int) (*cluster.Plan, error) {
-	plan, _, err := s.plans.Do(partKey(d, pr, seed, p), func() (*cluster.Plan, error) {
-		sum, err := s.Summary(d, pr, seed, p)
-		if err != nil {
-			return nil, err
-		}
+	key := partKey(d, pr, seed, p)
+	sum, err := s.summary(key, d, pr, p)
+	if err != nil {
+		return nil, err
+	}
+	plan, _, err := s.plans.Do(key, func() (*cluster.Plan, error) {
 		return cluster.NewPlan(sum)
 	})
 	return plan, err

@@ -1,7 +1,12 @@
 package artifacts
 
 import (
+	"errors"
+	"fmt"
 	"math"
+	"math/rand/v2"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -301,4 +306,231 @@ func TestRunnersShareOnePlan(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+}
+
+// TestStoreSharesIdenticalMeshes: under quick scaling Medium and Large are
+// one 320x160 mesh, so the store keeps one mesh, graph, summary and plan
+// for both while each deck keeps its own name; the other sizes stay apart.
+func TestStoreSharesIdenticalMeshes(t *testing.T) {
+	s := NewStore()
+	decks := map[mesh.StandardSize]*mesh.Deck{}
+	for _, sz := range []mesh.StandardSize{mesh.Small, mesh.Medium, mesh.Large, mesh.Figure2} {
+		d, err := s.StandardDeck(sz, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := sz.String() + "-quick"; d.Name != want {
+			t.Errorf("%v deck named %q, want %q", sz, d.Name, want)
+		}
+		decks[sz] = d
+	}
+	medium, large := decks[mesh.Medium], decks[mesh.Large]
+	if medium == large {
+		t.Fatal("Medium and Large are one *Deck; each must keep its own name")
+	}
+	if medium.Mesh != large.Mesh {
+		t.Fatal("Medium and Large built the same mesh twice")
+	}
+	custom, err := s.LayeredDeck(320, 160)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if custom.Mesh != medium.Mesh {
+		t.Fatal("the custom 320x160 deck does not share the quick Medium mesh")
+	}
+	graph := func(d *mesh.Deck) *partition.Graph {
+		g, err := s.Graph(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	if graph(medium) != graph(large) {
+		t.Fatal("Medium and Large extracted the same graph twice")
+	}
+
+	ml := partition.NewMultilevel(1)
+	const p = 24
+	sumM, err := s.Summary(medium, ml, 1, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	planM, err := s.Plan(medium, ml, 1, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	computes := s.PartitionComputes()
+	sumL, err := s.Summary(large, ml, 1, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	planL, err := s.Plan(large, ml, 1, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.PartitionComputes(); got != computes {
+		t.Errorf("Large at p=%d partitioned %d more times after Medium", p, got-computes)
+	}
+	if sumL != sumM || planL != planM {
+		t.Error("Large holds its own summary or plan beside Medium's")
+	}
+
+	small, fig2 := decks[mesh.Small], decks[mesh.Figure2]
+	for _, pair := range [][2]*mesh.Deck{{small, fig2}, {small, medium}, {fig2, medium}} {
+		a, b := pair[0], pair[1]
+		if a.Mesh == b.Mesh || a.CacheKey() == b.CacheKey() || graph(a) == graph(b) {
+			t.Errorf("%s and %s share a mesh, key or graph", a.Name, b.Name)
+		}
+	}
+}
+
+// TestPartitionErrorNamesItsCaller: decks of one content share a flight,
+// so what a partition run returns names no deck, and each caller's error
+// names its own deck and wraps the partitioner's — also when Medium and
+// Large ask at once on a cold store and one joins the other's flight.
+func TestPartitionErrorNamesItsCaller(t *testing.T) {
+	quickPair := func(s *Store) (medium, large *mesh.Deck) {
+		t.Helper()
+		medium, err := s.StandardDeck(mesh.Medium, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		large, err = s.StandardDeck(mesh.Large, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return medium, large
+	}
+	ml := partition.NewMultilevel(1)
+	for trial := 0; trial < 20; trial++ {
+		s := NewStore()
+		medium, large := quickPair(s)
+		p := medium.Mesh.NumCells() + 1
+		var wg sync.WaitGroup
+		errs := make([]error, 2)
+		for i, d := range []*mesh.Deck{medium, large} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_, errs[i] = s.Summary(d, ml, 1, p)
+			}()
+		}
+		wg.Wait()
+		for i, d := range []*mesh.Deck{medium, large} {
+			if errs[i] == nil || !strings.Contains(errs[i].Error(), d.Name+" to") {
+				t.Fatalf("trial %d: %s's concurrent Summary failed with %v", trial, d.Name, errs[i])
+			}
+		}
+	}
+
+	s := NewStore()
+	medium, large := quickPair(s)
+	p := medium.Mesh.NumCells() + 1
+
+	_, raw := s.partition(medium, ml, p)
+	if raw == nil || strings.Contains(raw.Error(), "quick") {
+		t.Fatalf("a partition run returned %v; want an error naming no deck", raw)
+	}
+	for _, d := range []*mesh.Deck{medium, large} {
+		_, errV := s.Vector(d, ml, 1, p)
+		_, errS := s.Summary(d, ml, 1, p)
+		_, errP := s.Plan(d, ml, 1, p)
+		want := fmt.Sprintf("artifacts: partitioning %s to %d parts: %s", d.Name, p, raw)
+		for op, err := range map[string]error{"Vector": errV, "Summary": errS, "Plan": errP} {
+			if err == nil || err.Error() != want {
+				t.Errorf("%s(%s) = %v, want %q", op, d.Name, err, want)
+			} else if cause := errors.Unwrap(err); cause == nil || cause.Error() != raw.Error() {
+				t.Errorf("%s(%s) wraps %v, want the partitioner's error", op, d.Name, cause)
+			}
+		}
+	}
+}
+
+// TestDeckKeyIsContent: over random ParseDeck texts, decks that differ
+// only in their "deck NAME" line key equal and have equal dual graphs,
+// while changing one cell, the detonator or the grid changes the key.
+func TestDeckKeyIsContent(t *testing.T) {
+	rng := rand.New(rand.NewPCG(30, 1))
+	const codes = "hafo"
+	type spec struct {
+		w, h  int
+		rows  [][]byte
+		det   string
+		named string
+	}
+	text := func(sp spec) []byte {
+		var b strings.Builder
+		if sp.named != "" {
+			fmt.Fprintf(&b, "deck %s\n", sp.named)
+		}
+		fmt.Fprintf(&b, "grid %d %d\n", sp.w, sp.h)
+		if sp.det != "" {
+			fmt.Fprintf(&b, "detonator %s\n", sp.det)
+		}
+		b.WriteString("cells\n")
+		for _, r := range sp.rows {
+			b.Write(r)
+			b.WriteByte('\n')
+		}
+		return []byte(b.String())
+	}
+	parse := func(sp spec) *mesh.Deck {
+		d, err := mesh.ParseDeck(text(sp))
+		if err != nil {
+			t.Fatalf("%v\n%s", err, text(sp))
+		}
+		return d
+	}
+	clone := func(sp spec) spec {
+		sp.rows = slices.Clone(sp.rows)
+		for i := range sp.rows {
+			sp.rows[i] = slices.Clone(sp.rows[i])
+		}
+		return sp
+	}
+	for trial := 0; trial < 50; trial++ {
+		sp := spec{w: 1 + rng.IntN(9), h: 1 + rng.IntN(9), named: "alpha"}
+		for y := 0; y < sp.h; y++ {
+			row := make([]byte, sp.w)
+			for x := range row {
+				row[x] = codes[rng.IntN(len(codes))]
+			}
+			sp.rows = append(sp.rows, row)
+		}
+		if rng.IntN(2) == 0 {
+			sp.det = fmt.Sprintf("%g %g", rng.Float64(), rng.Float64())
+		}
+		base := parse(sp)
+
+		for _, name := range []string{"beta", ""} {
+			other := sp
+			other.named = name
+			d := parse(other)
+			if d.Name == base.Name || d.CacheKey() != base.CacheKey() {
+				t.Fatalf("trial %d: renaming %q to %q: keys %s vs %s", trial, base.Name, d.Name, base.CacheKey(), d.CacheKey())
+			}
+			g, h := partition.FromMesh(base.Mesh), partition.FromMesh(d.Mesh)
+			if !slices.Equal(g.Xadj, h.Xadj) || !slices.Equal(g.Adjncy, h.Adjncy) ||
+				!slices.Equal(g.AdjWgt, h.AdjWgt) || !slices.Equal(g.VWgt, h.VWgt) ||
+				!slices.Equal(g.CoordX, h.CoordX) || !slices.Equal(g.CoordY, h.CoordY) {
+				t.Fatalf("trial %d: decks of one content have different graphs", trial)
+			}
+		}
+
+		cell := clone(sp)
+		x, y := rng.IntN(sp.w), rng.IntN(sp.h)
+		cell.rows[y][x] = codes[(strings.IndexByte(codes, cell.rows[y][x])+1+rng.IntN(3))%len(codes)]
+		det := sp
+		det.det = fmt.Sprintf("%g %g", 2+rng.Float64(), rng.Float64())
+		grid := clone(sp)
+		grid.w++
+		for i := range grid.rows {
+			grid.rows[i] = append(grid.rows[i], 'h')
+		}
+		for what, changed := range map[string]spec{"one cell": cell, "the detonator": det, "the grid": grid} {
+			if parse(changed).CacheKey() == base.CacheKey() {
+				t.Fatalf("trial %d: changing %s kept the key", trial, what)
+			}
+		}
+	}
 }

@@ -142,9 +142,10 @@ func (e *Env) Graph(d *mesh.Deck) (*partition.Graph, error) {
 
 // Partition returns (and caches) the multilevel partition summary of a deck
 // at p processors. Distinct (deck, p) keys partition concurrently;
-// duplicate requests wait for the one in flight. The key includes the
-// deck's content-derived CacheKey, so two decks sharing a name (possible
-// with parsed decks) can never serve each other's partitions.
+// duplicate requests wait for the one in flight. The key is the deck's
+// content (CacheKey), not its name: two decks sharing a name (possible
+// with parsed decks) never serve each other's partitions, and decks of
+// one content share theirs.
 func (e *Env) Partition(d *mesh.Deck, p int) (*mesh.PartitionSummary, error) {
 	return e.Store().Summary(d, partition.NewMultilevel(e.Seed), e.Seed, p)
 }
@@ -238,21 +239,26 @@ func (e *Env) ContrivedCalibration() (*compute.Calibrated, error) {
 
 // DeckCalibration returns (and caches) the §3.1 least-squares calibration
 // over campaigns of the given deck at the given processor counts, keyed
-// by the deck's content-derived CacheKey (see Partition).
+// by the deck's content-derived CacheKey (see Partition), so decks of one
+// content share it. On a miss the campaign's partitions resolve before
+// the shared flight, so a partitioning error names this caller's deck.
 func (e *Env) DeckCalibration(d *mesh.Deck, calPs []int) (*compute.Calibrated, error) {
 	key := d.CacheKey()
 	for _, p := range calPs {
 		key += fmt.Sprintf("/%d", p)
 	}
-	v, _, err := e.deckCals.Do(key, func() (*compute.Calibrated, error) {
-		var samples []core.DeckSample
-		for _, p := range calPs {
-			sum, err := e.Partition(d, p)
-			if err != nil {
-				return nil, err
-			}
-			samples = append(samples, core.DeckSample{Summary: sum})
+	if cal, ok := e.deckCals.Get(key); ok {
+		return cal, nil
+	}
+	var samples []core.DeckSample
+	for _, p := range calPs {
+		sum, err := e.Partition(d, p)
+		if err != nil {
+			return nil, err
 		}
+		samples = append(samples, core.DeckSample{Summary: sum})
+	}
+	v, _, err := e.deckCals.Do(key, func() (*compute.Calibrated, error) {
 		cal := &core.Calibrator{Profile: e.Profiler()}
 		return cal.FromDeck(samples)
 	})

@@ -1,9 +1,10 @@
 package mesh
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"sync"
 )
@@ -30,16 +31,17 @@ type Deck struct {
 	cacheKey     string
 }
 
-// CacheKey returns a content-derived identity for the deck: the name
-// plus a fingerprint of the grid, detonator, and per-cell materials.
-// Caches that memoize per-deck artifacts (partitions, calibrations)
-// must key on this rather than Name alone, because two decks can share
-// a name with different contents — e.g. distinct ParseDeck inputs whose
-// "deck" directives, or default parsed-WxH names, coincide. Computed
-// once and memoized; safe for concurrent callers.
+// CacheKey returns the deck's content identity: a SHA-256 fingerprint
+// of what derived artifacts read — the grid dimensions, the detonator,
+// and the per-cell materials (every constructor derives node coordinates
+// from W and H). The name is left out, so decks of one content share
+// their graph, partitions, plans and calibrations whatever they are
+// called; the hash is cryptographic because no name separates decks and
+// ParseDeck inputs are user text. Computed once and memoized; safe for
+// concurrent callers.
 func (d *Deck) CacheKey() string {
 	d.cacheKeyOnce.Do(func() {
-		h := fnv.New64a()
+		h := sha256.New()
 		var buf [8]byte
 		put := func(v uint64) {
 			binary.LittleEndian.PutUint64(buf[:], v)
@@ -54,7 +56,7 @@ func (d *Deck) CacheKey() string {
 			mats[i] = byte(m)
 		}
 		h.Write(mats)
-		d.cacheKey = fmt.Sprintf("%s#%016x", d.Name, h.Sum64())
+		d.cacheKey = hex.EncodeToString(h.Sum(nil))
 	})
 	return d.cacheKey
 }
@@ -99,20 +101,6 @@ func (s StandardSize) Dims() (w, h int) {
 		return 512, 128
 	}
 	return 0, 0
-}
-
-// BuildStandardDeck builds one of the paper's decks.
-func BuildStandardDeck(s StandardSize) (*Deck, error) {
-	w, h := s.Dims()
-	if w == 0 {
-		return nil, fmt.Errorf("mesh: unknown standard size %v", s)
-	}
-	d, err := BuildLayeredDeck(w, h)
-	if err != nil {
-		return nil, err
-	}
-	d.Name = s.String()
-	return d, nil
 }
 
 // BuildLayeredDeck constructs the paper's input deck on a w×h grid: a 2-D

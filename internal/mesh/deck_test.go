@@ -24,21 +24,23 @@ func TestStandardSizesMatchPaper(t *testing.T) {
 	}
 }
 
+// TestBuildStandardDeck builds a standard deck the way the artifact store
+// does: the layered deck at the size's dimensions.
 func TestBuildStandardDeck(t *testing.T) {
-	d, err := BuildStandardDeck(Small)
+	d, err := BuildLayeredDeck(Small.Dims())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d.Mesh.NumCells() != 3200 {
 		t.Fatalf("cells = %d", d.Mesh.NumCells())
 	}
-	if d.Name != "Small" {
+	if d.Name != "layered-80x40" {
 		t.Fatalf("name = %q", d.Name)
 	}
 	if err := d.Mesh.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := BuildStandardDeck(StandardSize(99)); err == nil {
+	if _, err := BuildLayeredDeck(StandardSize(99).Dims()); err == nil {
 		t.Fatal("unknown size accepted")
 	}
 }
@@ -46,7 +48,7 @@ func TestBuildStandardDeck(t *testing.T) {
 func TestLayeredDeckRatiosMatchTable2(t *testing.T) {
 	// On the medium deck the measured ratios should be within grid
 	// resolution (~1 column = 1/640) of Table 2.
-	d, err := BuildStandardDeck(Medium)
+	d, err := BuildLayeredDeck(Medium.Dims())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -288,3 +288,54 @@ func TestExperimentThroughFacade(t *testing.T) {
 		t.Error("rendering does not mention the experiment id")
 	}
 }
+
+// TestQuickMediumAndLargeShareOneMesh pins what content-keyed artifacts
+// promise on a quick machine, where Medium and Large both shrink to one
+// 320x160 mesh: after Medium's mesh-specific predict and simulate at a
+// PE count, Large's at the same count run no partitioner, and each
+// answer renders the same bytes as Medium's once the "deck" line goes.
+func TestQuickMediumAndLargeShareOneMesh(t *testing.T) {
+	m, err := NewMachine(WithQuick())
+	if err != nil {
+		t.Fatal(err)
+	}
+	render := func(deck string, simulate bool) []byte {
+		t.Helper()
+		sc, err := NewScenario(WithDeck(deck), WithPE(16), WithModel(MeshSpecific), WithIterations(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := NewSession(m, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		op := s.Predict
+		if simulate {
+			op = s.Simulate
+		}
+		res, err := op()
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := RenderJSON(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		line := fmt.Sprintf("  \"deck\": %q,\n", res.Deck)
+		if !strings.Contains(string(body), line) {
+			t.Fatalf("%s body has no line %q:\n%s", deck, line, body)
+		}
+		return []byte(strings.Replace(string(body), line, "", 1))
+	}
+	for _, simulate := range []bool{false, true} {
+		medium := render("medium", simulate)
+		computes := m.env.Store().PartitionComputes()
+		large := render("large", simulate)
+		if got := m.env.Store().PartitionComputes(); got != computes {
+			t.Errorf("simulate=%v: large ran the partitioner %d more times after medium", simulate, got-computes)
+		}
+		if string(medium) != string(large) {
+			t.Errorf("simulate=%v: medium and large answers differ beyond the deck name:\n%s\n---\n%s", simulate, medium, large)
+		}
+	}
+}
